@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -62,8 +63,10 @@ class RunConfig:
             raise CliError(
                 f"unknown functional {self.functional!r}; expected one of {', '.join(fn.FUNCTIONAL_IDS)}"
             )
-        if self.tol <= 0.0:
-            raise CliError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise CliError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.trials < 1:
+            raise CliError(f"trial count must be positive, got {self.trials}")
         if self.format == "csv" and self.command != "converge":
             raise CliError("csv format is only available for converge study tables")
 
@@ -125,7 +128,7 @@ def load_specs(
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -216,6 +219,16 @@ def _evaluate_report(config: RunConfig, dist, psi, chi) -> fn.IneqReport:
     raise CliError(f"functional {functional} is not supported by this command")
 
 
+def _require_finite(functional: str, terms: dict) -> None:
+    """Reject a report whose terms overflowed or came from non-finite input."""
+    bad = sorted(k for k, v in terms.items() if not math.isfinite(v))
+    if bad:
+        raise CliError(
+            f"{functional}: non-finite terms {', '.join(bad)}; the input overflows "
+            "double precision or is not finite"
+        )
+
+
 def _cmd_verify(config: RunConfig) -> int:
     dist, psi, chi = load_specs(config.dist_path, config.psi_spec, config.chi_spec)
     if config.functional == "troy":
@@ -224,6 +237,10 @@ def _cmd_verify(config: RunConfig) -> int:
         if psi is None:
             raise CliError("troy requires --psi")
         record = fn.troy_comparison(config.p_exp, psi, m=config.m)
+        _require_finite(
+            "troy",
+            {"our_lhs": record.our_lhs, "our_rhs": record.our_rhs, "troy_rhs": record.troy_rhs},
+        )
         _emit(config, _json_text(_with_config_meta(record.to_json_dict(), config)))
         slack = record.our_rhs - record.our_lhs
         ok = slack >= -config.tol * max(1.0, abs(record.our_rhs))
@@ -233,6 +250,7 @@ def _cmd_verify(config: RunConfig) -> int:
         )
         return EXIT_OK if ok else EXIT_VIOLATION
     report = _evaluate_report(config, dist, psi, chi)
+    _require_finite(report.functional, report.terms)
     _emit(config, _json_text(_with_config_meta(report.to_json_dict(), config)))
     rhs = report.terms["rhs"]
     ok = report.slack >= -config.tol * max(1.0, abs(rhs))

@@ -194,6 +194,42 @@ def make_uniform_interval(a: float, b: float) -> Distribution:
     return Distribution(pieces=(Piece(float(a), float(b), 1.0),))
 
 
+#: Messages of the :func:`model_faults` codes; code 0 is a valid model.
+MODEL_FAULTS = (
+    "",
+    "support and mass must be finite",
+    "support must be strictly increasing",
+    "all masses must be positive",
+    "masses must sum to 1",
+)
+
+
+def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarray:
+    """First failed :class:`QuantizedModel` invariant of each row, as a code.
+
+    ``support`` and ``mass`` have shape (rows, width); row r holds a model
+    in its first ``sizes[r]`` entries (all of them when ``sizes`` is None)
+    and anything after them.  Returns one code per row, indexing
+    :data:`MODEL_FAULTS` in the order the checks are made: finite, strictly
+    increasing, positive masses, masses summing to 1 within
+    :data:`MASS_TOL` (an exact sum, ``math.fsum``).
+    """
+    if sizes is None:
+        active = np.ones(support.shape, dtype=bool)
+    else:
+        active = np.arange(support.shape[-1]) < np.asarray(sizes)[:, None]
+    nonfinite = np.any(active & ~(np.isfinite(support) & np.isfinite(mass)), axis=-1)
+    unordered = np.any(active[:, 1:] & (np.diff(support, axis=-1) <= 0), axis=-1)
+    nonpositive = np.any(active & (mass <= 0.0), axis=-1)
+    # Sum only the rows that pass the other checks: math.fsum rejects inf - inf.
+    checked = ~(nonfinite | unordered | nonpositive)
+    unnormalized = np.zeros(checked.shape, dtype=bool)
+    unnormalized[checked] = [
+        abs(math.fsum(row) - 1.0) > MASS_TOL for row in np.where(active, mass, 0.0)[checked].tolist()
+    ]
+    return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
+
+
 @dataclass(frozen=True)
 class QuantizedModel:
     """Canonical pure-atom evaluation form.
@@ -218,14 +254,9 @@ class QuantizedModel:
             raise DistributionError(
                 f"{support.size} support points but {mass.size} masses"
             )
-        if np.any(~np.isfinite(support)) or np.any(~np.isfinite(mass)):
-            raise DistributionError("support and mass must be finite")
-        if np.any(np.diff(support) <= 0):
-            raise DistributionError("support must be strictly increasing")
-        if np.any(mass <= 0.0):
-            raise DistributionError("all masses must be positive")
-        if abs(math.fsum(mass.tolist()) - 1.0) > MASS_TOL:
-            raise DistributionError("masses must sum to 1")
+        fault = int(model_faults(support[None, :], mass[None, :])[0])
+        if fault:
+            raise DistributionError(MODEL_FAULTS[fault])
         support.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "support", support)
@@ -354,6 +385,11 @@ class NodeFunction:
             if self.values is None:
                 raise ValueError("kind 'values' requires a value vector")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            if not all(math.isfinite(v) for v in self.values):
+                raise ValueError("node-function values must be finite")
+        for name in ("level", "threshold", "low", "high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"node-function {name} must be finite, got {getattr(self, name)!r}")
 
     @classmethod
     def constant(cls, level: float = 1.0) -> "NodeFunction":

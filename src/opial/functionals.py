@@ -12,6 +12,14 @@ makes the first-order bounds exactly tight at constant functions even on
 atoms.  The n-th order nested integral instead sums over strictly ordered
 tuples with no tie weight, which is what makes atoms force strict inequality
 in the n-th order bound.
+
+Each functional's arithmetic lives in one ``*_rows`` kernel that works row
+by row along the last axis: masses and node values of shape ``(..., m)``
+give terms of shape ``(...)``.  A batch of models of different sizes is
+zero-padded to a common length; a zero mass leaves every compensated pass
+and sum unchanged (see :mod:`opial.accumulate`), so each row's terms are
+bit-identical to evaluating that model alone.  The public evaluators are
+their kernel applied to one model, followed by the report.
 """
 from __future__ import annotations
 
@@ -110,16 +118,18 @@ class IneqReport:
 
 def _build_report(
     functional: str,
-    terms: dict[str, float],
-    tight: float,
-    rhs: float,
+    terms: dict,
+    tight: str,
     m: int,
     exact: bool,
     tol: float = EQUALITY_TOL,
     extras: dict | None = None,
 ) -> IneqReport:
-    slack = rhs - tight
-    ratio = 0.0 if rhs == 0.0 else tight / rhs
+    """Report of one instance; `tight` names the left-hand term compared with rhs."""
+    terms = {k: float(v) for k, v in terms.items()}
+    rhs = terms["rhs"]
+    slack = rhs - terms[tight]
+    ratio = 0.0 if rhs == 0.0 else terms[tight] / rhs
     equality = slack <= tol * max(1.0, abs(rhs))
     return IneqReport(
         functional=functional,
@@ -156,6 +166,12 @@ def _check_direction(direction: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _half_tie(weighted: np.ndarray, direction: Direction) -> np.ndarray:
+    if direction == "below":
+        return prefix_exclusive(weighted) + 0.5 * weighted
+    return suffix_exclusive(weighted) + 0.5 * weighted
+
+
 def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below") -> np.ndarray:
     """Half-tie weighted conditional sums, one value per node.
 
@@ -165,11 +181,18 @@ def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below
     Computed by a single compensated forward (resp. backward) pass.
     """
     _check_direction(direction)
-    vals = _as_values(psi, model)
-    weighted = model.mass * vals
-    if direction == "below":
-        return prefix_exclusive(weighted) + 0.5 * weighted
-    return suffix_exclusive(weighted) + 0.5 * weighted
+    return _half_tie(model.mass * _as_values(psi, model), direction)
+
+
+def opial_rows(p, vals, direction: Direction = "below") -> dict:
+    """Terms lhs, middle, rhs of :func:`opial_terms`, row by row."""
+    t_signed = _half_tie(p * vals, direction)
+    t_abs = _half_tie(p * np.abs(vals), direction)
+    return {
+        "lhs": comp_sum(p * np.abs(t_signed * vals)),
+        "middle": comp_sum(p * np.abs(vals) * t_abs),
+        "rhs": 0.5 * comp_sum(p * vals * vals),
+    }
 
 
 def opial_terms(
@@ -187,23 +210,28 @@ def opial_terms(
     Equality throughout iff psi is constant on the support.
     """
     _check_direction(direction)
-    vals = _as_values(psi, model)
-    p = model.mass
-    t_signed = half_tie_transform(model, vals, direction)
-    t_abs = half_tie_transform(model, np.abs(vals), direction)
-    lhs = comp_sum(p * np.abs(t_signed * vals))
-    middle = comp_sum(p * np.abs(vals) * t_abs)
-    rhs = 0.5 * comp_sum(p * vals * vals)
-    functional = "thm1-lower" if direction == "below" else "thm1-upper"
+    terms = opial_rows(model.mass, _as_values(psi, model), direction)
     return _build_report(
-        functional,
-        {"lhs": lhs, "middle": middle, "rhs": rhs},
-        tight=middle,
-        rhs=rhs,
+        "thm1-lower" if direction == "below" else "thm1-upper",
+        terms,
+        tight="middle",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
     )
+
+
+def corollary_rows(p_low, vals_low, p_up, vals_up) -> dict:
+    """Terms of :func:`corollary_split`, row by row.
+
+    Each row holds both conditional models on one node axis: ``p_low`` is
+    the lower model's masses and zero elsewhere, ``p_up`` the upper model's
+    masses and zero elsewhere, and the values are zero where their masses
+    are.
+    """
+    low = opial_rows(p_low, vals_low, "below")
+    up = opial_rows(p_up, vals_up, "above")
+    return {key: low[key] + up[key] for key in ("lhs", "middle", "rhs")}
 
 
 def corollary_split(
@@ -246,18 +274,18 @@ def corollary_split(
         vals_low = psi.resolve(q_low)
         vals_up = psi.resolve(q_up)
 
-    rep_low = opial_terms(q_low, vals_low, "below", tol=tol)
-    rep_up = opial_terms(q_up, vals_up, "above", tol=tol)
-    terms = {
-        "lhs": rep_low.terms["lhs"] + rep_up.terms["lhs"],
-        "middle": rep_low.terms["middle"] + rep_up.terms["middle"],
-        "rhs": rep_low.terms["rhs"] + rep_up.terms["rhs"],
-    }
+    after_low = np.zeros(q_up.node_count)
+    before_up = np.zeros(q_low.node_count)
+    terms = corollary_rows(
+        np.concatenate((q_low.mass, after_low)),
+        np.concatenate((vals_low, after_low)),
+        np.concatenate((before_up, q_up.mass)),
+        np.concatenate((before_up, vals_up)),
+    )
     return _build_report(
         "corollary",
         terms,
-        tight=terms["middle"],
-        rhs=terms["rhs"],
+        tight="middle",
         m=m,
         exact=q_low.is_exact and q_up.is_exact,
         tol=tol,
@@ -270,6 +298,21 @@ def corollary_split(
 # ---------------------------------------------------------------------------
 
 
+def _nested_rows(p, vals, n, order_cap: int) -> np.ndarray:
+    """I_n row by row, with the order n given per row (or once for all)."""
+    n = np.asarray(n)
+    low, high = int(n.min()), int(n.max())
+    if low < 1:
+        raise ValueError(f"order n must be >= 1, got {low}")
+    if high > order_cap:
+        raise ValueError(f"order n={high} exceeds the cap {order_cap}")
+    cur = i_n = vals
+    for k in range(1, high + 1):
+        cur = prefix_exclusive(p * cur)
+        i_n = np.where(np.expand_dims(n >= k, -1), cur, i_n)
+    return i_n
+
+
 def nested_integral(model: QuantizedModel, psi, n: int, order_cap: int = ORDER_CAP) -> np.ndarray:
     """n-fold nested integral over strictly ordered arguments below each node.
 
@@ -279,14 +322,18 @@ def nested_integral(model: QuantizedModel, psi, n: int, order_cap: int = ORDER_C
     Strict inequalities throughout: ties carry no weight here, unlike the
     half-tie transform.
     """
-    if n < 1:
-        raise ValueError(f"order n must be >= 1, got {n}")
-    if n > order_cap:
-        raise ValueError(f"order n={n} exceeds the cap {order_cap}")
-    cur = _as_values(psi, model)
-    for _ in range(n):
-        cur = prefix_exclusive(model.mass * cur)
-    return cur
+    return _nested_rows(model.mass, _as_values(psi, model), n, order_cap)
+
+
+def theorem2_rows(p, vals, n, order_cap: int = ORDER_CAP) -> dict:
+    """Terms lhs, rhs of :func:`theorem2_terms`, row by row; `n` per row or once."""
+    i_n = _nested_rows(p, vals, n, order_cap)
+    n = np.asarray(n)
+    factorials = np.array([math.factorial(k + 1) for k in range(int(n.max()) + 1)], dtype=float)
+    return {
+        "lhs": comp_sum(p * np.abs(i_n * vals)),
+        "rhs": comp_sum(p * vals * vals) / factorials[n],
+    }
 
 
 def theorem2_terms(
@@ -302,16 +349,11 @@ def theorem2_terms(
     approached by refining quantizations of continuous distributions with
     constant psi.
     """
-    vals = _as_values(psi, model)
-    i_n = nested_integral(model, vals, n, order_cap)
-    p = model.mass
-    lhs = comp_sum(p * np.abs(i_n * vals))
-    rhs = comp_sum(p * vals * vals) / math.factorial(n + 1)
+    terms = theorem2_rows(model.mass, _as_values(psi, model), n, order_cap)
     return _build_report(
         "thm2",
-        {"lhs": lhs, "rhs": rhs},
-        tight=lhs,
-        rhs=rhs,
+        terms,
+        tight="lhs",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -322,6 +364,19 @@ def theorem2_terms(
 # ---------------------------------------------------------------------------
 # second-order inequality with atom corrections
 # ---------------------------------------------------------------------------
+
+
+def theorem3_rows(p, vals) -> dict:
+    """Terms lhs, rhs of :func:`theorem3_terms`, row by row."""
+    a = np.abs(vals)
+    s1 = prefix_exclusive(p * a)
+    j = prefix_exclusive(p * s1)
+    jd = prefix_exclusive(p * p * a) + p * s1
+    lhs = 6.0 * comp_sum(p * j * a) + 3.0 * comp_sum(p * jd * a)
+    below = prefix_exclusive(p)
+    above = suffix_exclusive(p)
+    kernel = below * below + above * above + p * (below + above)
+    return {"lhs": lhs, "rhs": 1.5 * comp_sum(p * vals * vals * kernel)}
 
 
 def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -355,22 +410,11 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
     repository, so whether this is the paper's own form of the bound is not
     settled here.
     """
-    vals = _as_values(psi, model)
-    a = np.abs(vals)
-    p = model.mass
-    s1 = prefix_exclusive(p * a)
-    j = prefix_exclusive(p * s1)
-    jd = prefix_exclusive(p * p * a) + p * s1
-    lhs = 6.0 * comp_sum(p * j * a) + 3.0 * comp_sum(p * jd * a)
-    below = prefix_exclusive(p)
-    above = suffix_exclusive(p)
-    kernel = below * below + above * above + p * (below + above)
-    rhs = 1.5 * comp_sum(p * vals * vals * kernel)
+    terms = theorem3_rows(model.mass, _as_values(psi, model))
     return _build_report(
         "thm3",
-        {"lhs": lhs, "rhs": rhs},
-        tight=lhs,
-        rhs=rhs,
+        terms,
+        tight="lhs",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -380,6 +424,23 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
 # ---------------------------------------------------------------------------
 # weighted inequalities
 # ---------------------------------------------------------------------------
+
+
+def weighted_rows(p, vals, weights, direction: Direction = "below") -> dict:
+    """Terms of :func:`weighted_opial_terms`, row by row."""
+    t_signed = _half_tie(p * vals, direction)
+    t_abs = _half_tie(p * np.abs(vals), direction)
+    lhs = comp_sum(p * np.abs(t_signed * vals) * weights)
+    middle = comp_sum(p * np.abs(vals) * weights * t_abs)
+    if direction == "below":
+        near = prefix_exclusive(p)
+        far = suffix_exclusive(p * weights) + 0.5 * p * weights
+    else:
+        near = suffix_exclusive(p)
+        far = prefix_exclusive(p * weights) + 0.5 * p * weights
+    rhs = 0.5 * comp_sum(p * vals * vals * (weights * (near + 0.5 * p) + far))
+    monotone_bound = 0.5 * comp_sum(p * vals * vals * weights)
+    return {"lhs": lhs, "middle": middle, "rhs": rhs, "monotone_bound": monotone_bound}
 
 
 def weighted_opial_terms(
@@ -408,27 +469,12 @@ def weighted_opial_terms(
     weights = _as_values(chi, model)
     if np.any(weights < 0.0):
         raise ValueError("weight chi must be nonnegative at all nodes")
-    p = model.mass
-    t_signed = half_tie_transform(model, vals, direction)
-    t_abs = half_tie_transform(model, np.abs(vals), direction)
-    lhs = comp_sum(p * np.abs(t_signed * vals) * weights)
-    middle = comp_sum(p * np.abs(vals) * weights * t_abs)
-    if direction == "below":
-        near = prefix_exclusive(p)
-        far = suffix_exclusive(p * weights) + 0.5 * p * weights
-        monotone_ok = bool(np.all(np.diff(weights) <= 0.0))
-    else:
-        near = suffix_exclusive(p)
-        far = prefix_exclusive(p * weights) + 0.5 * p * weights
-        monotone_ok = bool(np.all(np.diff(weights) >= 0.0))
-    rhs = 0.5 * comp_sum(p * vals * vals * (weights * (near + 0.5 * p) + far))
-    monotone_bound = 0.5 * comp_sum(p * vals * vals * weights)
-    functional = "weighted-lower" if direction == "below" else "weighted-upper"
+    steps = np.diff(weights)
+    monotone_ok = bool(np.all(steps <= 0.0) if direction == "below" else np.all(steps >= 0.0))
     return _build_report(
-        functional,
-        {"lhs": lhs, "middle": middle, "rhs": rhs, "monotone_bound": monotone_bound},
-        tight=middle,
-        rhs=rhs,
+        "weighted-lower" if direction == "below" else "weighted-upper",
+        weighted_rows(model.mass, vals, weights, direction),
+        tight="middle",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -485,6 +531,12 @@ def troy_comparison(p_exp: float, psi, m: int = DEFAULT_RESOLUTION) -> TroyCompa
 # ---------------------------------------------------------------------------
 
 
+def wirtinger_rows(p, vals) -> dict:
+    """Terms lhs, rhs of :func:`wirtinger_terms` for zero-mean rows."""
+    low = prefix_exclusive(p * vals)
+    return {"lhs": comp_sum(p * low * low), "rhs": INV_PI_SQ * comp_sum(p * vals * vals)}
+
+
 def wirtinger_terms(
     model: QuantizedModel,
     psi,
@@ -495,10 +547,15 @@ def wirtinger_terms(
     """Wirtinger-type bound E (sum_{x_j<X} p_j psi_j)^2 <= E psi^2 / pi^2.
 
     Requires E psi = 0.  With ``project`` the mean is removed first;
-    otherwise a violation raises :class:`ZeroMeanError`.  The bound is a
-    theorem for (quantizations of) absolutely continuous distributions; on
-    genuinely atomic input the report is still produced but flagged
-    ``heuristic`` and the bound may fail.
+    otherwise a violation raises :class:`ZeroMeanError`.
+
+    The constant 1/pi^2 is sharp for absolutely continuous distributions,
+    and it is the m -> infinity statement for their quantizations, not a
+    bound on each of them: on m equal-mass nodes the best constant is
+    1/pi^2 + 1/(12 m^2) + O(m^-4).  A near-extremal psi (such as cos(pi F))
+    on a quantized model can therefore exceed the bound by about that margin
+    and be reported violated.  On genuinely atomic input the report is
+    flagged ``heuristic``, and the bound may fail by far more.
     """
     vals = _as_values(psi, model)
     p = model.mass
@@ -511,14 +568,10 @@ def wirtinger_terms(
                 f"(tolerance {mean_tol} relative); pass project=True to remove the mean"
             )
         vals = vals - mean
-    low = prefix_exclusive(p * vals)
-    lhs = comp_sum(p * low * low)
-    rhs = INV_PI_SQ * comp_sum(p * vals * vals)
     return _build_report(
         "wirtinger",
-        {"lhs": lhs, "rhs": rhs},
-        tight=lhs,
-        rhs=rhs,
+        wirtinger_rows(p, vals),
+        tight="lhs",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -536,6 +589,29 @@ def _require_zero_sum(a: np.ndarray, which: str, mean_tol: float) -> None:
     scale = max(1.0, comp_sum(np.abs(a)))
     if abs(total) > mean_tol * scale:
         raise ZeroMeanError(f"{which} requires sum(a) = 0; got {total!r}")
+
+
+def discrete_rows(a, n, which: str) -> dict:
+    """Terms lhs, rhs of :func:`discrete_identities`, row by row.
+
+    `n` is each row's length N before its zero padding (or one length for
+    all rows); `which` is a key of :data:`DISCRETE_IDENTITY_IDS`.
+    """
+    sum_sq = comp_sum(a * a)
+    if which == "o9-1":
+        lhs = comp_sum(np.abs(a * (prefix_exclusive(a) + a)))
+        rhs = 0.5 * (n + 1) * sum_sq
+    elif which == "o9-2":
+        mags = np.abs(a)
+        lhs = comp_sum(mags * (prefix_exclusive(mags) + mags))
+        rhs = 0.5 * (n + 1) * sum_sq
+    elif which == "o15":
+        lhs = comp_sum(np.abs(a * (prefix_exclusive(a) + 0.5 * a)))
+        rhs = 0.25 * n * sum_sq
+    else:  # o18
+        lhs = comp_sum(np.abs(a * prefix_exclusive(a)))
+        rhs = 0.5 * ((n + 1) // 2) * sum_sq
+    return {"lhs": lhs, "rhs": rhs}
 
 
 def discrete_identities(
@@ -558,33 +634,37 @@ def discrete_identities(
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
-    n = arr.size
-    sum_sq = comp_sum(arr * arr)
-    if key == "o9-1":
-        incl = prefix_exclusive(arr) + arr
-        lhs = comp_sum(np.abs(arr * incl))
-        rhs = 0.5 * (n + 1) * sum_sq
-    elif key == "o9-2":
-        mags = np.abs(arr)
-        lhs = comp_sum(mags * (prefix_exclusive(mags) + mags))
-        rhs = 0.5 * (n + 1) * sum_sq
-    elif key == "o15":
-        _require_zero_sum(arr, "o15", mean_tol)
-        lhs = comp_sum(np.abs(arr * (prefix_exclusive(arr) + 0.5 * arr)))
-        rhs = 0.25 * n * sum_sq
-    else:  # o18
-        _require_zero_sum(arr, "o18", mean_tol)
-        lhs = comp_sum(np.abs(arr * prefix_exclusive(arr)))
-        rhs = 0.5 * ((n + 1) // 2) * sum_sq
+    if key in ("o15", "o18"):
+        _require_zero_sum(arr, key, mean_tol)
     return _build_report(
         key,
-        {"lhs": lhs, "rhs": rhs},
-        tight=lhs,
-        rhs=rhs,
-        m=n,
+        discrete_rows(arr, arr.size, key),
+        tight="lhs",
+        m=arr.size,
         exact=True,
         tol=tol,
     )
+
+
+def rtwo_rows(a, n) -> dict:
+    """Terms lhs, rhs of :func:`rtwo_terms`, row by row.
+
+    `n` is each row's length N before its zero padding (or one length for
+    all rows).  The left side is the literal double sum
+    6 sum_i a_i sum_{j<=i} (i-j) a_j, each sum taken left to right from 0:
+    the inner sums of all i advance together, one index j at a time.
+    """
+    width = a.shape[-1]
+    index = np.arange(width, dtype=float)
+    inner = np.zeros(a.shape)
+    for j in range(width):
+        inner[..., j:] += (index[j:] - j) * a[..., j : j + 1]
+    outer = np.concatenate((np.zeros(a.shape[:-1] + (1,)), a * inner), axis=-1)
+    lhs = 6.0 * np.add.accumulate(outer, axis=-1)[..., -1]
+    last = np.expand_dims(np.asarray(n, dtype=float) - 1.0, -1)  # N - 1
+    above = last - index  # N - i for i counted from 1
+    weights = index * index + above * above + last
+    return {"lhs": lhs, "rhs": 1.5 * comp_sum(weights * a * a)}
 
 
 def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -607,24 +687,11 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
         raise ValueError("empty coefficient vector")
     if np.any(arr < 0.0):
         raise ValueError("rtwo expects nonnegative coefficients")
-    n = arr.size
-    vals = arr.tolist()
-    total = 0.0
-    for i in range(n):
-        inner = 0.0
-        for j in range(i + 1):
-            inner += (i - j) * vals[j]
-        total += vals[i] * inner
-    lhs = 6.0 * total
-    below = np.arange(n, dtype=float)  # i - 1 for i counted from 1
-    weights = below * below + below[::-1] * below[::-1] + (n - 1.0)
-    rhs = 1.5 * comp_sum(weights * arr * arr)
     return _build_report(
         "rtwo",
-        {"lhs": lhs, "rhs": rhs},
-        tight=lhs,
-        rhs=rhs,
-        m=n,
+        rtwo_rows(arr, arr.size),
+        tight="lhs",
+        m=arr.size,
         exact=True,
         tol=tol,
     )

@@ -15,7 +15,13 @@ import numpy as np
 
 from . import functionals as fn
 from .accumulate import comp_sum, prefix_exclusive, suffix_exclusive
-from .distributions import Distribution, QuantizedModel, make_uniform_interval, quantize
+from .distributions import (
+    Distribution,
+    QuantizedModel,
+    make_uniform_interval,
+    model_faults,
+    quantize,
+)
 
 INV_PI_SQ = fn.INV_PI_SQ
 
@@ -422,7 +428,39 @@ class Violation:
         }
 
 
-def _random_model(rng: np.random.Generator, m: int) -> QuantizedModel:
+#: Trials in a search's first chunk.  Chunks double from here, so a search
+#: that violates early (wirtinger) evaluates few trials past its violation.
+FIRST_CHUNK_TRIALS = 32
+
+#: Cap on a chunk's trials times m_max: the size of each zero-padded array.
+CHUNK_ELEMENTS = 1 << 15
+
+_DISCRETE_SEARCH_IDS = fn.DISCRETE_IDENTITY_IDS + ("rtwo",)
+
+#: Searched functionals whose slack is rhs - middle; the others use rhs - lhs.
+_MIDDLE_TIGHT_IDS = ("thm1-lower", "thm1-upper", "corollary", "weighted-lower", "weighted-upper")
+
+
+def _draw_trial(functional_id: str, seed: int, trial: int, m_max: int) -> dict | None:
+    """Trial `trial`'s instance, drawn from ``default_rng([seed, trial])``.
+
+    Discrete forms get coefficients ``a`` (None for the size-1 trials that
+    o15 and o18 skip); the others get an atomic model (``support``,
+    ``mass``), node values ``psi`` and the functional's parameter (``n``,
+    ``chi`` or the split index ``cut``).
+    """
+    rng = np.random.default_rng([seed, trial])
+    if functional_id in _DISCRETE_SEARCH_IDS:
+        size = int(rng.integers(1, m_max + 1))
+        a = rng.standard_normal(size)
+        if functional_id in ("o15", "o18"):
+            if size == 1:
+                return None
+            a = a - a.mean()
+        if functional_id == "rtwo":
+            a = np.abs(a)
+        return {"a": a}
+    m = int(rng.integers(2, m_max + 1))
     gaps = rng.uniform(0.1, 1.0, m)
     support = np.cumsum(gaps) + rng.uniform(-3.0, 3.0)
     mass = rng.dirichlet(np.ones(m))
@@ -430,7 +468,124 @@ def _random_model(rng: np.random.Generator, m: int) -> QuantizedModel:
     # the positive-mass and conditioning guards downstream.
     mass = np.maximum(mass, 1e-9)
     mass /= mass.sum()
-    return QuantizedModel(support=support, mass=mass, is_exact=True, source_m=1)
+    draw = {"support": support, "mass": mass, "psi": rng.standard_normal(m)}
+    if functional_id == "thm2":
+        draw["n"] = int(rng.integers(1, 4))
+    elif functional_id in ("weighted-lower", "weighted-upper"):
+        draw["chi"] = rng.uniform(0.0, 3.0, m)
+    elif functional_id == "corollary":
+        draw["cut"] = int(rng.integers(1, m))
+    return draw
+
+
+def _evaluate_trial(functional_id: str, draw: dict) -> tuple[fn.IneqReport, dict]:
+    """One drawn trial through the public evaluators: its report and instance."""
+    if "a" in draw:
+        a = draw["a"]
+        if functional_id == "rtwo":
+            report = fn.rtwo_terms(a)
+        else:
+            report = fn.discrete_identities(a, functional_id)
+        return report, {"a": [float(v) for v in a]}
+    model = QuantizedModel(support=draw["support"], mass=draw["mass"], is_exact=True, source_m=1)
+    psi = draw["psi"]
+    instance = {
+        "support": [float(v) for v in model.support],
+        "mass": [float(v) for v in model.mass],
+        "psi": [float(v) for v in psi],
+    }
+    if functional_id in ("thm1-lower", "thm1-upper"):
+        direction = "below" if functional_id == "thm1-lower" else "above"
+        report = fn.opial_terms(model, psi, direction)
+    elif functional_id == "thm2":
+        report = fn.theorem2_terms(model, psi, draw["n"])
+        instance["n"] = draw["n"]
+    elif functional_id == "thm3":
+        report = fn.theorem3_terms(model, psi)
+    elif functional_id in ("weighted-lower", "weighted-upper"):
+        direction = "below" if functional_id == "weighted-lower" else "above"
+        report = fn.weighted_opial_terms(model, psi, draw["chi"], direction)
+        instance["chi"] = [float(v) for v in draw["chi"]]
+    elif functional_id == "corollary":
+        c = float(model.support[draw["cut"] - 1])
+        dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
+        report = fn.corollary_split(dist, psi, c, m=1)
+        instance["c"] = c
+    else:  # wirtinger on atoms: heuristic class
+        psi = psi - comp_sum(model.mass * psi)
+        report = fn.wirtinger_terms(model, psi)
+        instance["psi"] = [float(v) for v in psi]
+    return report, instance
+
+
+def _violates(slack, rhs, rel_tol: float):
+    return slack < -rel_tol * np.fmax(1.0, np.abs(rhs))
+
+
+def _pad(rows: list[np.ndarray], active: np.ndarray) -> np.ndarray:
+    """Rows of different lengths, zero-padded to the shape of `active`."""
+    out = np.zeros(active.shape)
+    out[active] = np.concatenate(rows)
+    return out
+
+
+def _screen(functional_id: str, rows: list[dict], m_max: int):
+    """Slack, rhs and model faults of drawn trials, by one kernel call.
+
+    The draws are zero-padded to (trials, m_max) rows and evaluated by the
+    functional's row kernel, whose rows are bit-identical to the public
+    evaluators.  ``flagged`` marks the rows whose model fails an invariant
+    (:func:`~opial.distributions.model_faults`), on which the public path
+    raises.  The evaluators' other input checks cannot fail on the draws:
+    chi, the rtwo coefficients and both conditional masses are positive by
+    construction, and centred rows meet the zero-sum and zero-mean
+    conditions to within a few ulp.
+    """
+    key = "a" if functional_id in _DISCRETE_SEARCH_IDS else "psi"
+    sizes = np.array([d[key].size for d in rows])
+    index = np.arange(m_max)
+    active = index < sizes[:, None]
+    if key == "a":
+        a = _pad([d["a"] for d in rows], active)
+        flagged = np.zeros(len(rows), dtype=bool)
+        if functional_id == "rtwo":
+            terms = fn.rtwo_rows(a, sizes)
+        else:
+            terms = fn.discrete_rows(a, sizes, functional_id)
+    else:
+        support = _pad([d["support"] for d in rows], active)
+        p = _pad([d["mass"] for d in rows], active)
+        psi = _pad([d["psi"] for d in rows], active)
+        flagged = model_faults(support, p, sizes) != 0
+        if functional_id in ("thm1-lower", "thm1-upper"):
+            direction = "below" if functional_id == "thm1-lower" else "above"
+            terms = fn.opial_rows(p, psi, direction)
+        elif functional_id == "thm2":
+            terms = fn.theorem2_rows(p, psi, np.array([d["n"] for d in rows]))
+        elif functional_id == "thm3":
+            terms = fn.theorem3_rows(p, psi)
+        elif functional_id in ("weighted-lower", "weighted-upper"):
+            direction = "below" if functional_id == "weighted-lower" else "above"
+            chi = _pad([d["chi"] for d in rows], active)
+            terms = fn.weighted_rows(p, psi, chi, direction)
+        elif functional_id == "corollary":
+            # The conditional laws of the public path, as masked rows of the
+            # same nodes; their models' invariants follow from the full model's.
+            lower = index < np.array([d["cut"] for d in rows])[:, None]
+            upper = active & ~lower
+            p_low = np.array([math.fsum(d["mass"][: d["cut"]]) for d in rows])[:, None]
+            p_up = np.array([math.fsum(d["mass"][d["cut"] :]) for d in rows])[:, None]
+            terms = fn.corollary_rows(
+                np.where(lower, p / p_low, 0.0),
+                np.where(lower, psi, 0.0),
+                np.where(upper, p / p_up, 0.0),
+                np.where(upper, psi, 0.0),
+            )
+        else:  # wirtinger, projected as in the public path
+            psi = np.where(active, psi - comp_sum(p * psi)[:, None], 0.0)
+            terms = fn.wirtinger_rows(p, psi)
+    tight = terms["middle" if functional_id in _MIDDLE_TIGHT_IDS else "lhs"]
+    return terms["rhs"] - tight, terms["rhs"], flagged
 
 
 def search_counterexample(
@@ -443,9 +598,21 @@ def search_counterexample(
     """Randomized search for slack < -rel_tol relative.
 
     Node functions are i.i.d. standard normal; distributions have random
-    sorted supports and Dirichlet masses.  Per-trial generators derive
-    deterministically from the master seed, so trials are order-independent
-    and reproducible.  Returns the first violating instance, or None.
+    sorted supports and Dirichlet masses.  Trial t draws its instance from
+    its own generator ``default_rng([seed, t])``, so trials are
+    order-independent and reproducible.  Returns the violation of the
+    lowest violating trial, or None.
+
+    Trials run in chunks: FIRST_CHUNK_TRIALS at first, then twice as many
+    each time, up to CHUNK_ELEMENTS / m_max.  A chunk's draws are
+    zero-padded into (trials, m_max) arrays and screened by one call of
+    the functional's row kernel in :mod:`opial.functionals`, whose rows are
+    bit-identical to the public evaluators, together with the checks those
+    evaluators make on their inputs.  The lowest screened trial is then
+    evaluated again through the public evaluator, which builds the returned
+    :class:`Violation`, or raises the error a trial-by-trial search would
+    have raised there.  The result is the same as evaluating every trial
+    through the public evaluators in order; only the cost differs.
 
     The Wirtinger bound is only a theorem for continuous distributions;
     searching it over atomic inputs is expected to surface (heuristic-class)
@@ -455,65 +622,29 @@ def search_counterexample(
         raise ValueError(f"no randomized search for functional {functional_id!r}")
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
-    heuristic = functional_id == "wirtinger"
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        if functional_id in fn.DISCRETE_IDENTITY_IDS or functional_id == "rtwo":
-            size = int(rng.integers(1, m_max + 1))
-            a = rng.standard_normal(size)
-            if functional_id in ("o15", "o18"):
-                if size == 1:
-                    continue
-                a = a - a.mean()
-            if functional_id == "rtwo":
-                a = np.abs(a)
-            report = (
-                fn.rtwo_terms(a)
-                if functional_id == "rtwo"
-                else fn.discrete_identities(a, functional_id)
-            )
-            instance = {"a": [float(v) for v in a]}
-        else:
-            m = int(rng.integers(2, m_max + 1))
-            model = _random_model(rng, m)
-            psi = rng.standard_normal(m)
-            instance = {
-                "support": [float(v) for v in model.support],
-                "mass": [float(v) for v in model.mass],
-                "psi": [float(v) for v in psi],
-            }
-            if functional_id in ("thm1-lower", "thm1-upper"):
-                direction = "below" if functional_id == "thm1-lower" else "above"
-                report = fn.opial_terms(model, psi, direction)
-            elif functional_id == "thm2":
-                order = int(rng.integers(1, 4))
-                report = fn.theorem2_terms(model, psi, order)
-                instance["n"] = order
-            elif functional_id == "thm3":
-                report = fn.theorem3_terms(model, psi)
-            elif functional_id in ("weighted-lower", "weighted-upper"):
-                chi = rng.uniform(0.0, 3.0, m)
-                direction = "below" if functional_id == "weighted-lower" else "above"
-                report = fn.weighted_opial_terms(model, psi, chi, direction)
-                instance["chi"] = [float(v) for v in chi]
-            elif functional_id == "corollary":
-                cut = int(rng.integers(1, m))
-                c = float(model.support[cut - 1])
-                dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
-                report = fn.corollary_split(dist, psi, c, m=1)
-                instance["c"] = c
-            else:  # wirtinger on atoms: heuristic class
-                psi = psi - comp_sum(model.mass * psi)
-                report = fn.wirtinger_terms(model, psi)
-                instance["psi"] = [float(v) for v in psi]
-        rhs = report.terms["rhs"]
-        if report.slack < -rel_tol * max(1.0, abs(rhs)):
-            return Violation(
-                functional=functional_id,
-                trial=trial,
-                seed=seed,
-                slack=report.slack,
-                heuristic=heuristic,
-                instance=instance,
-            )
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    chunk_cap = max(1, CHUNK_ELEMENTS // m_max)
+    chunk = min(FIRST_CHUNK_TRIALS, chunk_cap)
+    start = 0
+    while start < trials:
+        stop = min(trials, start + chunk)
+        draws = [_draw_trial(functional_id, seed, trial, m_max) for trial in range(start, stop)]
+        kept = np.array([k for k, d in enumerate(draws) if d is not None], dtype=int)
+        if kept.size:
+            slack, rhs, flagged = _screen(functional_id, [draws[k] for k in kept], m_max)
+            kept = kept[flagged | _violates(slack, rhs, rel_tol)]
+        for k in kept:
+            report, instance = _evaluate_trial(functional_id, draws[k])
+            if _violates(report.slack, report.terms["rhs"], rel_tol):
+                return Violation(
+                    functional=functional_id,
+                    trial=start + int(k),
+                    seed=seed,
+                    slack=report.slack,
+                    heuristic=functional_id == "wirtinger",
+                    instance=instance,
+                )
+        start = stop
+        chunk = min(2 * chunk, chunk_cap)
     return None

@@ -51,3 +51,95 @@ def test_prefix_beats_naive_on_ill_conditioned():
     values = np.ravel(np.column_stack([big, -big])) + np.repeat(small, 2)[: 1000]
     exact = math.fsum(values.tolist())
     assert abs(comp_sum(values) - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+# ---------------------------------------------------------------------------
+# row-wise passes against the scalar Neumaier loop, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def neumaier_prefix(values):
+    """Scalar reference: exclusive running sums and the total, one loop."""
+    out = []
+    s = 0.0
+    c = 0.0
+    for v in [float(x) for x in values]:
+        out.append(s + c)
+        t = s + v
+        if abs(s) >= abs(v):
+            c += (s - t) + v
+        else:
+            c += (v - t) + s
+        s = t
+    return out, s + c
+
+
+def bits(values):
+    """Exact bit patterns, so that -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+def assert_rows_match_loop(rows):
+    rows = np.asarray(rows, dtype=float)
+    prefix = prefix_exclusive(rows)
+    suffix = suffix_exclusive(rows)
+    totals = comp_sum(rows)
+    assert prefix.shape == suffix.shape == rows.shape
+    assert np.shape(totals) == rows.shape[:-1]
+    for index in np.ndindex(rows.shape[:-1]):
+        row = rows[index]
+        want_prefix, want_total = neumaier_prefix(row)
+        want_suffix = neumaier_prefix(row[::-1])[0][::-1]
+        assert bits(prefix[index]) == bits(want_prefix)
+        assert bits(suffix[index]) == bits(want_suffix)
+        assert bits([totals[index]]) == bits([want_total])
+
+
+def spread_row(rng, n):
+    """Random signs and magnitudes spanning 40 decades."""
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+
+
+def test_rows_match_loop_over_forty_decades():
+    rng = np.random.default_rng(404)
+    for _ in range(300):
+        row = spread_row(rng, int(rng.integers(0, 64)))
+        assert_rows_match_loop(row[None, :])
+        want_prefix, want_total = neumaier_prefix(row)
+        assert bits(prefix_exclusive(row)) == bits(want_prefix)
+        assert bits([comp_sum(row)]) == bits([want_total])
+        assert type(comp_sum(row)) is float
+
+
+def test_2d_and_3d_batches_match_loop():
+    rng = np.random.default_rng(405)
+    assert_rows_match_loop(spread_row(rng, 40 * 17).reshape(40, 17))
+    assert_rows_match_loop(spread_row(rng, 3 * 5 * 9).reshape(3, 5, 9))
+
+
+def test_zero_padding_leaves_each_row_unchanged():
+    rng = np.random.default_rng(406)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        row = spread_row(rng, n)
+        lead, trail = (int(k) for k in rng.integers(0, 8, 2))
+        sign = float(rng.choice([1.0, -1.0]))
+        padded = np.concatenate((np.full(lead, sign * 0.0), row, np.full(trail, sign * 0.0)))
+        assert_rows_match_loop(padded[None, :])
+        want_prefix, want_total = neumaier_prefix(row)
+        want_suffix = neumaier_prefix(row[::-1])[0][::-1]
+        assert bits([comp_sum(padded)]) == bits([want_total])
+        assert bits(prefix_exclusive(padded)[lead : lead + n]) == bits(want_prefix)
+        assert bits(suffix_exclusive(padded)[lead : lead + n]) == bits(want_suffix)
+
+
+def test_empty_single_and_signed_zero_inputs():
+    assert comp_sum([]) == 0.0 and prefix_exclusive([]).shape == (0,)
+    assert suffix_exclusive([]).shape == (0,)
+    assert comp_sum(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
+    for row in ([2.5], [-0.0], [0.0], [-0.0, -0.0], [-0.0, 1.0, -1.0, -0.0], [1e308, 1e308, -1e308]):
+        assert_rows_match_loop(np.asarray(row)[None, :])
+        want_prefix, want_total = neumaier_prefix(row)
+        assert bits(prefix_exclusive(row)) == bits(want_prefix)
+        assert bits([comp_sum(row)]) == bits([want_total])
+    assert comp_sum(3.0) == 3.0

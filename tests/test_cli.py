@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from opial import cli
 from opial.cli import main
 
 
@@ -191,6 +192,56 @@ class TestVerify:
             ]
         )
         assert code == 2
+
+
+class TestHostileInput:
+    """Inputs that cannot give a verdict exit 1 and write no report."""
+
+    def three_atoms(self, tmp_path):
+        path = tmp_path / "three.json"
+        spec = {"atoms": [[0, 0.25], [1, 0.25], [2, 0.5]], "pieces": []}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        return str(path)
+
+    def verify(self, tmp_path, psi, *extra):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--dist", self.three_atoms(tmp_path), "--psi", psi]
+        code = main(argv + ["--functional", "thm1-lower", "--out", str(out), *extra])
+        return code, out
+
+    def test_nan_in_psi_values(self, tmp_path, capsys):
+        code, out = self.verify(tmp_path, '{"kind": "values", "values": [1.0, NaN, 2.0]}')
+        assert code == 1 and not out.exists()
+        assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_psi_values(self, tmp_path, capsys):
+        code, out = self.verify(tmp_path, '{"kind": "values", "values": [1e200, -2e200, 3e200]}')
+        assert code == 1 and not out.exists()
+        assert "non-finite terms" in capsys.readouterr().err
+
+    def test_nan_tolerance(self, tmp_path, capsys):
+        code, out = self.verify(tmp_path, "constant", "--tol", "nan")
+        assert code == 1 and not out.exists()
+        assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1e-9"])
+    def test_other_bad_tolerances(self, tmp_path, tol):
+        assert self.verify(tmp_path, "constant", f"--tol={tol}")[0] == 1
+
+    def test_non_finite_family_parameters(self, tmp_path):
+        for psi in ('{"kind": "constant", "level": Infinity}', '{"kind": "step", "threshold": 1, "low": NaN, "high": 0}'):
+            assert self.verify(tmp_path, psi)[0] == 1
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_search_needs_positive_trials(self, tmp_path, capsys, trials):
+        out = tmp_path / "search.json"
+        argv = ["search", "--functional", "thm1-lower", "--trials", trials, "--out", str(out)]
+        assert main(argv) == 1 and not out.exists()
+        assert "trial count" in capsys.readouterr().err
+
+    def test_json_reports_reject_nan(self):
+        with pytest.raises(ValueError):
+            cli._json_text({"terms": {"lhs": float("nan")}})
 
 
 class TestSpecLoading:

@@ -25,6 +25,7 @@ from opial import (
     weighted_opial_terms,
     wirtinger_terms,
 )
+from opial import functionals as fn
 from opial.accumulate import comp_sum
 
 from conftest import random_atomic_model
@@ -681,3 +682,101 @@ class TestReport:
     def test_zero_rhs_ratio(self):
         rep = opial_terms(uniform_model(3), np.zeros(3))
         assert rep.ratio == 0.0 and rep.terms["rhs"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# row kernels on zero-padded batches, bit for bit against the evaluators
+# ---------------------------------------------------------------------------
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).reshape(-1).view(np.int64).tolist()
+
+
+class TestRowKernels:
+    """Each row of a padded batch equals its model's public report exactly."""
+
+    WIDTH = 13
+
+    def batch(self, rng, rows=24):
+        models = [random_atomic_model(rng, m_max=self.WIDTH, m_min=2) for _ in range(rows)]
+        sizes = np.array([q.node_count for q in models])
+        active = np.arange(self.WIDTH) < sizes[:, None]
+        psis = [rng.standard_normal(q.node_count) * 10.0 ** rng.uniform(-8, 8) for q in models]
+
+        def pad(rows_):
+            out = np.zeros(active.shape)
+            out[active] = np.concatenate(rows_)
+            return out
+
+        return models, psis, pad, active, sizes
+
+    def assert_rows(self, terms, reports):
+        for r, report in enumerate(reports):
+            for key, value in report.terms.items():
+                assert bits(terms[key][r]) == bits(value), (r, key)
+
+    def test_first_order_weighted_and_second_order(self, rng):
+        models, psis, pad, _, _ = self.batch(rng)
+        p, psi = pad([q.mass for q in models]), pad(psis)
+        chis = [rng.uniform(0.0, 3.0, q.node_count) for q in models]
+        for direction in ("below", "above"):
+            self.assert_rows(
+                fn.opial_rows(p, psi, direction),
+                [opial_terms(q, v, direction) for q, v in zip(models, psis)],
+            )
+            self.assert_rows(
+                fn.weighted_rows(p, psi, pad(chis), direction),
+                [weighted_opial_terms(q, v, w, direction) for q, v, w in zip(models, psis, chis)],
+            )
+        self.assert_rows(
+            fn.theorem3_rows(p, psi), [theorem3_terms(q, v) for q, v in zip(models, psis)]
+        )
+
+    def test_nth_order_with_order_per_row(self, rng):
+        models, psis, pad, _, _ = self.batch(rng)
+        orders = rng.integers(1, 5, len(models))
+        self.assert_rows(
+            fn.theorem2_rows(pad([q.mass for q in models]), pad(psis), orders),
+            [theorem2_terms(q, v, int(n)) for q, v, n in zip(models, psis, orders)],
+        )
+
+    def test_wirtinger_on_zero_mean_rows(self, rng):
+        models, psis, pad, _, _ = self.batch(rng)
+        centred = [v - comp_sum(q.mass * v) for q, v in zip(models, psis)]
+        self.assert_rows(
+            fn.wirtinger_rows(pad([q.mass for q in models]), pad(centred)), [wirtinger_terms(q, v) for q, v in zip(models, centred)]
+        )
+
+    def test_corollary_on_masked_rows(self, rng):
+        models, psis, pad, active, _ = self.batch(rng)
+        cuts = np.array([int(rng.integers(1, q.node_count)) for q in models])
+        lower = np.arange(self.WIDTH) < cuts[:, None]
+        upper = active & ~lower
+        p, psi = pad([q.mass for q in models]), pad(psis)
+        share_low = np.array([math.fsum(q.mass[:k]) for q, k in zip(models, cuts)])[:, None]
+        share_up = np.array([math.fsum(q.mass[k:]) for q, k in zip(models, cuts)])[:, None]
+        terms = fn.corollary_rows(
+            np.where(lower, p / share_low, 0.0),
+            np.where(lower, psi, 0.0),
+            np.where(upper, p / share_up, 0.0),
+            np.where(upper, psi, 0.0),
+        )
+        reports = [
+            corollary_split(
+                Distribution(atoms=tuple(zip(q.support, q.mass))), v, float(q.support[k - 1]), m=1
+            )
+            for q, v, k in zip(models, psis, cuts)
+        ]
+        self.assert_rows(terms, reports)
+
+    def test_discrete_forms_with_length_per_row(self, rng):
+        _, psis, pad, _, sizes = self.batch(rng)
+        for which in fn.DISCRETE_IDENTITY_IDS:
+            centred = [v - v.mean() for v in psis] if which in ("o15", "o18") else psis
+            self.assert_rows(
+                fn.discrete_rows(pad(centred), sizes, which),
+                [discrete_identities(v, which) for v in centred],
+            )
+        mags = [np.abs(v) for v in psis]
+        self.assert_rows(fn.rtwo_rows(pad(mags), sizes), [rtwo_terms(v) for v in mags])

@@ -1,9 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from opial import functionals as fn
+from opial import sharpness
 from opial import (
+    Distribution,
+    DistributionError,
+    QuantizedModel,
     make_discrete,
     make_uniform_interval,
     maximize_ratio_opial,
@@ -13,7 +19,15 @@ from opial import (
     wirtinger_best_constant,
 )
 from opial.functionals import INV_PI_SQ
-from opial.sharpness import ConvergenceError, THEOREM_BACKED_IDS, convergence_study
+from opial.accumulate import comp_sum
+from opial.sharpness import (
+    FIRST_CHUNK_TRIALS,
+    SEARCHABLE_IDS,
+    ConvergenceError,
+    THEOREM_BACKED_IDS,
+    Violation,
+    convergence_study,
+)
 
 from conftest import random_atomic_model
 
@@ -204,3 +218,190 @@ class TestSearchCounterexample:
     def test_theorem_backed_list_shape(self):
         assert "wirtinger" not in THEOREM_BACKED_IDS
         assert "thm1-lower" in THEOREM_BACKED_IDS
+
+    def test_trial_count_must_be_positive(self):
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials"):
+                search_counterexample("thm1-lower", trials=trials, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the batched search against a trial-by-trial loop over the public evaluators
+# ---------------------------------------------------------------------------
+
+
+def draw_one(functional, seed, trial, m_max):
+    """One trial's instance, drawn in the search's documented order."""
+    rng = np.random.default_rng([seed, trial])
+    if functional in fn.DISCRETE_IDENTITY_IDS or functional == "rtwo":
+        size = int(rng.integers(1, m_max + 1))
+        a = rng.standard_normal(size)
+        if functional in ("o15", "o18"):
+            if size == 1:
+                return None
+            a = a - a.mean()
+        if functional == "rtwo":
+            a = np.abs(a)
+        return {"a": a}
+    m = int(rng.integers(2, m_max + 1))
+    gaps = rng.uniform(0.1, 1.0, m)
+    support = np.cumsum(gaps) + rng.uniform(-3.0, 3.0)
+    mass = np.maximum(rng.dirichlet(np.ones(m)), 1e-9)
+    mass /= mass.sum()
+    draw = {"support": support, "mass": mass, "psi": rng.standard_normal(m)}
+    if functional == "thm2":
+        draw["n"] = int(rng.integers(1, 4))
+    elif functional in ("weighted-lower", "weighted-upper"):
+        draw["chi"] = rng.uniform(0.0, 3.0, m)
+    elif functional == "corollary":
+        draw["cut"] = int(rng.integers(1, m))
+    return draw
+
+
+def loop_trials(functional, trials, seed, m_max, draw=draw_one):
+    """Yield (trial, report, instance), each trial through the public evaluator."""
+    for trial in range(trials):
+        d = draw(functional, seed, trial, m_max)
+        if d is None:
+            continue
+        if "a" in d:
+            a = d["a"]
+            if functional == "rtwo":
+                report = fn.rtwo_terms(a)
+            else:
+                report = fn.discrete_identities(a, functional)
+            yield trial, report, {"a": [float(v) for v in a]}
+            continue
+        model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True, source_m=1)
+        psi = d["psi"]
+        instance = {
+            "support": [float(v) for v in model.support],
+            "mass": [float(v) for v in model.mass],
+            "psi": [float(v) for v in psi],
+        }
+        if functional in ("thm1-lower", "thm1-upper"):
+            direction = "below" if functional == "thm1-lower" else "above"
+            report = fn.opial_terms(model, psi, direction)
+        elif functional == "thm2":
+            report = fn.theorem2_terms(model, psi, d["n"])
+            instance["n"] = d["n"]
+        elif functional == "thm3":
+            report = fn.theorem3_terms(model, psi)
+        elif functional in ("weighted-lower", "weighted-upper"):
+            direction = "below" if functional == "weighted-lower" else "above"
+            report = fn.weighted_opial_terms(model, psi, d["chi"], direction)
+            instance["chi"] = [float(v) for v in d["chi"]]
+        elif functional == "corollary":
+            c = float(model.support[d["cut"] - 1])
+            dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
+            report = fn.corollary_split(dist, psi, c, m=1)
+            instance["c"] = c
+        else:
+            psi = psi - comp_sum(model.mass * psi)
+            report = fn.wirtinger_terms(model, psi)
+            instance["psi"] = [float(v) for v in psi]
+        yield trial, report, instance
+
+
+def loop_search(functional, trials, seed, m_max, draw=draw_one, rel_tol=1e-9):
+    """The search's contract: the first violating trial, in trial order."""
+    for trial, report, instance in loop_trials(functional, trials, seed, m_max, draw):
+        if report.slack < -rel_tol * max(1.0, abs(report.terms["rhs"])):
+            return Violation(functional, trial, seed, report.slack, functional == "wirtinger", instance)
+    return None
+
+
+def as_text(violation):
+    return None if violation is None else json.dumps(violation.to_json_dict())
+
+
+def patch_draws(monkeypatch, change):
+    """Make the search draw `change(trial, draw_one(...))` for every trial."""
+
+    def draw(functional, seed, trial, m_max):
+        return change(trial, draw_one(functional, seed, trial, m_max))
+
+    monkeypatch.setattr(sharpness, "_draw_trial", draw)
+    return draw
+
+
+class TestBatchedSearchMatchesLoop:
+    @pytest.mark.parametrize("m_max", [2, 3, 30])
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_same_result_as_trial_loop(self, functional, m_max):
+        for seed in (0, 11, 2024):
+            trials = 3 * FIRST_CHUNK_TRIALS + 7  # three chunks, the last one partial
+            batched = search_counterexample(functional, trials=trials, seed=seed, m_max=m_max)
+            looped = loop_search(functional, trials, seed, m_max)
+            assert as_text(batched) == as_text(looped)
+
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_same_trial_at_a_threshold_inside_the_slack_range(self, functional):
+        # A tolerance at the 5 % point of the trials' relative slacks makes a
+        # few trials, spread over the chunks, fall below it, and puts one
+        # trial exactly on it: a drift of one ulp there changes the result.
+        trials, seed, m_max = 4 * FIRST_CHUNK_TRIALS, 7, 30
+        rel = sorted(
+            report.slack / max(1.0, abs(report.terms["rhs"]))
+            for _, report, _ in loop_trials(functional, trials, seed, m_max)
+        )
+        rel_tol = -rel[len(rel) // 20]
+        batched = search_counterexample(functional, trials, seed, m_max, rel_tol=rel_tol)
+        looped = loop_search(functional, trials, seed, m_max, rel_tol=rel_tol)
+        assert looped is not None
+        assert as_text(batched) == as_text(looped)
+
+    @pytest.mark.parametrize("m_max", [2, 30])
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_screen_slacks_are_the_evaluators_bit_for_bit(self, functional, m_max):
+        trials, seed = 2 * FIRST_CHUNK_TRIALS, 8
+        looped = list(loop_trials(functional, trials, seed, m_max))
+        draws = [draw_one(functional, seed, t, m_max) for t, _, _ in looped]
+        slack, rhs, flagged = sharpness._screen(functional, draws, m_max)
+        assert not flagged.any()
+        want = [(r.slack, r.terms["rhs"]) for _, r, _ in looped]
+        assert np.array(list(zip(slack, rhs))).view(np.int64).tolist() == (
+            np.array(want).view(np.int64).tolist()
+        )
+
+    def test_wirtinger_violates_in_first_chunk(self):
+        violation = search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
+        assert violation is not None and violation.trial < FIRST_CHUNK_TRIALS
+        assert as_text(violation) == as_text(loop_search("wirtinger", 200, 1, 4))
+
+    def test_first_violation_in_second_chunk(self, monkeypatch):
+        def quiet_first_chunk(trial, d):
+            if trial < FIRST_CHUNK_TRIALS:
+                d["psi"] = np.zeros_like(d["psi"])  # slack 0: no violation
+            return d
+
+        draw = patch_draws(monkeypatch, quiet_first_chunk)
+        violation = search_counterexample("wirtinger", trials=400, seed=5, m_max=4)
+        assert violation is not None
+        assert FIRST_CHUNK_TRIALS <= violation.trial < 3 * FIRST_CHUNK_TRIALS
+        assert as_text(violation) == as_text(loop_search("wirtinger", 400, 5, 4, draw=draw))
+
+    def _first_violation(self):
+        violation = loop_search("wirtinger", 200, 1, 4)
+        assert violation is not None and violation.trial + 3 < FIRST_CHUNK_TRIALS
+        return violation.trial
+
+    @pytest.mark.parametrize("offset", [-1, 1, 2 * FIRST_CHUNK_TRIALS])
+    def test_invalid_model_after_violation_is_not_reached(self, monkeypatch, offset):
+        bad = self._first_violation() + offset
+
+        def repeat_a_node(trial, d):
+            if trial == bad:
+                d["support"][1] = d["support"][0]
+            return d
+
+        draw = patch_draws(monkeypatch, repeat_a_node)
+        if offset < 0:
+            with pytest.raises(DistributionError, match="strictly increasing"):
+                loop_search("wirtinger", 200, 1, 4, draw=draw)
+            with pytest.raises(DistributionError, match="strictly increasing"):
+                search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
+        else:
+            batched = search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
+            assert batched is not None and batched.trial == bad - offset
+            assert as_text(batched) == as_text(loop_search("wirtinger", 200, 1, 4, draw=draw))
