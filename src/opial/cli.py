@@ -23,7 +23,13 @@ from . import __version__
 from . import functionals as fn
 from . import oracle as oracle_mod
 from . import sharpness as sharp
-from .distributions import Distribution, DistributionError, NodeFunction, quantize
+from .distributions import (
+    Distribution,
+    DistributionError,
+    NodeFunction,
+    make_uniform_interval,
+    quantize,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,42 +187,44 @@ def _values_vector(psi: NodeFunction | None, what: str) -> np.ndarray:
     return np.asarray(psi.values, dtype=float)
 
 
-def _evaluate_report(config: RunConfig, dist, psi, chi) -> fn.IneqReport:
-    functional = config.functional
-    if functional is None:
+def _functional(config: RunConfig) -> fn.Functional:
+    if config.functional is None:
         raise CliError("--functional is required")
-    if functional in fn.DISCRETE_IDENTITY_IDS:
-        return fn.discrete_identities(
-            _values_vector(psi, functional), functional, tol=config.tol
-        )
-    if functional == "rtwo":
-        return fn.rtwo_terms(_values_vector(psi, "rtwo"), tol=config.tol)
+    return fn.FUNCTIONALS[config.functional]
+
+
+#: Message for a missing required parameter, by parameter.
+_MISSING = {
+    "n": "{} requires --n",
+    "c": "{} requires --c",
+    "chi": "functional {} requires --chi",
+    "p_exp": "{} requires --p-exp",
+}
+
+
+def _params(config: RunConfig, spec: fn.Functional, chi) -> dict:
+    """The functional's required parameters, from the flags and --chi."""
+    given = {"n": config.n, "c": config.c, "chi": chi, "p_exp": config.p_exp}
+    for name in spec.params:
+        if given[name] is None:
+            raise CliError(_MISSING[name].format(config.functional))
+    return {name: given[name] for name in spec.params}
+
+
+def _evaluate_report(config: RunConfig, dist, psi, chi) -> fn.IneqReport:
+    spec = _functional(config)
+    functional = config.functional
+    if spec.input == "sequence":
+        return spec.evaluate(_values_vector(psi, functional), tol=config.tol)
     if dist is None:
         raise CliError(f"functional {functional} requires --dist")
     if psi is None:
         raise CliError(f"functional {functional} requires --psi")
-    if functional == "corollary":
-        if config.c is None:
-            raise CliError("corollary requires --c")
-        return fn.corollary_split(dist, psi, config.c, m=config.m, tol=config.tol)
+    if spec.input == "distribution":
+        return spec.evaluate(dist, psi, m=config.m, tol=config.tol, **_params(config, spec, chi))
     model = quantize(dist, config.m)
-    if functional in ("thm1-lower", "thm1-upper"):
-        direction = "below" if functional == "thm1-lower" else "above"
-        return fn.opial_terms(model, psi, direction, tol=config.tol)
-    if functional == "thm2":
-        if config.n is None:
-            raise CliError("thm2 requires --n")
-        return fn.theorem2_terms(model, psi, config.n, tol=config.tol)
-    if functional == "thm3":
-        return fn.theorem3_terms(model, psi, tol=config.tol)
-    if functional in ("weighted-lower", "weighted-upper"):
-        if chi is None:
-            raise CliError(f"functional {functional} requires --chi")
-        direction = "below" if functional == "weighted-lower" else "above"
-        return fn.weighted_opial_terms(model, psi, chi, direction, tol=config.tol)
-    if functional == "wirtinger":
-        return fn.wirtinger_terms(model, psi, project=config.project, tol=config.tol)
-    raise CliError(f"functional {functional} is not supported by this command")
+    options = {"project": config.project} if spec.zero_mean else {}
+    return spec.evaluate(model, psi, tol=config.tol, **options, **_params(config, spec, chi))
 
 
 def _require_finite(functional: str, terms: dict) -> None:
@@ -231,14 +239,14 @@ def _require_finite(functional: str, terms: dict) -> None:
 
 def _cmd_verify(config: RunConfig) -> int:
     dist, psi, chi = load_specs(config.dist_path, config.psi_spec, config.chi_spec)
-    if config.functional == "troy":
-        if config.p_exp is None:
-            raise CliError("troy requires --p-exp")
+    spec = _functional(config)
+    if spec.input == "exponent":
+        params = _params(config, spec, chi)
         if psi is None:
-            raise CliError("troy requires --psi")
-        record = fn.troy_comparison(config.p_exp, psi, m=config.m)
+            raise CliError(f"{config.functional} requires --psi")
+        record = spec.evaluate(psi=psi, m=config.m, **params)
         _require_finite(
-            "troy",
+            config.functional,
             {"our_lhs": record.our_lhs, "our_rhs": record.our_rhs, "troy_rhs": record.troy_rhs},
         )
         _emit(config, _json_text(_with_config_meta(record.to_json_dict(), config)))
@@ -263,10 +271,9 @@ def _cmd_verify(config: RunConfig) -> int:
 
 def _cmd_oracle_diff(config: RunConfig) -> int:
     dist, psi, chi = load_specs(config.dist_path, config.psi_spec, config.chi_spec)
+    spec = _functional(config)
     functional = config.functional
-    if functional is None:
-        raise CliError("--functional is required")
-    if functional in fn.DISCRETE_IDENTITY_IDS or functional in ("rtwo", "troy"):
+    if not spec.oracle_backed:
         raise CliError(
             f"no enumeration oracle for {functional}; its evaluation is already literal"
         )
@@ -275,20 +282,15 @@ def _cmd_oracle_diff(config: RunConfig) -> int:
     model = quantize(dist, config.m)
     psi_vals = psi.resolve(model)
     chi_vals = chi.resolve(model) if chi is not None else None
-    if functional == "wirtinger" and config.project:
+    if spec.zero_mean and config.project:
         # Project once so the oracle sees the same values as the fast path.
         psi_vals = psi_vals - float(np.sum(model.mass * psi_vals))
-    if functional == "corollary":
-        if config.c is None:
-            raise CliError("corollary requires --c")
-        if dist.pieces:
-            # The fast path quantizes each conditional separately, which is a
-            # different discretization than splitting the quantized model.
-            raise CliError("oracle-diff for corollary requires an atomic distribution")
-        fast = fn.corollary_split(dist, psi_vals, config.c, m=config.m).terms
-    else:
-        fast_report = _evaluate_report(config, dist, psi_vals, chi_vals)
-        fast = fast_report.terms
+    _params(config, spec, chi_vals)
+    if spec.input == "distribution" and dist.pieces:
+        # The fast path quantizes each conditional separately, which is a
+        # different discretization than splitting the quantized model.
+        raise CliError(f"oracle-diff for {functional} requires an atomic distribution")
+    fast = _evaluate_report(config, dist, psi_vals, chi_vals).terms
     try:
         slow = oracle_mod.enumerate_functional(
             model,
@@ -319,29 +321,38 @@ def _cmd_oracle_diff(config: RunConfig) -> int:
 
 def _cmd_sharpness(config: RunConfig) -> int:
     functional = config.functional
-    if functional in ("thm1-lower", "thm1-upper"):
+    spec = fn.FUNCTIONALS.get(functional)
+    if spec is None or spec.form is None:
+        solved = [k for k, f in fn.FUNCTIONALS.items() if f.form is not None]
+        raise CliError(f"sharpness supports --functional {', '.join(solved[:-1])} or {solved[-1]}")
+    form = spec.form
+    if spec.zero_mean:
+        # The zero-mean bound is sharp on continuous laws: solve uniform (0, 1).
+        if config.m < 2:
+            raise CliError(f"need resolution m >= 2, got {config.m}")
+        model = quantize(make_uniform_interval(0.0, 1.0), config.m)
+        result = sharp.rayleigh_best_constant(model, functional)
+        doc = result.to_json_dict()
+        line = f"{functional} c_m={result.c_m:.12g} target={form.bound:.12g} iterations={result.iterations}"
+    else:
         dist, _, _ = load_specs(config.dist_path, None, None)
         if dist is None:
             raise CliError("sharpness for thm1-* requires --dist")
-        model = quantize(dist, config.m)
-        direction = "below" if functional == "thm1-lower" else "above"
-        result = sharp.maximize_ratio_opial(model, direction)
-        doc = result.to_json_dict()
-        doc["functional"] = functional
-        _emit(config, _json_text(_with_config_meta(doc, config)))
-        print(f"{functional} ratio_star={result.ratio_star:.12g} iterations={result.iterations}")
-        return EXIT_OK
-    if functional == "wirtinger":
-        result = sharp.wirtinger_best_constant(config.m)
-        doc = result.to_json_dict()
-        doc["functional"] = functional
-        _emit(config, _json_text(_with_config_meta(doc, config)))
-        print(
-            f"wirtinger c_m={result.c_m:.12g} target={fn.INV_PI_SQ:.12g} "
-            f"iterations={result.iterations}"
-        )
-        return EXIT_OK
-    raise CliError("sharpness supports --functional thm1-lower, thm1-upper or wirtinger")
+        result = sharp.rayleigh_best_constant(quantize(dist, config.m), functional)
+        # Reported as the ratio to the stated constant, which constant psi attains.
+        ratio = result.c_m / form.bound
+        doc = {
+            "psi_star": [float(v) for v in result.psi_star],
+            "ratio_star": ratio,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "trace": [[i, c / form.bound] for i, c in result.trace],
+        }
+        line = f"{functional} ratio_star={ratio:.12g} iterations={result.iterations}"
+    doc["functional"] = functional
+    _emit(config, _json_text(_with_config_meta(doc, config)))
+    print(line)
+    return EXIT_OK
 
 
 def _cmd_converge(config: RunConfig) -> int:

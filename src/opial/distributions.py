@@ -41,6 +41,14 @@ class Piece:
     mass: float
 
 
+def _mass_total(masses) -> float:
+    """Exact sum of nonnegative masses (``math.fsum``), inf if it overflows."""
+    try:
+        return math.fsum(masses)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability distribution given by atoms plus uniform pieces.
@@ -100,7 +108,7 @@ class Distribution:
                         f"atom at {x} lies inside piece ({pc.lo}, {pc.hi})"
                     )
 
-        total = math.fsum([p for _, p in atoms] + [pc.mass for pc in pieces])
+        total = _mass_total([p for _, p in atoms] + [pc.mass for pc in pieces])
         if abs(total - 1.0) > MASS_TOL:
             raise DistributionError(f"total mass {total!r} differs from 1 by more than {MASS_TOL}")
 
@@ -225,7 +233,7 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
     checked = ~(nonfinite | unordered | nonpositive)
     unnormalized = np.zeros(checked.shape, dtype=bool)
     unnormalized[checked] = [
-        abs(math.fsum(row) - 1.0) > MASS_TOL for row in np.where(active, mass, 0.0)[checked].tolist()
+        abs(_mass_total(row) - 1.0) > MASS_TOL for row in np.where(active, mass, 0.0)[checked].tolist()
     ]
     return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
 

@@ -20,12 +20,19 @@ zero-padded to a common length; a zero mass leaves every compensated pass
 and sum unchanged (see :mod:`opial.accumulate`), so each row's terms are
 bit-identical to evaluating that model alone.  The public evaluators are
 their kernel applied to one model, followed by the report.
+
+:data:`FUNCTIONALS` is the one table of the functional ids: each entry holds
+the evaluator, the row kernel, the tight term, the required parameters, the
+search's parameter draw and the quadratic form of the sharp-constant
+engine, and the command line, the search and the refinement studies look
+the id up there.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
+from functools import partial
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -55,26 +62,6 @@ ORDER_CAP = 6
 INV_PI_SQ = 1.0 / math.pi**2
 
 Direction = Literal["below", "above"]
-
-#: Stable external functional identifiers.
-FUNCTIONAL_IDS = (
-    "thm1-lower",
-    "thm1-upper",
-    "corollary",
-    "thm2",
-    "thm3",
-    "weighted-lower",
-    "weighted-upper",
-    "wirtinger",
-    "o9-1",
-    "o9-2",
-    "o15",
-    "o18",
-    "rtwo",
-    "troy",
-)
-
-DISCRETE_IDENTITY_IDS = ("o9-1", "o9-2", "o15", "o18")
 
 
 class ZeroMeanError(ValueError):
@@ -426,20 +413,20 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
 # ---------------------------------------------------------------------------
 
 
-def weighted_rows(p, vals, weights, direction: Direction = "below") -> dict:
+def weighted_rows(p, vals, chi, direction: Direction = "below") -> dict:
     """Terms of :func:`weighted_opial_terms`, row by row."""
     t_signed = _half_tie(p * vals, direction)
     t_abs = _half_tie(p * np.abs(vals), direction)
-    lhs = comp_sum(p * np.abs(t_signed * vals) * weights)
-    middle = comp_sum(p * np.abs(vals) * weights * t_abs)
+    lhs = comp_sum(p * np.abs(t_signed * vals) * chi)
+    middle = comp_sum(p * np.abs(vals) * chi * t_abs)
     if direction == "below":
         near = prefix_exclusive(p)
-        far = suffix_exclusive(p * weights) + 0.5 * p * weights
+        far = suffix_exclusive(p * chi) + 0.5 * p * chi
     else:
         near = suffix_exclusive(p)
-        far = prefix_exclusive(p * weights) + 0.5 * p * weights
-    rhs = 0.5 * comp_sum(p * vals * vals * (weights * (near + 0.5 * p) + far))
-    monotone_bound = 0.5 * comp_sum(p * vals * vals * weights)
+        far = prefix_exclusive(p * chi) + 0.5 * p * chi
+    rhs = 0.5 * comp_sum(p * vals * vals * (chi * (near + 0.5 * p) + far))
+    monotone_bound = 0.5 * comp_sum(p * vals * vals * chi)
     return {"lhs": lhs, "middle": middle, "rhs": rhs, "monotone_bound": monotone_bound}
 
 
@@ -695,3 +682,170 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
         exact=True,
         tol=tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# the functional table
+# ---------------------------------------------------------------------------
+
+
+def first_order_form(p, psi) -> np.ndarray:
+    """K psi for the middle term's symmetric form p (T- + T+)(p psi) / 2.
+
+    Both tie directions share it, and it has rank one: T- + T+ is the full
+    sum, so psi^T K psi = (E psi)^2 / 2, largest at constant psi.
+    """
+    weighted = p * psi
+    return 0.5 * p * (_half_tie(weighted, "below") + _half_tie(weighted, "above"))
+
+
+def wirtinger_form(p, psi) -> np.ndarray:
+    """K psi for the Wirtinger left side, K = A^T D A with A psi the strict prefix sums."""
+    return p * suffix_exclusive(p * prefix_exclusive(p * psi))
+
+
+@dataclass(frozen=True)
+class QuadraticForm:
+    """A tight term written as psi^T K psi, for the sharp-constant engine.
+
+    ``matvec(p, psi)`` applies the symmetric K by the functional's own
+    passes, ``value(p, psi)`` is psi^T K psi summed as the term is, and
+    ``bound`` is the constant c of the stated bound psi^T K psi <= c E psi^2.
+    """
+
+    matvec: Callable
+    value: Callable
+    bound: float
+
+
+def _draw_nothing(rng, draw):
+    return draw
+
+
+def _draw_order(rng, draw):
+    return {**draw, "n": int(rng.integers(1, 4))}
+
+
+def _draw_weight(rng, draw):
+    return {**draw, "chi": rng.uniform(0.0, 3.0, draw["psi"].size)}
+
+
+def _draw_cut(rng, draw):
+    # The split index: c is the support point `cut` counted from 1.
+    return {**draw, "cut": int(rng.integers(1, draw["psi"].size))}
+
+
+def _draw_centred(rng, draw):
+    a = draw["a"]
+    return None if a.size == 1 else {"a": a - a.mean()}
+
+
+def _draw_magnitudes(rng, draw):
+    return {"a": np.abs(draw["a"])}
+
+
+def _nth_order_value(report: IneqReport) -> float:
+    return report.terms["lhs"] * math.factorial(report.extras["n"] + 1)
+
+
+@dataclass(frozen=True)
+class Functional:
+    """Everything the library does with one functional id.
+
+    ``evaluate(subject, psi, **params)`` is the public evaluator, whose
+    subject is the ``input``: a quantized "model", a "distribution" that it
+    splits at c, a coefficient "sequence" (called as ``evaluate(a)``) or the
+    troy weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
+    search), ``tight`` the term compared with rhs, ``params`` the required
+    ones among n, c, chi and p_exp, and ``draw(rng, draw)`` the search's
+    draw of them (None skips the trial).  ``zero_mean`` requires psi (or the
+    sequence) to have mean zero, ``form`` is the tight term's quadratic form
+    and ``study`` the value a refinement study reads off the report at
+    constant psi, whose limit is 1.
+    """
+
+    input: str
+    evaluate: Callable
+    rows: Callable | None
+    tight: str
+    params: tuple[str, ...] = ()
+    draw: Callable = _draw_nothing
+    theorem_backed: bool = True
+    zero_mean: bool = False
+    form: QuadraticForm | None = None
+    study: Callable | None = None
+
+    @property
+    def oracle_backed(self) -> bool:
+        """Whether :mod:`opial.oracle` enumerates it (sequences are literal already)."""
+        return self.input in ("model", "distribution")
+
+
+def _first_order(direction: Direction) -> Functional:
+    return Functional(
+        "model",
+        partial(opial_terms, direction=direction),
+        partial(opial_rows, direction=direction),
+        "middle",
+        form=QuadraticForm(first_order_form, lambda p, psi: 0.5 * comp_sum(p * psi) ** 2, 0.5),
+        study=lambda report: report.ratio,
+    )
+
+
+def _weighted(direction: Direction) -> Functional:
+    evaluate = partial(weighted_opial_terms, direction=direction)
+    return Functional("model", evaluate, partial(weighted_rows, direction=direction), "middle", ("chi",), _draw_weight)
+
+
+def _identity(which: str, **options) -> Functional:
+    evaluate = partial(discrete_identities, which=which)
+    return Functional("sequence", evaluate, partial(discrete_rows, which=which), "lhs", **options)
+
+
+#: Functional id -> :class:`Functional`, in the order of the stable ids.
+FUNCTIONALS = {
+    "thm1-lower": _first_order("below"),
+    "thm1-upper": _first_order("above"),
+    "corollary": Functional("distribution", corollary_split, corollary_rows, "middle", ("c",), _draw_cut),
+    "thm2": Functional(
+        "model", theorem2_terms, theorem2_rows, "lhs", ("n",), _draw_order, study=_nth_order_value
+    ),
+    "thm3": Functional("model", theorem3_terms, theorem3_rows, "lhs"),
+    "weighted-lower": _weighted("below"),
+    "weighted-upper": _weighted("above"),
+    "wirtinger": Functional(
+        "model",
+        wirtinger_terms,
+        wirtinger_rows,
+        "lhs",
+        theorem_backed=False,
+        zero_mean=True,
+        form=QuadraticForm(
+            wirtinger_form, lambda p, psi: comp_sum(p * prefix_exclusive(p * psi) ** 2), INV_PI_SQ
+        ),
+    ),
+    "o9-1": _identity("o9-1"),
+    "o9-2": _identity("o9-2"),
+    "o15": _identity("o15", zero_mean=True, draw=_draw_centred),
+    "o18": _identity("o18", zero_mean=True, draw=_draw_centred),
+    "rtwo": Functional("sequence", rtwo_terms, rtwo_rows, "lhs", draw=_draw_magnitudes),
+    "troy": Functional("exponent", troy_comparison, None, "our_lhs", ("p_exp",), theorem_backed=False),
+}
+
+#: Stable external functional identifiers.
+FUNCTIONAL_IDS = tuple(FUNCTIONALS)
+
+#: Functionals whose bound is a theorem on the searched input class.
+THEOREM_BACKED_IDS = tuple(k for k, f in FUNCTIONALS.items() if f.theorem_backed)
+
+#: Functionals with a randomized search: the theorem-backed ones, then the rest.
+SEARCHABLE_IDS = THEOREM_BACKED_IDS + tuple(
+    k for k, f in FUNCTIONALS.items() if f.rows is not None and not f.theorem_backed
+)
+
+#: The ids :func:`discrete_identities` evaluates.
+DISCRETE_IDENTITY_IDS = tuple(
+    k
+    for k, f in FUNCTIONALS.items()
+    if isinstance(f.evaluate, partial) and f.evaluate.func is discrete_identities
+)

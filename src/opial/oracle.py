@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -62,8 +63,7 @@ def _w_above(xj: float, xi: float) -> float:
     return 0.0
 
 
-def _enum_opial(x, p, f, direction: str) -> dict[str, float]:
-    w = _w_below if direction == "below" else _w_above
+def _enum_opial(x, p, f, w) -> dict[str, float]:
     m = len(x)
     lhs = 0.0
     middle = 0.0
@@ -78,9 +78,7 @@ def _enum_opial(x, p, f, direction: str) -> dict[str, float]:
     return {"lhs": lhs, "middle": middle, "rhs": rhs}
 
 
-def _enum_weighted(x, p, f, g, direction: str) -> dict[str, float]:
-    w_dir = _w_below if direction == "below" else _w_above
-    w_opp = _w_above if direction == "below" else _w_below
+def _enum_weighted(x, p, f, g, w_dir, w_opp) -> dict[str, float]:
     m = len(x)
     lhs = 0.0
     middle = 0.0
@@ -195,6 +193,30 @@ def _enum_corollary(x, p, f, c: float) -> dict[str, float]:
     return {"lhs": lhs, "middle": middle, "rhs": rhs}
 
 
+#: Functional id -> (summand count for m nodes and order n, the arguments its
+#: enumeration needs among g (the weight chi), n and c, the enumeration).
+_ORACLES = {
+    "thm1-lower": (lambda m, n: 2 * m * m, (), partial(_enum_opial, w=_w_below)),
+    "thm1-upper": (lambda m, n: 2 * m * m, (), partial(_enum_opial, w=_w_above)),
+    "weighted-lower": (
+        lambda m, n: 3 * m * m,
+        ("g",),
+        partial(_enum_weighted, w_dir=_w_below, w_opp=_w_above),
+    ),
+    "weighted-upper": (
+        lambda m, n: 3 * m * m,
+        ("g",),
+        partial(_enum_weighted, w_dir=_w_above, w_opp=_w_below),
+    ),
+    "thm2": (lambda m, n: (n + 1) * m ** (n + 1), ("n",), _enum_thm2),
+    "thm3": (lambda m, n: 3 * m**3 + 5 * m * m, (), _enum_thm3),
+    "wirtinger": (lambda m, n: 2 * m * m, (), _enum_wirtinger),
+    "corollary": (lambda m, n: 4 * m * m, ("c",), _enum_corollary),
+}
+
+_NEEDS = {"g": "a weight chi", "n": "an order n >= 1", "c": "a split point c"}
+
+
 def enumerate_functional(
     model: QuantizedModel,
     psi,
@@ -210,34 +232,19 @@ def enumerate_functional(
     """
     x, p, f = _unpack(model, psi)
     m = len(x)
-    if functional in ("thm1-lower", "thm1-upper"):
-        _charge(2 * m * m, budget)
-        return _enum_opial(x, p, f, "below" if functional == "thm1-lower" else "above")
-    if functional in ("weighted-lower", "weighted-upper"):
-        if chi is None:
-            raise ValueError(f"{functional} requires a weight chi")
-        g = [float(v) for v in np.asarray(chi, dtype=float).ravel()]
-        if len(g) != m:
-            raise ValueError(f"chi has {len(g)} values for {m} nodes")
-        _charge(3 * m * m, budget)
-        return _enum_weighted(x, p, f, g, "below" if functional == "weighted-lower" else "above")
-    if functional == "thm2":
-        if n is None or n < 1:
-            raise ValueError("thm2 requires an order n >= 1")
-        _charge((n + 1) * m ** (n + 1), budget)
-        return _enum_thm2(x, p, f, n)
-    if functional == "thm3":
-        _charge(3 * m**3 + 5 * m * m, budget)
-        return _enum_thm3(x, p, f)
-    if functional == "wirtinger":
-        _charge(2 * m * m, budget)
-        return _enum_wirtinger(x, p, f)
-    if functional == "corollary":
-        if c is None:
-            raise ValueError("corollary requires a split point c")
-        _charge(4 * m * m, budget)
-        return _enum_corollary(x, p, f, c)
-    raise ValueError(f"no enumeration oracle for functional {functional!r}")
+    if functional not in _ORACLES:
+        raise ValueError(f"no enumeration oracle for functional {functional!r}")
+    cost, needs, enumerate_ = _ORACLES[functional]
+    given = {"g": chi, "n": None if n is None or n < 1 else n, "c": c}
+    for name in needs:
+        if given[name] is None:
+            raise ValueError(f"{functional} requires {_NEEDS[name]}")
+    if "g" in needs:
+        given["g"] = [float(v) for v in np.asarray(chi, dtype=float).ravel()]
+        if len(given["g"]) != m:
+            raise ValueError(f"chi has {len(given['g'])} values for {m} nodes")
+    _charge(cost(m, n), budget)
+    return enumerate_(x, p, f, **{name: given[name] for name in needs})
 
 
 @dataclass(frozen=True)
@@ -370,26 +377,3 @@ def check_two3_decomposition(
             f"order-region addends sum to {result.total!r}, expected {expected!r}"
         )
     return result
-
-
-def region_sum_for_permutation(
-    model: QuantizedModel, psi, perm: tuple[int, int, int], budget: int = DEFAULT_BUDGET
-) -> float:
-    """Ordered-region sum with the integrand attached to the permuted slots.
-
-    Sums p_i p_j p_k |psi at the smallest slot times psi at the largest slot|
-    over all triples whose perm-ordered coordinates strictly increase.  By
-    exchangeability of the product measure the value is the same for every
-    permutation; evaluating several of them exercises the relabeling step.
-    """
-    if sorted(perm) != [0, 1, 2]:
-        raise ValueError(f"perm must be a permutation of (0, 1, 2), got {perm!r}")
-    x, p, f = _unpack(model, psi)
-    m = len(x)
-    _charge(3 * m**3, budget)
-    total = 0.0
-    for tup in product(range(m), repeat=3):
-        lo, mid, hi = tup[perm[0]], tup[perm[1]], tup[perm[2]]
-        if x[lo] < x[mid] < x[hi]:
-            total += p[tup[0]] * p[tup[1]] * p[tup[2]] * abs(f[lo] * f[hi])
-    return total

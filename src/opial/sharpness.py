@@ -1,10 +1,13 @@
-"""Sharpness certification: extremal search and refinement studies.
+"""Sharpness certification: best constants, refinement studies, search.
 
 The sharp constants 1/2 (first order), 1/4 (two-sided split), 1/(n+1)!
 (n-th order) and 1/pi^2 (Wirtinger) are certified numerically in two ways:
-by maximizing left/right ratios over the node function, and by driving
+by one power-iteration engine that maximizes a functional's quadratic form
+over the node function (:func:`rayleigh_best_constant`), and by driving
 quantizations of uniform (0, 1) through increasing resolutions and watching
-the ratios converge to the constants.
+the values converge to the constants (:func:`convergence_study`).  A
+randomized search (:func:`search_counterexample`) looks for violations.
+Each functional is looked up in :data:`~opial.functionals.FUNCTIONALS`.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals as fn
-from .accumulate import comp_sum, prefix_exclusive, suffix_exclusive
+from .accumulate import comp_sum
 from .distributions import (
     Distribution,
     QuantizedModel,
@@ -22,8 +25,7 @@ from .distributions import (
     model_faults,
     quantize,
 )
-
-INV_PI_SQ = fn.INV_PI_SQ
+from .functionals import SEARCHABLE_IDS, THEOREM_BACKED_IDS  # noqa: F401  (public here too)
 
 
 class ConvergenceError(RuntimeError):
@@ -31,115 +33,13 @@ class ConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExtremalResult:
-    """Outcome of a ratio maximization.
-
-    The trace records (iteration, ratio) pairs and is nondecreasing: only
-    improving steps are ever accepted.
-    """
-
-    psi_star: np.ndarray
-    ratio_star: float
-    iterations: int
-    converged: bool
-    trace: tuple[tuple[int, float], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "psi_star": [float(v) for v in self.psi_star],
-            "ratio_star": float(self.ratio_star),
-            "iterations": int(self.iterations),
-            "converged": bool(self.converged),
-            "trace": [[int(i), float(r)] for i, r in self.trace],
-        }
-
-
-def maximize_ratio_opial(
-    model: QuantizedModel,
-    direction: str = "below",
-    tol: float = 1e-13,
-    max_iter: int = 10_000,
-) -> ExtremalResult:
-    """Maximize middle/rhs of the first-order inequality over psi.
-
-    The middle term depends on |psi| only and collapses to (E|psi|)^2 / 2,
-    so the search runs over the nonnegative cone where the objective is the
-    smooth quadratic ratio (E psi)^2 / E psi^2.  Coordinate ascent with the
-    closed-form update psi_i <- E_{j != i}(psi^2) / E_{j != i}(psi) is used;
-    every full sweep is accepted only if it improves the ratio.  The
-    maximizer is the constant vector with ratio 1.
-    """
-    if direction not in ("below", "above"):
-        raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
-    p = np.asarray(model.mass, dtype=float)
-    m = p.size
-
-    def ratio_of(values: np.ndarray) -> float:
-        s = comp_sum(p * values)
-        q = comp_sum(p * values * values)
-        return s * s / q
-
-    if m == 1:
-        psi = np.ones(1)
-        return ExtremalResult(
-            psi_star=psi,
-            ratio_star=1.0,
-            iterations=0,
-            converged=True,
-            trace=((0, 1.0),),
-        )
-
-    psi = np.linspace(1.0, 2.0, m)
-    psi /= math.sqrt(comp_sum(p * psi * psi))
-    ratio = ratio_of(psi)
-    trace: list[tuple[int, float]] = [(0, ratio)]
-    converged = False
-    sweeps = 0
-    p_list = p.tolist()
-    for sweeps in range(1, max_iter + 1):
-        candidate = psi.tolist()
-        s = comp_sum(p * psi)
-        q = comp_sum(p * psi * psi)
-        for i in range(m):
-            pi = p_list[i]
-            old = candidate[i]
-            rest_s = s - pi * old
-            rest_q = q - pi * old * old
-            if rest_s <= 0.0:
-                continue
-            new = rest_q / rest_s
-            s = rest_s + pi * new
-            q = rest_q + pi * new * new
-            candidate[i] = new
-        cand = np.asarray(candidate)
-        cand /= math.sqrt(comp_sum(p * cand * cand))
-        new_ratio = ratio_of(cand)
-        if new_ratio <= ratio:
-            converged = True
-            break
-        psi = cand
-        trace.append((sweeps, new_ratio))
-        if new_ratio - ratio <= tol * max(1.0, new_ratio) or new_ratio >= 1.0 - 1e-15:
-            ratio = new_ratio
-            converged = True
-            break
-        ratio = new_ratio
-    return ExtremalResult(
-        psi_star=psi,
-        ratio_star=trace[-1][1],
-        iterations=sweeps,
-        converged=converged,
-        trace=tuple(trace),
-    )
-
-
-@dataclass(frozen=True)
 class WirtingerConstant:
-    """Best Wirtinger constant on a quantized model.
+    """Best constant of a functional's quadratic form on a quantized model.
 
-    c_m is the maximum of lhs / E psi^2 over zero-mean psi; psi_star is the
-    maximizer normalized to E psi^2 = 1; residual is the symmetric-space
-    eigen residual at convergence.
+    c_m is the maximum of psi^T K psi / E psi^2, over zero-mean psi where
+    the functional requires it; psi_star is the maximizer normalized to
+    E psi^2 = 1; residual is the symmetric-space eigen residual at
+    convergence.
     """
 
     c_m: float
@@ -160,45 +60,48 @@ class WirtingerConstant:
         }
 
 
-def _apply_quadratic_form(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """M psi with M = A^T D A, A the strict-lower cumulative operator.
-
-    Two linear passes: a forward prefix for A psi, then a backward suffix
-    for the transpose.
-    """
-    lower = prefix_exclusive(p * psi)
-    return p * suffix_exclusive(p * lower)
-
-
 def rayleigh_best_constant(
     model: QuantizedModel,
+    functional: str = "wirtinger",
     max_iter: int = 100_000,
     tol: float = 1e-12,
 ) -> WirtingerConstant:
-    """Maximize psi^T M psi / psi^T D psi over the zero-mean subspace.
+    """Maximize psi^T K psi / psi^T D psi for the tight term K of `functional`.
 
-    Solved as a symmetric eigenproblem in phi = D^(1/2) psi by projected
-    power iteration: the constant direction (phi parallel to sqrt(p)) is
-    deflated by orthogonal projection at every step.  M is applied in O(m)
-    as two prefix passes.  Raises :class:`ConvergenceError` at the iteration
-    cap.
+    K is the functional's :class:`~opial.functionals.QuadraticForm`, applied
+    in O(m) by its own prefix/suffix passes, and D = diag(p).  The problem is
+    solved as a symmetric eigenproblem in phi = D^(1/2) psi by power
+    iteration.  For a zero-mean functional (Wirtinger) the constant
+    direction, phi parallel to sqrt(p), is deflated by orthogonal projection
+    at every step and the iteration starts from cos(pi F); otherwise K is
+    nonnegative, its top vector is positive (Perron-Frobenius) and the
+    iteration starts from the positive 1 + F.  A one-dimensional admissible
+    space takes the single quotient of its one direction.  Raises
+    :class:`ConvergenceError` at the iteration cap.
     """
+    spec = fn.FUNCTIONALS.get(functional)
+    if spec is None or spec.form is None:
+        raise ValueError(f"no quadratic form for functional {functional!r}")
+    matvec = spec.form.matvec
+    deflate = spec.zero_mean
     p = np.asarray(model.mass, dtype=float)
     m = p.size
-    if m < 2:
+    if deflate and m < 2:
         raise ValueError("the zero-mean subspace is trivial for a single node")
     sq = np.sqrt(p)
     s = sq  # unit vector: sum of masses is 1
 
-    if m == 2:
-        # One-dimensional zero-mean subspace; a single Rayleigh quotient.
-        psi = np.array([p[1], -p[0]])
-        num = comp_sum(p * prefix_exclusive(p * psi) ** 2)
+    def project(v: np.ndarray) -> np.ndarray:
+        return v - (s @ v) * s if deflate else v
+
+    if m == 1 + deflate:
+        # One admissible direction: the zero-mean one of two nodes, or the only node.
+        psi = np.array([p[1], -p[0]]) if deflate else np.ones(1)
+        num = spec.form.value(p, psi)
         den = comp_sum(p * psi * psi)
         c = num / den
         psi_star = psi / math.sqrt(den)
-        res = (_apply_quadratic_form(p, psi_star) - c * p * psi_star) / sq
-        res = res - (s @ res) * s
+        res = project((matvec(p, psi_star) - c * p * psi_star) / sq)
         return WirtingerConstant(
             c_m=c,
             psi_star=psi_star,
@@ -208,17 +111,16 @@ def rayleigh_best_constant(
             trace=((0, c),),
         )
 
-    def apply_projected(phi: np.ndarray) -> np.ndarray:
-        out = _apply_quadratic_form(p, phi / sq) / sq
-        return out - (s @ out) * s
+    def apply(phi: np.ndarray) -> np.ndarray:
+        return project(matvec(p, phi / sq) / sq)
 
-    phi = sq * np.cos(math.pi * model.midpoint_cdf())
-    phi = phi - (s @ phi) * s
+    cdf = model.midpoint_cdf()
+    phi = project(sq * (np.cos(math.pi * cdf) if deflate else 1.0 + cdf))
     norm = np.linalg.norm(phi)
     if norm == 0.0:
         phi = np.zeros(m)
         phi[0] = 1.0
-        phi = phi - (s @ phi) * s
+        phi = project(phi)
         norm = np.linalg.norm(phi)
     phi /= norm
 
@@ -227,7 +129,7 @@ def rayleigh_best_constant(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = apply_projected(phi)
+        w = apply(phi)
         c = float(phi @ w)
         if c <= c_prev:
             # No further float-representable improvement.
@@ -250,7 +152,7 @@ def rayleigh_best_constant(
             f"power iteration did not converge within {max_iter} iterations"
         )
     c_final = trace[-1][1]
-    residual = float(np.linalg.norm(apply_projected(phi) - c_final * phi))
+    residual = float(np.linalg.norm(apply(phi) - c_final * phi))
     psi_star = phi / sq
     den = comp_sum(p * psi_star * psi_star)
     psi_star = psi_star / math.sqrt(den)
@@ -325,43 +227,40 @@ class ConvergenceStudy:
 def convergence_study(
     functional_id: str, grids: list[int], n: int | None = None
 ) -> ConvergenceStudy:
-    """Refinement study on uniform (0, 1) with constant psi.
+    """Refinement study on uniform (0, 1).
 
-    thm1-*: reported ratio, exactly 1 at every resolution (half-tie
-    weighting makes the discrete case tight).  thm2: lhs (n+1)!, which
-    approaches 1 at first order in 1/m.  wirtinger: best constant c_m,
-    which approaches 1/pi^2.
+    A functional with a ``study`` in its table entry is evaluated at
+    constant psi: thm1-* give the reported ratio, exactly 1 at every
+    resolution (half-tie weighting makes the discrete case tight), and thm2
+    gives lhs (n+1)!, which approaches 1 at first order in 1/m.  One with
+    only a quadratic form gives its best constant c_m: wirtinger, which
+    approaches 1/pi^2.
     """
     if not grids:
         raise ValueError("need at least one grid size")
     if any(b <= a for a, b in zip(grids, grids[1:])):
         raise ValueError(f"grid sizes must be strictly increasing, got {grids}")
+    spec = fn.FUNCTIONALS.get(functional_id)
+    if spec is None or (spec.study is None and spec.form is None):
+        raise ValueError(f"no convergence study for functional {functional_id!r}")
+    params = {"n": n} if "n" in spec.params else {}
+    if params and n is None:
+        raise ValueError(f"{functional_id} study requires the order n")
+    if spec.zero_mean and grids[0] < 2:
+        raise ValueError(f"need resolution m >= 2, got {grids[0]}")
     base = make_uniform_interval(0.0, 1.0)
     values: list[float] = []
     errors: list[float] = []
     for m in grids:
-        if functional_id in ("thm1-lower", "thm1-upper"):
-            model = quantize(base, m)
-            psi = np.ones(model.node_count)
-            direction = "below" if functional_id == "thm1-lower" else "above"
-            report = fn.opial_terms(model, psi, direction)
-            value = report.ratio
-            error = abs(1.0 - value)
-        elif functional_id == "thm2":
-            if n is None:
-                raise ValueError("thm2 study requires the order n")
-            model = quantize(base, m)
-            psi = np.ones(model.node_count)
-            report = fn.theorem2_terms(model, psi, n)
-            value = report.terms["lhs"] * math.factorial(n + 1)
-            error = 1.0 - value
-        elif functional_id == "wirtinger":
-            value = wirtinger_best_constant(m).c_m
-            error = abs(value - INV_PI_SQ)
+        model = quantize(base, m)
+        if spec.study is not None:
+            value = spec.study(spec.evaluate(model, np.ones(model.node_count), **params))
+            limit = 1.0
         else:
-            raise ValueError(f"no convergence study for functional {functional_id!r}")
+            value = rayleigh_best_constant(model, functional_id).c_m
+            limit = spec.form.bound
         values.append(value)
-        errors.append(error)
+        errors.append(abs(value - limit))
 
     rows: list[ConvergenceRow] = []
     for k, m in enumerate(grids):
@@ -385,25 +284,6 @@ def convergence_study(
 # ---------------------------------------------------------------------------
 # randomized counterexample search
 # ---------------------------------------------------------------------------
-
-
-#: Functionals whose bound is a theorem on the searched input class.
-THEOREM_BACKED_IDS = (
-    "thm1-lower",
-    "thm1-upper",
-    "corollary",
-    "thm2",
-    "thm3",
-    "weighted-lower",
-    "weighted-upper",
-    "o9-1",
-    "o9-2",
-    "o15",
-    "o18",
-    "rtwo",
-)
-
-SEARCHABLE_IDS = THEOREM_BACKED_IDS + ("wirtinger",)
 
 
 @dataclass(frozen=True)
@@ -435,31 +315,20 @@ FIRST_CHUNK_TRIALS = 32
 #: Cap on a chunk's trials times m_max: the size of each zero-padded array.
 CHUNK_ELEMENTS = 1 << 15
 
-_DISCRETE_SEARCH_IDS = fn.DISCRETE_IDENTITY_IDS + ("rtwo",)
-
-#: Searched functionals whose slack is rhs - middle; the others use rhs - lhs.
-_MIDDLE_TIGHT_IDS = ("thm1-lower", "thm1-upper", "corollary", "weighted-lower", "weighted-upper")
-
 
 def _draw_trial(functional_id: str, seed: int, trial: int, m_max: int) -> dict | None:
     """Trial `trial`'s instance, drawn from ``default_rng([seed, trial])``.
 
-    Discrete forms get coefficients ``a`` (None for the size-1 trials that
-    o15 and o18 skip); the others get an atomic model (``support``,
-    ``mass``), node values ``psi`` and the functional's parameter (``n``,
-    ``chi`` or the split index ``cut``).
+    Sequence functionals get coefficients ``a``; the others get an atomic
+    model (``support``, ``mass``) and node values ``psi``.  The table's
+    ``draw`` then adds the functional's parameter (``n``, ``chi`` or the
+    split index ``cut``) or transforms ``a``, and returns None for the
+    size-1 trials that o15 and o18 skip.
     """
+    spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, trial])
-    if functional_id in _DISCRETE_SEARCH_IDS:
-        size = int(rng.integers(1, m_max + 1))
-        a = rng.standard_normal(size)
-        if functional_id in ("o15", "o18"):
-            if size == 1:
-                return None
-            a = a - a.mean()
-        if functional_id == "rtwo":
-            a = np.abs(a)
-        return {"a": a}
+    if spec.input == "sequence":
+        return spec.draw(rng, {"a": rng.standard_normal(int(rng.integers(1, m_max + 1)))})
     m = int(rng.integers(2, m_max + 1))
     gaps = rng.uniform(0.1, 1.0, m)
     support = np.cumsum(gaps) + rng.uniform(-3.0, 3.0)
@@ -468,54 +337,31 @@ def _draw_trial(functional_id: str, seed: int, trial: int, m_max: int) -> dict |
     # the positive-mass and conditioning guards downstream.
     mass = np.maximum(mass, 1e-9)
     mass /= mass.sum()
-    draw = {"support": support, "mass": mass, "psi": rng.standard_normal(m)}
-    if functional_id == "thm2":
-        draw["n"] = int(rng.integers(1, 4))
-    elif functional_id in ("weighted-lower", "weighted-upper"):
-        draw["chi"] = rng.uniform(0.0, 3.0, m)
-    elif functional_id == "corollary":
-        draw["cut"] = int(rng.integers(1, m))
-    return draw
+    return spec.draw(rng, {"support": support, "mass": mass, "psi": rng.standard_normal(m)})
 
 
 def _evaluate_trial(functional_id: str, draw: dict) -> tuple[fn.IneqReport, dict]:
     """One drawn trial through the public evaluators: its report and instance."""
+    spec = fn.FUNCTIONALS[functional_id]
     if "a" in draw:
-        a = draw["a"]
-        if functional_id == "rtwo":
-            report = fn.rtwo_terms(a)
-        else:
-            report = fn.discrete_identities(a, functional_id)
-        return report, {"a": [float(v) for v in a]}
+        return spec.evaluate(draw["a"]), {"a": [float(v) for v in draw["a"]]}
     model = QuantizedModel(support=draw["support"], mass=draw["mass"], is_exact=True, source_m=1)
     psi = draw["psi"]
+    if spec.zero_mean:  # wirtinger on atoms: the heuristic class, projected
+        psi = psi - comp_sum(model.mass * psi)
     instance = {
         "support": [float(v) for v in model.support],
         "mass": [float(v) for v in model.mass],
         "psi": [float(v) for v in psi],
     }
-    if functional_id in ("thm1-lower", "thm1-upper"):
-        direction = "below" if functional_id == "thm1-lower" else "above"
-        report = fn.opial_terms(model, psi, direction)
-    elif functional_id == "thm2":
-        report = fn.theorem2_terms(model, psi, draw["n"])
-        instance["n"] = draw["n"]
-    elif functional_id == "thm3":
-        report = fn.theorem3_terms(model, psi)
-    elif functional_id in ("weighted-lower", "weighted-upper"):
-        direction = "below" if functional_id == "weighted-lower" else "above"
-        report = fn.weighted_opial_terms(model, psi, draw["chi"], direction)
-        instance["chi"] = [float(v) for v in draw["chi"]]
-    elif functional_id == "corollary":
+    if spec.input == "distribution":
         c = float(model.support[draw["cut"] - 1])
         dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
-        report = fn.corollary_split(dist, psi, c, m=1)
         instance["c"] = c
-    else:  # wirtinger on atoms: heuristic class
-        psi = psi - comp_sum(model.mass * psi)
-        report = fn.wirtinger_terms(model, psi)
-        instance["psi"] = [float(v) for v in psi]
-    return report, instance
+        return spec.evaluate(dist, psi, c, m=1), instance
+    params = {name: draw[name] for name in spec.params}
+    instance.update({name: np.asarray(value).tolist() for name, value in params.items()})
+    return spec.evaluate(model, psi, **params), instance
 
 
 def _violates(slack, rhs, rel_tol: float):
@@ -541,51 +387,44 @@ def _screen(functional_id: str, rows: list[dict], m_max: int):
     construction, and centred rows meet the zero-sum and zero-mean
     conditions to within a few ulp.
     """
-    key = "a" if functional_id in _DISCRETE_SEARCH_IDS else "psi"
+    spec = fn.FUNCTIONALS[functional_id]
+    key = "a" if spec.input == "sequence" else "psi"
     sizes = np.array([d[key].size for d in rows])
     index = np.arange(m_max)
     active = index < sizes[:, None]
     if key == "a":
-        a = _pad([d["a"] for d in rows], active)
         flagged = np.zeros(len(rows), dtype=bool)
-        if functional_id == "rtwo":
-            terms = fn.rtwo_rows(a, sizes)
-        else:
-            terms = fn.discrete_rows(a, sizes, functional_id)
+        terms = spec.rows(_pad([d["a"] for d in rows], active), sizes)
     else:
         support = _pad([d["support"] for d in rows], active)
         p = _pad([d["mass"] for d in rows], active)
         psi = _pad([d["psi"] for d in rows], active)
         flagged = model_faults(support, p, sizes) != 0
-        if functional_id in ("thm1-lower", "thm1-upper"):
-            direction = "below" if functional_id == "thm1-lower" else "above"
-            terms = fn.opial_rows(p, psi, direction)
-        elif functional_id == "thm2":
-            terms = fn.theorem2_rows(p, psi, np.array([d["n"] for d in rows]))
-        elif functional_id == "thm3":
-            terms = fn.theorem3_rows(p, psi)
-        elif functional_id in ("weighted-lower", "weighted-upper"):
-            direction = "below" if functional_id == "weighted-lower" else "above"
-            chi = _pad([d["chi"] for d in rows], active)
-            terms = fn.weighted_rows(p, psi, chi, direction)
-        elif functional_id == "corollary":
+        if spec.zero_mean:  # projected as in the public path
+            psi = np.where(active, psi - comp_sum(p * psi)[:, None], 0.0)
+        if spec.input == "distribution":
             # The conditional laws of the public path, as masked rows of the
             # same nodes; their models' invariants follow from the full model's.
             lower = index < np.array([d["cut"] for d in rows])[:, None]
             upper = active & ~lower
             p_low = np.array([math.fsum(d["mass"][: d["cut"]]) for d in rows])[:, None]
             p_up = np.array([math.fsum(d["mass"][d["cut"] :]) for d in rows])[:, None]
-            terms = fn.corollary_rows(
+            terms = spec.rows(
                 np.where(lower, p / p_low, 0.0),
                 np.where(lower, psi, 0.0),
                 np.where(upper, p / p_up, 0.0),
                 np.where(upper, psi, 0.0),
             )
-        else:  # wirtinger, projected as in the public path
-            psi = np.where(active, psi - comp_sum(p * psi)[:, None], 0.0)
-            terms = fn.wirtinger_rows(p, psi)
-    tight = terms["middle" if functional_id in _MIDDLE_TIGHT_IDS else "lhs"]
-    return terms["rhs"] - tight, terms["rhs"], flagged
+        else:
+            # A vector parameter (chi) is padded like psi, a scalar one (n) taken per row.
+            params = {
+                name: _pad([d[name] for d in rows], active)
+                if np.ndim(rows[0][name])
+                else np.array([d[name] for d in rows])
+                for name in spec.params
+            }
+            terms = spec.rows(p, psi, **params)
+    return terms["rhs"] - terms[spec.tight], terms["rhs"], flagged
 
 
 def search_counterexample(
@@ -642,7 +481,7 @@ def search_counterexample(
                     trial=start + int(k),
                     seed=seed,
                     slack=report.slack,
-                    heuristic=functional_id == "wirtinger",
+                    heuristic=not fn.FUNCTIONALS[functional_id].theorem_backed,
                     instance=instance,
                 )
         start = stop

@@ -219,6 +219,13 @@ class TestHostileInput:
         assert code == 1 and not out.exists()
         assert "non-finite terms" in capsys.readouterr().err
 
+    def test_overflowing_masses(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"atoms": [[0, 1e308], [1, 1e308]], "pieces": []}), encoding="utf-8")
+        argv = ["verify", "--dist", str(path), "--psi", "constant", "--functional", "thm1-lower"]
+        assert main(argv) == 1
+        assert "opial: error:" in capsys.readouterr().err
+
     def test_nan_tolerance(self, tmp_path, capsys):
         code, out = self.verify(tmp_path, "constant", "--tol", "nan")
         assert code == 1 and not out.exists()

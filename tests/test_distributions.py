@@ -8,6 +8,7 @@ from opial import (
     DistributionError,
     NodeFunction,
     Piece,
+    QuantizedModel,
     conditional_truncate,
     make_discrete,
     make_uniform_interval,
@@ -231,6 +232,14 @@ class TestDistributionValidation:
     def test_atom_inside_piece_rejected(self):
         with pytest.raises(DistributionError, match="inside"):
             Distribution(atoms=((0.5, 0.5),), pieces=(Piece(0, 1, 0.5),))
+
+    def test_overflowing_total_mass_rejected(self):
+        with pytest.raises(DistributionError, match="total mass"):
+            Distribution(atoms=((0.0, 1e308), (1.0, 1e308)))
+        with pytest.raises(DistributionError, match="total mass"):
+            Distribution(pieces=(Piece(0.0, 1.0, 1e308), Piece(1.0, 2.0, 1e308)))
+        with pytest.raises(DistributionError, match="sum to 1"):
+            QuantizedModel(support=[0.0, 1.0], mass=[1e308, 1e308])
 
     def test_atom_at_piece_endpoint_ok(self):
         Distribution(atoms=((0.0, 0.5),), pieces=(Piece(0, 1, 0.5),))

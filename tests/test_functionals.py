@@ -716,67 +716,69 @@ class TestRowKernels:
             for key, value in report.terms.items():
                 assert bits(terms[key][r]) == bits(value), (r, key)
 
-    def test_first_order_weighted_and_second_order(self, rng):
-        models, psis, pad, _, _ = self.batch(rng)
+    #: Draws of each required parameter, for a model of m nodes.
+    PARAMS = {
+        "n": lambda rng, m: int(rng.integers(1, 5)),
+        "chi": lambda rng, m: rng.uniform(0.0, 3.0, m),
+    }
+
+    @pytest.mark.parametrize(
+        "functional", [k for k, f in fn.FUNCTIONALS.items() if f.rows is not None]
+    )
+    def test_row_kernel_matches_report(self, rng, functional):
+        spec = fn.FUNCTIONALS[functional]
+        models, psis, pad, active, sizes = self.batch(rng)
+        if spec.input == "sequence":
+            # The search's draw centres (o15, o18) or takes magnitudes (rtwo).
+            seqs = [spec.draw(rng, {"a": v})["a"] for v in psis]
+            self.assert_rows(spec.rows(pad(seqs), sizes), [spec.evaluate(v) for v in seqs])
+            return
         p, psi = pad([q.mass for q in models]), pad(psis)
-        chis = [rng.uniform(0.0, 3.0, q.node_count) for q in models]
-        for direction in ("below", "above"):
-            self.assert_rows(
-                fn.opial_rows(p, psi, direction),
-                [opial_terms(q, v, direction) for q, v in zip(models, psis)],
+        if spec.zero_mean:
+            psis = [v - comp_sum(q.mass * v) for q, v in zip(models, psis)]
+            psi = pad(psis)
+        if spec.input == "distribution":
+            cuts = np.array([int(rng.integers(1, q.node_count)) for q in models])
+            lower = np.arange(self.WIDTH) < cuts[:, None]
+            upper = active & ~lower
+            share_low = np.array([math.fsum(q.mass[:k]) for q, k in zip(models, cuts)])[:, None]
+            share_up = np.array([math.fsum(q.mass[k:]) for q, k in zip(models, cuts)])[:, None]
+            terms = spec.rows(
+                np.where(lower, p / share_low, 0.0),
+                np.where(lower, psi, 0.0),
+                np.where(upper, p / share_up, 0.0),
+                np.where(upper, psi, 0.0),
             )
-            self.assert_rows(
-                fn.weighted_rows(p, psi, pad(chis), direction),
-                [weighted_opial_terms(q, v, w, direction) for q, v, w in zip(models, psis, chis)],
-            )
-        self.assert_rows(
-            fn.theorem3_rows(p, psi), [theorem3_terms(q, v) for q, v in zip(models, psis)]
-        )
-
-    def test_nth_order_with_order_per_row(self, rng):
-        models, psis, pad, _, _ = self.batch(rng)
-        orders = rng.integers(1, 5, len(models))
-        self.assert_rows(
-            fn.theorem2_rows(pad([q.mass for q in models]), pad(psis), orders),
-            [theorem2_terms(q, v, int(n)) for q, v, n in zip(models, psis, orders)],
-        )
-
-    def test_wirtinger_on_zero_mean_rows(self, rng):
-        models, psis, pad, _, _ = self.batch(rng)
-        centred = [v - comp_sum(q.mass * v) for q, v in zip(models, psis)]
-        self.assert_rows(
-            fn.wirtinger_rows(pad([q.mass for q in models]), pad(centred)), [wirtinger_terms(q, v) for q, v in zip(models, centred)]
-        )
-
-    def test_corollary_on_masked_rows(self, rng):
-        models, psis, pad, active, _ = self.batch(rng)
-        cuts = np.array([int(rng.integers(1, q.node_count)) for q in models])
-        lower = np.arange(self.WIDTH) < cuts[:, None]
-        upper = active & ~lower
-        p, psi = pad([q.mass for q in models]), pad(psis)
-        share_low = np.array([math.fsum(q.mass[:k]) for q, k in zip(models, cuts)])[:, None]
-        share_up = np.array([math.fsum(q.mass[k:]) for q, k in zip(models, cuts)])[:, None]
-        terms = fn.corollary_rows(
-            np.where(lower, p / share_low, 0.0),
-            np.where(lower, psi, 0.0),
-            np.where(upper, p / share_up, 0.0),
-            np.where(upper, psi, 0.0),
-        )
-        reports = [
-            corollary_split(
-                Distribution(atoms=tuple(zip(q.support, q.mass))), v, float(q.support[k - 1]), m=1
-            )
-            for q, v, k in zip(models, psis, cuts)
+            reports = [
+                spec.evaluate(
+                    Distribution(atoms=tuple(zip(q.support, q.mass))), v, float(q.support[k - 1]), m=1
+                )
+                for q, v, k in zip(models, psis, cuts)
+            ]
+            self.assert_rows(terms, reports)
+            return
+        params = [
+            {name: self.PARAMS[name](rng, q.node_count) for name in spec.params} for q in models
         ]
-        self.assert_rows(terms, reports)
+        batched = {
+            name: pad([d[name] for d in params]) if name == "chi" else np.array([d[name] for d in params])
+            for name in spec.params
+        }
+        self.assert_rows(
+            spec.rows(p, psi, **batched),
+            [spec.evaluate(q, v, **d) for q, v, d in zip(models, psis, params)],
+        )
 
-    def test_discrete_forms_with_length_per_row(self, rng):
-        _, psis, pad, _, sizes = self.batch(rng)
-        for which in fn.DISCRETE_IDENTITY_IDS:
-            centred = [v - v.mean() for v in psis] if which in ("o15", "o18") else psis
-            self.assert_rows(
-                fn.discrete_rows(pad(centred), sizes, which),
-                [discrete_identities(v, which) for v in centred],
-            )
-        mags = [np.abs(v) for v in psis]
-        self.assert_rows(fn.rtwo_rows(pad(mags), sizes), [rtwo_terms(v) for v in mags])
+
+def test_derived_id_tuples_keep_their_order():
+    # The benchmark seeds its searches by position in THEOREM_BACKED_IDS.
+    assert fn.FUNCTIONAL_IDS == (
+        "thm1-lower", "thm1-upper", "corollary", "thm2", "thm3", "weighted-lower",
+        "weighted-upper", "wirtinger", "o9-1", "o9-2", "o15", "o18", "rtwo", "troy",
+    )
+    assert fn.THEOREM_BACKED_IDS == (
+        "thm1-lower", "thm1-upper", "corollary", "thm2", "thm3", "weighted-lower",
+        "weighted-upper", "o9-1", "o9-2", "o15", "o18", "rtwo",
+    )
+    assert fn.SEARCHABLE_IDS == fn.THEOREM_BACKED_IDS + ("wirtinger",)
+    assert fn.DISCRETE_IDENTITY_IDS == ("o9-1", "o9-2", "o15", "o18")

@@ -1,5 +1,5 @@
-import math
-from itertools import permutations
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +18,8 @@ from opial import (
     weighted_opial_terms,
     wirtinger_terms,
 )
-from opial.oracle import region_sum_for_permutation
+from opial import oracle
+from opial.functionals import FUNCTIONALS
 
 from conftest import random_atomic_model
 
@@ -190,32 +191,35 @@ class TestTwo3Decomposition:
             assert rec.rel_err <= 1e-12
 
 
-class TestPermutationIdentity:
-    def test_all_six_permutations_agree(self, rng):
-        for _ in range(10):
-            q = random_atomic_model(rng, m_max=7)
-            psi = rng.standard_normal(q.node_count)
-            sums = [
-                region_sum_for_permutation(q, psi, perm)
-                for perm in permutations((0, 1, 2))
-            ]
-            for value in sums[1:]:
-                assert value == pytest.approx(sums[0], rel=1e-12, abs=1e-15)
+class TestBoundary:
+    """The oracle shares no arithmetic with the fast path it checks."""
 
-    def test_three_distinct_permutations_explicitly(self):
-        q = uniform_model(5)
-        psi = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-        a = region_sum_for_permutation(q, psi, (0, 1, 2))
-        b = region_sum_for_permutation(q, psi, (2, 0, 1))
-        c = region_sum_for_permutation(q, psi, (1, 2, 0))
-        assert a == pytest.approx(b, rel=1e-13)
-        assert a == pytest.approx(c, rel=1e-13)
+    SOURCE = Path(oracle.__file__)
 
-    def test_identity_permutation_is_u_term(self, rng):
-        # same collapse caveat: with constant |psi| the all-distinct region
-        # integral is 6x any single permuted region sum
-        q = random_atomic_model(rng, m_max=8)
-        psi = 1.7 * rng.choice([-1.0, 1.0], q.node_count)
-        rec = check_two3_decomposition(q, psi)
-        ident = region_sum_for_permutation(q, psi, (0, 1, 2))
-        assert rec.u_term == pytest.approx(6.0 * ident, rel=1e-12, abs=1e-15)
+    def tree(self):
+        return ast.parse(self.SOURCE.read_text(encoding="utf-8"))
+
+    def test_imports_nothing_from_the_fast_path(self):
+        imported = set()
+        for node in ast.walk(self.tree()):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[-1])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names)
+        assert imported.isdisjoint({"functionals", "accumulate", "sharpness"}), imported
+
+    def test_oracles_cover_the_oracle_backed_ids(self):
+        (table,) = [
+            node.value
+            for node in ast.walk(self.tree())
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "_ORACLES" for t in node.targets)
+        ]
+        keys = {ast.literal_eval(key) for key in table.keys}
+        backed = {k for k, f in FUNCTIONALS.items() if f.oracle_backed}
+        assert keys == backed
+        assert backed == {
+            "thm1-lower", "thm1-upper", "weighted-lower", "weighted-upper",
+            "thm2", "thm3", "wirtinger", "corollary",
+        }

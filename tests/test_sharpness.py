@@ -12,7 +12,6 @@ from opial import (
     QuantizedModel,
     make_discrete,
     make_uniform_interval,
-    maximize_ratio_opial,
     quantize,
     rayleigh_best_constant,
     search_counterexample,
@@ -20,11 +19,10 @@ from opial import (
 )
 from opial.functionals import INV_PI_SQ
 from opial.accumulate import comp_sum
+from opial.functionals import FUNCTIONALS, SEARCHABLE_IDS, THEOREM_BACKED_IDS
 from opial.sharpness import (
     FIRST_CHUNK_TRIALS,
-    SEARCHABLE_IDS,
     ConvergenceError,
-    THEOREM_BACKED_IDS,
     Violation,
     convergence_study,
 )
@@ -36,46 +34,69 @@ def uniform_model(n):
     return quantize(make_discrete(range(1, n + 1), [1.0 / n] * n), 1)
 
 
+def first_order_ratio(model, functional="thm1-lower"):
+    """Best middle/rhs ratio: the engine's constant over the stated 1/2."""
+    result = rayleigh_best_constant(model, functional)
+    return result, result.c_m / 0.5
+
+
 class TestMaximizeRatioOpial:
+    """The first-order ratio (E|psi|)^2 / E psi^2, maximized by the engine."""
+
     def test_uniform_ten_converges_to_constant(self):
-        result = maximize_ratio_opial(uniform_model(10))
+        result, ratio = first_order_ratio(uniform_model(10))
         assert result.converged
-        assert result.ratio_star >= 1.0 - 1e-8
+        assert abs(ratio - 1.0) <= 1e-14
         psi = result.psi_star
         spread = (psi.max() - psi.min()) / psi.mean()
-        assert spread <= 1e-4
+        assert spread <= 1e-12
 
     def test_single_atom_immediate(self):
-        result = maximize_ratio_opial(uniform_model(1))
-        assert result.ratio_star == 1.0 and result.iterations == 0
+        result, ratio = first_order_ratio(uniform_model(1))
+        assert ratio == 1.0 and result.iterations == 0
 
     def test_skewed_two_atoms_maximizer_constant(self):
         model = quantize(make_discrete([0.0, 1.0], [0.9, 0.1]), 1)
-        result = maximize_ratio_opial(model)
-        assert result.ratio_star >= 1.0 - 1e-8
+        result, ratio = first_order_ratio(model)
+        assert abs(ratio - 1.0) <= 1e-14
         psi = result.psi_star
-        assert (psi.max() - psi.min()) / psi.mean() <= 1e-3
+        assert (psi.max() - psi.min()) / psi.mean() <= 1e-12
         # grid-search oracle over normalized 2-vectors
         best = 0.0
         p = model.mass
         for t in np.linspace(0.01, 0.99, 199):
             cand = np.array([t, 1 - t])
             best = max(best, np.sum(p * cand) ** 2 / np.sum(p * cand * cand))
-        assert result.ratio_star >= best - 1e-8
+        assert ratio >= best - 1e-12
 
     def test_trace_nondecreasing(self, rng):
         for _ in range(10):
             q = random_atomic_model(rng, m_max=20, m_min=2)
-            result = maximize_ratio_opial(q)
-            ratios = [r for _, r in result.trace]
-            assert all(b >= a for a, b in zip(ratios, ratios[1:]))
-            assert result.ratio_star <= 1.0 + 1e-9
+            result, ratio = first_order_ratio(q)
+            values = [c for _, c in result.trace]
+            assert all(b >= a for a, b in zip(values, values[1:]))
+            assert abs(ratio - 1.0) <= 1e-14
+            assert result.iterations <= 3
 
     def test_both_directions_agree(self, rng):
+        # Both directions share one symmetric form, so the results are equal.
         q = random_atomic_model(rng, m_max=15, m_min=2)
-        below = maximize_ratio_opial(q, "below")
-        above = maximize_ratio_opial(q, "above")
-        assert below.ratio_star == pytest.approx(above.ratio_star, abs=1e-10)
+        below, _ = first_order_ratio(q, "thm1-lower")
+        above, _ = first_order_ratio(q, "thm1-upper")
+        assert below.c_m == above.c_m
+        assert np.array_equal(below.psi_star, above.psi_star)
+
+
+def dense_form(functional, p):
+    """K of the functional's tight term, built entrywise from its definition."""
+    m = p.size
+    if functional == "wirtinger":
+        lower = np.tril(np.ones((m, m)), -1) * p[None, :]
+        return lower.T @ np.diag(p) @ lower
+    # middle = sum_i p_i a_i sum_j p_j a_j w_ij, w the half-tie indicator
+    below = np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)
+    middle = np.diag(p) @ below @ np.diag(p)
+    return (middle + middle.T) / 2
 
 
 class TestWirtingerBestConstant:
@@ -102,18 +123,21 @@ class TestWirtingerBestConstant:
         assert cos_sim >= 0.999
 
     def test_matches_dense_eigensolver(self, rng):
-        for _ in range(8):
-            q = random_atomic_model(rng, m_max=14, m_min=3)
-            p = q.mass
-            m = q.node_count
-            lower = np.tril(np.ones((m, m)), -1) * p[None, :]
-            mat = lower.T @ np.diag(p) @ lower
-            sq = np.sqrt(p)
-            sym = mat / sq[:, None] / sq[None, :]
-            proj = np.eye(m) - np.outer(sq, sq)
-            dense = np.linalg.eigvalsh(proj @ sym @ proj)[-1]
-            result = rayleigh_best_constant(q)
-            assert result.c_m == pytest.approx(dense, rel=1e-9, abs=1e-12)
+        solved = [k for k, f in FUNCTIONALS.items() if f.form is not None]
+        assert set(solved) == {"thm1-lower", "thm1-upper", "wirtinger"}
+        for functional in solved:
+            for _ in range(8):
+                q = random_atomic_model(rng, m_max=14, m_min=2)
+                p = q.mass
+                m = q.node_count
+                sq = np.sqrt(p)
+                sym = dense_form(functional, p) / sq[:, None] / sq[None, :]
+                if FUNCTIONALS[functional].zero_mean:
+                    proj = np.eye(m) - np.outer(sq, sq)
+                    sym = proj @ sym @ proj
+                dense = np.linalg.eigvalsh(sym)[-1]
+                result = rayleigh_best_constant(q, functional)
+                assert result.c_m == pytest.approx(dense, rel=1e-9, abs=1e-12), functional
 
     def test_eigen_residual(self):
         result = wirtinger_best_constant(500)
@@ -185,18 +209,7 @@ class TestConvergenceStudy:
 
 class TestSearchCounterexample:
     def test_sound_functionals_find_nothing_quick(self):
-        for functional in (
-            "thm1-lower",
-            "thm1-upper",
-            "corollary",
-            "thm2",
-            "thm3",
-            "weighted-lower",
-            "o9-2",
-            "o15",
-            "o18",
-            "rtwo",
-        ):
+        for functional in THEOREM_BACKED_IDS:
             assert search_counterexample(functional, trials=1500, seed=7, m_max=12) is None
 
     def test_wirtinger_on_atoms_is_heuristic(self):
