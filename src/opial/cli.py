@@ -1,9 +1,11 @@
-"""Command-line front end.
+"""Command-line front end: ``opial COMMAND [flags]``.
 
-Commands: verify, oracle-diff, sharpness, converge, search.  Reports are
-written atomically (temp file + rename) and are byte-deterministic for a
-fixed configuration including the seed.  Exit codes: 0 all inequalities
-verified, 1 usage or spec error, 2 violation found.
+One parser takes the command (see :data:`_COMMANDS`) and the flags, which
+every command shares and which may come before or after it; the parsed
+namespace is the run's configuration.  Reports are written atomically
+(temp file + rename) and are byte-deterministic for a fixed configuration
+including the seed.  Exit codes: 0 all inequalities verified, 1 usage or
+spec error (printed as ``opial: error: ...``), 2 violation found.
 """
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .distributions import (
     Distribution,
     DistributionError,
     NodeFunction,
-    make_uniform_interval,
     quantize,
 )
 
@@ -42,39 +42,27 @@ class CliError(Exception):
     """Usage or spec error; maps to exit code 1."""
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    dist_path: str | None = None
-    psi_spec: str | None = None
-    chi_spec: str | None = None
-    functional: str | None = None
-    n: int | None = None
-    c: float | None = None
-    p_exp: float | None = None
-    m: int = fn.DEFAULT_RESOLUTION
-    grids: list[int] = field(default_factory=list)
-    tol: float = fn.EQUALITY_TOL
-    seed: int = 0
-    trials: int = 100_000
-    project: bool = False
-    budget: int = oracle_mod.DEFAULT_BUDGET
-    out_path: str | None = None
-    format: str = "json"
-
-    def validate(self) -> None:
-        if self.functional is not None and self.functional not in fn.FUNCTIONAL_IDS:
-            raise CliError(
-                f"unknown functional {self.functional!r}; expected one of {', '.join(fn.FUNCTIONAL_IDS)}"
-            )
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise CliError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.trials < 1:
-            raise CliError(f"trial count must be positive, got {self.trials}")
-        if self.format == "csv" and self.command != "converge":
-            raise CliError("csv format is only available for converge study tables")
+def validate(args: argparse.Namespace) -> None:
+    """Fill in the defaults that depend on the command or environment; check the flags."""
+    handler = _COMMANDS[args.command][0]
+    if args.m is None:
+        args.m = 30 if handler is _cmd_search else fn.DEFAULT_RESOLUTION
+    if args.budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        try:
+            args.budget = int(env) if env else oracle_mod.DEFAULT_BUDGET
+        except ValueError:
+            raise CliError(f"${BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    if args.functional is not None and args.functional not in fn.FUNCTIONAL_IDS:
+        raise CliError(
+            f"unknown functional {args.functional!r}; expected one of {', '.join(fn.FUNCTIONAL_IDS)}"
+        )
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise CliError(f"tolerance must be positive and finite, got {args.tol}")
+    if args.trials < 1:
+        raise CliError(f"trial count must be positive, got {args.trials}")
+    if args.format == "csv" and handler is not _cmd_converge:
+        raise CliError("csv format is only available for converge study tables")
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +100,7 @@ def parse_node_function(spec: str) -> NodeFunction:
         obj = _read_json(text)
     else:
         obj = text
-    try:
-        return NodeFunction.from_spec(obj)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return NodeFunction.from_spec(obj)
 
 
 def load_specs(
@@ -137,13 +122,6 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     handle = tempfile.NamedTemporaryFile(
@@ -162,18 +140,22 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out_path:
-        _write_atomic(config.out_path, text)
+def _emit(args: argparse.Namespace, doc: dict | list[list]) -> None:
+    """Write a report to --out or stdout: a JSON document, with the run's
+    tolerance and the package version added, or CSV rows."""
+    if isinstance(doc, list):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(doc)
+        text = buf.getvalue()
     else:
+        text = _json_text({**doc, "tol": args.tol, "version": __version__})
+    if not args.out_path:
         sys.stdout.write(text)
-
-
-def _with_config_meta(doc: dict, config: RunConfig) -> dict:
-    doc = dict(doc)
-    doc["tol"] = config.tol
-    doc["version"] = __version__
-    return doc
+        return
+    try:
+        _write_atomic(args.out_path, text)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out_path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +169,10 @@ def _values_vector(psi: NodeFunction | None, what: str) -> np.ndarray:
     return np.asarray(psi.values, dtype=float)
 
 
-def _functional(config: RunConfig) -> fn.Functional:
-    if config.functional is None:
+def _functional(args: argparse.Namespace) -> fn.Functional:
+    if args.functional is None:
         raise CliError("--functional is required")
-    return fn.FUNCTIONALS[config.functional]
+    return fn.FUNCTIONALS[args.functional]
 
 
 #: Message for a missing required parameter, by parameter.
@@ -202,29 +184,29 @@ _MISSING = {
 }
 
 
-def _params(config: RunConfig, spec: fn.Functional, chi) -> dict:
+def _params(args: argparse.Namespace, spec: fn.Functional, chi) -> dict:
     """The functional's required parameters, from the flags and --chi."""
-    given = {"n": config.n, "c": config.c, "chi": chi, "p_exp": config.p_exp}
+    given = {"n": args.n, "c": args.c, "chi": chi, "p_exp": args.p_exp}
     for name in spec.params:
         if given[name] is None:
-            raise CliError(_MISSING[name].format(config.functional))
+            raise CliError(_MISSING[name].format(args.functional))
     return {name: given[name] for name in spec.params}
 
 
-def _evaluate_report(config: RunConfig, dist, psi, chi) -> fn.IneqReport:
-    spec = _functional(config)
-    functional = config.functional
+def _evaluate_report(args: argparse.Namespace, dist, psi, chi) -> fn.IneqReport:
+    spec = _functional(args)
+    functional = args.functional
     if spec.input == "sequence":
-        return spec.evaluate(_values_vector(psi, functional), tol=config.tol)
+        return spec.evaluate(_values_vector(psi, functional), tol=args.tol)
     if dist is None:
         raise CliError(f"functional {functional} requires --dist")
     if psi is None:
         raise CliError(f"functional {functional} requires --psi")
     if spec.input == "distribution":
-        return spec.evaluate(dist, psi, m=config.m, tol=config.tol, **_params(config, spec, chi))
-    model = quantize(dist, config.m)
-    options = {"project": config.project} if spec.zero_mean else {}
-    return spec.evaluate(model, psi, tol=config.tol, **options, **_params(config, spec, chi))
+        return spec.evaluate(dist, psi, m=args.m, tol=args.tol, **_params(args, spec, chi))
+    model = quantize(dist, args.m)
+    options = {"project": args.project} if spec.zero_mean else {}
+    return spec.evaluate(model, psi, tol=args.tol, **options, **_params(args, spec, chi))
 
 
 def _require_finite(functional: str, terms: dict) -> None:
@@ -237,31 +219,31 @@ def _require_finite(functional: str, terms: dict) -> None:
         )
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    dist, psi, chi = load_specs(config.dist_path, config.psi_spec, config.chi_spec)
-    spec = _functional(config)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    dist, psi, chi = load_specs(args.dist_path, args.psi_spec, args.chi_spec)
+    spec = _functional(args)
     if spec.input == "exponent":
-        params = _params(config, spec, chi)
+        params = _params(args, spec, chi)
         if psi is None:
-            raise CliError(f"{config.functional} requires --psi")
-        record = spec.evaluate(psi=psi, m=config.m, **params)
+            raise CliError(f"{args.functional} requires --psi")
+        record = spec.evaluate(psi=psi, m=args.m, **params)
         _require_finite(
-            config.functional,
+            args.functional,
             {"our_lhs": record.our_lhs, "our_rhs": record.our_rhs, "troy_rhs": record.troy_rhs},
         )
-        _emit(config, _json_text(_with_config_meta(record.to_json_dict(), config)))
+        _emit(args, record.to_json_dict())
         slack = record.our_rhs - record.our_lhs
-        ok = slack >= -config.tol * max(1.0, abs(record.our_rhs))
+        ok = slack >= -args.tol * max(1.0, abs(record.our_rhs))
         print(
             f"troy p={record.p_exp} our_lhs={record.our_lhs:.12g} "
             f"our_rhs={record.our_rhs:.12g} troy_rhs={record.troy_rhs:.12g}"
         )
         return EXIT_OK if ok else EXIT_VIOLATION
-    report = _evaluate_report(config, dist, psi, chi)
+    report = _evaluate_report(args, dist, psi, chi)
     _require_finite(report.functional, report.terms)
-    _emit(config, _json_text(_with_config_meta(report.to_json_dict(), config)))
+    _emit(args, report.to_json_dict())
     rhs = report.terms["rhs"]
-    ok = report.slack >= -config.tol * max(1.0, abs(rhs))
+    ok = report.slack >= -args.tol * max(1.0, abs(rhs))
     print(
         f"{report.functional} slack={report.slack:.6g} ratio={report.ratio:.12g} "
         f"equality={str(report.equality).lower()}"
@@ -269,37 +251,37 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _cmd_oracle_diff(config: RunConfig) -> int:
-    dist, psi, chi = load_specs(config.dist_path, config.psi_spec, config.chi_spec)
-    spec = _functional(config)
-    functional = config.functional
+def _cmd_oracle_diff(args: argparse.Namespace) -> int:
+    dist, psi, chi = load_specs(args.dist_path, args.psi_spec, args.chi_spec)
+    spec = _functional(args)
+    functional = args.functional
     if not spec.oracle_backed:
         raise CliError(
             f"no enumeration oracle for {functional}; its evaluation is already literal"
         )
     if dist is None or psi is None:
         raise CliError("oracle-diff requires --dist and --psi")
-    model = quantize(dist, config.m)
+    model = quantize(dist, args.m)
     psi_vals = psi.resolve(model)
     chi_vals = chi.resolve(model) if chi is not None else None
-    if spec.zero_mean and config.project:
+    if spec.zero_mean and args.project:
         # Project once so the oracle sees the same values as the fast path.
         psi_vals = psi_vals - float(np.sum(model.mass * psi_vals))
-    _params(config, spec, chi_vals)
+    _params(args, spec, chi_vals)
     if spec.input == "distribution" and dist.pieces:
         # The fast path quantizes each conditional separately, which is a
         # different discretization than splitting the quantized model.
         raise CliError(f"oracle-diff for {functional} requires an atomic distribution")
-    fast = _evaluate_report(config, dist, psi_vals, chi_vals).terms
+    fast = _evaluate_report(args, dist, psi_vals, chi_vals).terms
     try:
         slow = oracle_mod.enumerate_functional(
             model,
             psi_vals,
             chi=chi_vals,
             functional=functional,
-            n=config.n,
-            c=config.c,
-            budget=config.budget,
+            n=args.n,
+            c=args.c,
+            budget=args.budget,
         )
     except oracle_mod.BudgetExceededError as exc:
         raise CliError(str(exc)) from None
@@ -314,13 +296,13 @@ def _cmd_oracle_diff(config: RunConfig) -> int:
         "oracle": {k: float(slow[k]) for k in shared},
         "rel_err": rel_err,
     }
-    _emit(config, _json_text(_with_config_meta(doc, config)))
+    _emit(args, doc)
     print(f"{functional} rel_err={rel_err:.3e}")
-    return EXIT_OK if rel_err <= config.tol else EXIT_VIOLATION
+    return EXIT_OK if rel_err <= args.tol else EXIT_VIOLATION
 
 
-def _cmd_sharpness(config: RunConfig) -> int:
-    functional = config.functional
+def _cmd_sharpness(args: argparse.Namespace) -> int:
+    functional = args.functional
     spec = fn.FUNCTIONALS.get(functional)
     if spec is None or spec.form is None:
         solved = [k for k, f in fn.FUNCTIONALS.items() if f.form is not None]
@@ -328,17 +310,14 @@ def _cmd_sharpness(config: RunConfig) -> int:
     form = spec.form
     if spec.zero_mean:
         # The zero-mean bound is sharp on continuous laws: solve uniform (0, 1).
-        if config.m < 2:
-            raise CliError(f"need resolution m >= 2, got {config.m}")
-        model = quantize(make_uniform_interval(0.0, 1.0), config.m)
-        result = sharp.rayleigh_best_constant(model, functional)
+        result = sharp.wirtinger_best_constant(args.m)
         doc = result.to_json_dict()
         line = f"{functional} c_m={result.c_m:.12g} target={form.bound:.12g} iterations={result.iterations}"
     else:
-        dist, _, _ = load_specs(config.dist_path, None, None)
-        if dist is None:
+        if not args.dist_path:
             raise CliError("sharpness for thm1-* requires --dist")
-        result = sharp.rayleigh_best_constant(quantize(dist, config.m), functional)
+        model = quantize(load_distribution(args.dist_path), args.m)
+        result = sharp.rayleigh_best_constant(model, functional)
         # Reported as the ratio to the stated constant, which constant psi attains.
         ratio = result.c_m / form.bound
         doc = {
@@ -350,61 +329,62 @@ def _cmd_sharpness(config: RunConfig) -> int:
         }
         line = f"{functional} ratio_star={ratio:.12g} iterations={result.iterations}"
     doc["functional"] = functional
-    _emit(config, _json_text(_with_config_meta(doc, config)))
+    _emit(args, doc)
     print(line)
     return EXIT_OK
 
 
-def _cmd_converge(config: RunConfig) -> int:
-    if config.functional is None:
+def _cmd_converge(args: argparse.Namespace) -> int:
+    if args.functional is None:
         raise CliError("--functional is required")
-    if not config.grids:
+    if not args.grids:
         raise CliError("--grids is required")
-    try:
-        study = sharp.convergence_study(config.functional, config.grids, n=config.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if config.format == "csv":
-        _emit(config, _csv_text(study.to_csv_rows()))
-    else:
-        _emit(config, _json_text(_with_config_meta(study.to_json_dict(), config)))
+    study = sharp.convergence_study(args.functional, args.grids, n=args.n)
+    _emit(args, study.to_csv_rows() if args.format == "csv" else study.to_json_dict())
     last = study.rows[-1]
     print(
-        f"{config.functional} m={last.m} value={last.value:.12g} error={last.error:.3e} "
+        f"{args.functional} m={last.m} value={last.value:.12g} error={last.error:.3e} "
         f"fitted_order={'n/a' if study.fitted_order is None else f'{study.fitted_order:.3f}'}"
     )
     return EXIT_OK
 
 
-def _cmd_search(config: RunConfig) -> int:
-    if config.functional is None:
+def _cmd_search(args: argparse.Namespace) -> int:
+    if args.functional is None:
         raise CliError("--functional is required")
-    try:
-        violation = sharp.search_counterexample(
-            config.functional,
-            trials=config.trials,
-            seed=config.seed,
-            m_max=config.m,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    violation = sharp.search_counterexample(
+        args.functional,
+        trials=args.trials,
+        seed=args.seed,
+        m_max=args.m,
+    )
     doc = {
-        "functional": config.functional,
-        "trials": config.trials,
-        "seed": config.seed,
+        "functional": args.functional,
+        "trials": args.trials,
+        "seed": args.seed,
         "violation": None if violation is None else violation.to_json_dict(),
     }
-    _emit(config, _json_text(_with_config_meta(doc, config)))
+    _emit(args, doc)
     if violation is None:
-        print(f"{config.functional} no violation in {config.trials} trials")
+        print(f"{args.functional} no violation in {args.trials} trials")
         return EXIT_OK
     kind = "heuristic-class" if violation.heuristic else "UNEXPECTED"
     print(
-        f"{config.functional} {kind} violation at trial {violation.trial} "
+        f"{args.functional} {kind} violation at trial {violation.trial} "
         f"slack={violation.slack:.3e}",
         file=sys.stderr,
     )
     return EXIT_VIOLATION
+
+
+#: Each command: its handler and one-line help, in the order help lists them.
+_COMMANDS = {
+    "verify": (_cmd_verify, "evaluate one functional and check its inequality"),
+    "oracle-diff": (_cmd_oracle_diff, "compare the fast evaluator against brute-force enumeration"),
+    "sharpness": (_cmd_sharpness, "maximize the inequality ratio over node functions"),
+    "converge": (_cmd_converge, "refinement study toward the sharp constant"),
+    "search": (_cmd_search, "randomized counterexample search"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -430,103 +410,48 @@ def _parse_grids(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The command and the flags every command shares, in any order."""
+    commands = "".join(f"  {name:<13}{text}\n" for name, (_, text) in _COMMANDS.items())
+    p = _Parser(
         prog="opial",
-        description="Evaluate, verify and sharpness-certify distribution-function "
+        description="Evaluate, verify and sharpness-certify distribution-function\n"
         "Opial and Wirtinger inequalities.",
+        epilog=f"commands:\n{commands}\nEvery flag may come before or after the command.",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--dist", dest="dist_path", metavar="PATH", help="distribution spec JSON file")
-        p.add_argument("--psi", dest="psi_spec", metavar="SPEC|PATH", help="node function: inline JSON, file, or family name")
-        p.add_argument("--chi", dest="chi_spec", metavar="SPEC|PATH", help="weight function (same forms as --psi)")
-        p.add_argument("--functional", metavar="ID", help="functional identifier")
-        p.add_argument("--n", type=int, metavar="K", help="nested-integral order")
-        p.add_argument("--c", type=float, metavar="REAL", help="split point for the two-sided form")
-        p.add_argument("--p-exp", dest="p_exp", type=float, metavar="REAL", help="weight exponent for the troy comparison")
-        p.add_argument("--m", type=int, default=None, metavar="INT", help=f"quantization resolution (default {fn.DEFAULT_RESOLUTION}); for search, the maximum node count (default 30)")
-        p.add_argument("--grids", type=_parse_grids, metavar="LIST", help="comma-separated grid sizes")
-        p.add_argument("--tol", type=float, default=fn.EQUALITY_TOL, metavar="REAL", help="verification tolerance (relative)")
-        p.add_argument("--seed", type=int, default=0, metavar="INT", help="master seed for randomized commands")
-        p.add_argument("--trials", type=int, default=100_000, metavar="INT", help="trial count for search")
-        p.add_argument("--project", action="store_true", help="project psi onto the zero-mean subspace where required")
-        p.add_argument("--budget", type=int, default=None, metavar="INT", help=f"oracle summand budget (default from ${BUDGET_ENV_VAR} or {oracle_mod.DEFAULT_BUDGET})")
-        p.add_argument("--out", dest="out_path", metavar="PATH", help="report output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
-
-    for name, help_text in (
-        ("verify", "evaluate one functional and check its inequality"),
-        ("oracle-diff", "compare the fast evaluator against brute-force enumeration"),
-        ("sharpness", "maximize the inequality ratio over node functions"),
-        ("converge", "refinement study toward the sharp constant"),
-        ("search", "randomized counterexample search"),
-    ):
-        add_common(sub.add_parser(name, help=help_text))
-    return parser
+    p.add_argument("command", choices=_COMMANDS, metavar="COMMAND", help="one of the commands below")
+    p.add_argument("--dist", dest="dist_path", metavar="PATH", help="distribution spec JSON file")
+    p.add_argument("--psi", dest="psi_spec", metavar="SPEC|PATH", help="node function: inline JSON, file, or family name")
+    p.add_argument("--chi", dest="chi_spec", metavar="SPEC|PATH", help="weight function (same forms as --psi)")
+    p.add_argument("--functional", metavar="ID", help="functional identifier")
+    p.add_argument("--n", type=int, metavar="K", help="nested-integral order")
+    p.add_argument("--c", type=float, metavar="REAL", help="split point for the two-sided form")
+    p.add_argument("--p-exp", dest="p_exp", type=float, metavar="REAL", help="weight exponent for the troy comparison")
+    p.add_argument("--m", type=int, default=None, metavar="INT", help=f"quantization resolution (default {fn.DEFAULT_RESOLUTION}); for search, the maximum node count (default 30)")
+    p.add_argument("--grids", type=_parse_grids, metavar="LIST", help="comma-separated grid sizes")
+    p.add_argument("--tol", type=float, default=fn.EQUALITY_TOL, metavar="REAL", help="verification tolerance (relative)")
+    p.add_argument("--seed", type=int, default=0, metavar="INT", help="master seed for randomized commands")
+    p.add_argument("--trials", type=int, default=100_000, metavar="INT", help="trial count for search")
+    p.add_argument("--project", action="store_true", help="project psi onto the zero-mean subspace where required")
+    p.add_argument("--budget", type=int, default=None, metavar="INT", help=f"oracle summand budget (default from ${BUDGET_ENV_VAR} or {oracle_mod.DEFAULT_BUDGET})")
+    p.add_argument("--out", dest="out_path", metavar="PATH", help="report output path (default stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
+    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    return p
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        try:
-            budget = int(env) if env else oracle_mod.DEFAULT_BUDGET
-        except ValueError:
-            raise CliError(f"${BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    m = args.m
-    if m is None:
-        m = 30 if args.command == "search" else fn.DEFAULT_RESOLUTION
-    return RunConfig(
-        command=args.command,
-        dist_path=args.dist_path,
-        psi_spec=args.psi_spec,
-        chi_spec=args.chi_spec,
-        functional=args.functional,
-        n=args.n,
-        c=args.c,
-        p_exp=args.p_exp,
-        m=m,
-        grids=args.grids or [],
-        tol=args.tol,
-        seed=args.seed,
-        trials=args.trials,
-        project=args.project,
-        budget=budget,
-        out_path=args.out_path,
-        format=args.format,
-    )
-
-
-_COMMANDS = {
-    "verify": _cmd_verify,
-    "oracle-diff": _cmd_oracle_diff,
-    "sharpness": _cmd_sharpness,
-    "converge": _cmd_converge,
-    "search": _cmd_search,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute parsed arguments; returns the process exit code."""
     try:
-        config.validate()
-        return _COMMANDS[config.command](config)
-    except CliError as exc:
-        print(f"opial: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DistributionError, fn.ZeroMeanError, ValueError) as exc:
-        print(f"opial: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except sharp.ConvergenceError as exc:
+        validate(args)
+        return _COMMANDS[args.command][0](args)
+    except (CliError, ValueError, sharp.ConvergenceError) as exc:
         print(f"opial: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

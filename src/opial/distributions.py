@@ -41,6 +41,18 @@ class Piece:
     mass: float
 
 
+def _spec_numbers(fields: dict, where: str, error=DistributionError) -> list[float]:
+    """``float`` of each named spec field.  A non-number (null, a list, an
+    int too large for a double) raises `error` naming the field after `where`."""
+    numbers = []
+    for name, value in fields.items():
+        try:
+            numbers.append(float(value))
+        except (TypeError, OverflowError):
+            raise error(f"{where}{name} must be a number") from None
+    return numbers
+
+
 def _mass_total(masses) -> float:
     """Exact sum of nonnegative masses (``math.fsum``), inf if it overflows."""
     try:
@@ -164,15 +176,16 @@ class Distribution:
         for i, entry in enumerate(atoms_raw):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise DistributionError(f"/atoms/{i}: expected a [location, mass] pair")
-            atoms.append((float(entry[0]), float(entry[1])))
+            atoms.append(_spec_numbers({"location": entry[0], "mass": entry[1]}, f"/atoms/{i}: "))
         pieces = []
         for i, entry in enumerate(pieces_raw):
             if not isinstance(entry, dict):
                 raise DistributionError(f"/pieces/{i}: expected an object with lo/hi/mass")
             try:
-                pieces.append(Piece(float(entry["lo"]), float(entry["hi"]), float(entry["mass"])))
+                fields = {name: entry[name] for name in ("lo", "hi", "mass")}
             except KeyError as exc:
                 raise DistributionError(f"/pieces/{i}: missing field {exc.args[0]!r}") from None
+            pieces.append(Piece(*_spec_numbers(fields, f"/pieces/{i}: ")))
         return cls(atoms=tuple(atoms), pieces=tuple(pieces))
 
     def to_spec_dict(self) -> dict:
@@ -302,20 +315,16 @@ def quantize(dist: Distribution, m: int, max_nodes: int = DEFAULT_MAX_NODES) -> 
         raise DistributionError(
             f"quantization would create {node_count} nodes (limit {max_nodes})"
         )
-    locs: list[float] = [x for x, _ in dist.atoms]
-    masses: list[float] = [p for _, p in dist.atoms]
+    locs = [np.array([x for x, _ in dist.atoms], dtype=float)]
+    masses = [np.array([p for _, p in dist.atoms], dtype=float)]
     for pc in dist.pieces:
-        width = pc.hi - pc.lo
-        share = pc.mass / m
-        for k in range(1, m + 1):
-            locs.append(pc.lo + width * (k - 0.5) / m)
-            masses.append(share)
-    order = np.argsort(np.asarray(locs), kind="stable")
-    support = np.asarray(locs, dtype=float)[order]
-    mass = np.asarray(masses, dtype=float)[order]
+        locs.append(pc.lo + (pc.hi - pc.lo) * (np.arange(1, m + 1) - 0.5) / m)
+        masses.append(np.full(m, pc.mass / m))
+    support = np.concatenate(locs)
+    order = np.argsort(support, kind="stable")
     return QuantizedModel(
-        support=support,
-        mass=mass,
+        support=support[order],
+        mass=np.concatenate(masses)[order],
         is_exact=not dist.pieces,
         source_m=m,
     )
@@ -455,20 +464,25 @@ class NodeFunction:
             raise ValueError("node-function spec must be an object with a 'kind' field")
         kind = spec["kind"]
         if kind == "constant":
-            return cls.constant(spec.get("level", 1.0))
+            level = spec.get("level", 1.0)
+            return cls.constant(*_spec_numbers({"level": level}, "node-function ", ValueError))
         if kind == "identity":
             return cls.identity()
         if kind == "cos_pi_F":
             return cls.cos_pi_cdf()
         if kind == "step":
             try:
-                return cls.step(spec["threshold"], spec["low"], spec["high"])
+                fields = {name: spec[name] for name in ("threshold", "low", "high")}
             except KeyError as exc:
                 raise ValueError(f"step spec missing field {exc.args[0]!r}") from None
+            return cls.step(*_spec_numbers(fields, "node-function ", ValueError))
         if kind == "values":
             if "values" not in spec:
                 raise ValueError("values spec missing field 'values'")
-            return cls.of_values(spec["values"])
+            try:
+                return cls.of_values(spec["values"])
+            except (TypeError, OverflowError):
+                raise ValueError("node-function values must be a list of numbers") from None
         raise ValueError(f"unknown node-function kind {kind!r}")
 
     def to_spec(self) -> dict:

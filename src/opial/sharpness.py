@@ -19,6 +19,7 @@ import numpy as np
 from . import functionals as fn
 from .accumulate import comp_sum
 from .distributions import (
+    DEFAULT_MAX_NODES,
     Distribution,
     QuantizedModel,
     make_uniform_interval,
@@ -440,7 +441,8 @@ def search_counterexample(
     sorted supports and Dirichlet masses.  Trial t draws its instance from
     its own generator ``default_rng([seed, t])``, so trials are
     order-independent and reproducible.  Returns the violation of the
-    lowest violating trial, or None.
+    lowest violating trial, or None.  Raises ValueError for an id without a
+    search, m_max outside [2, DEFAULT_MAX_NODES] or trials < 1.
 
     Trials run in chunks: FIRST_CHUNK_TRIALS at first, then twice as many
     each time, up to CHUNK_ELEMENTS / m_max.  A chunk's draws are
@@ -461,6 +463,8 @@ def search_counterexample(
         raise ValueError(f"no randomized search for functional {functional_id!r}")
     if m_max < 2:
         raise ValueError("m_max must be at least 2")
+    if m_max > DEFAULT_MAX_NODES:
+        raise ValueError(f"m_max must be at most {DEFAULT_MAX_NODES}, got {m_max}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     chunk_cap = max(1, CHUNK_ELEMENTS // m_max)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,47 @@ class TestVerify:
         assert code == 2
 
 
+#: A small atomic law and psi values for the golden reports.
+GOLDEN_LAW = {"atoms": [[0.0, 0.125], [1.0, 0.25], [2.5, 0.375], [4.0, 0.25]], "pieces": []}
+GOLDEN_PSI = '{"kind": "values", "values": [0.5, -1.25, 2.0, 0.75]}'
+GOLDEN_CHI = '{"kind": "values", "values": [1.0, 0.5, 2.0, 1.5]}'
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: name -> (argv before --out, exit code); "{dist}" stands for the law's file.
+GOLDEN_CASES = {
+    "verify-thm2-n2.json": (["verify", "--functional", "thm2", "--n", "2"], 0),
+    "verify-thm3.json": (["verify", "--functional", "thm3"], 0),
+    "verify-weighted-upper.json": (["verify", "--functional", "weighted-upper", "--chi", GOLDEN_CHI], 0),
+    "verify-corollary.json": (["verify", "--functional", "corollary", "--c", "1.5"], 0),
+    "oracle-diff-thm2.json": (["oracle-diff", "--functional", "thm2", "--n", "2"], 0),
+    "converge-thm2.csv": (
+        ["converge", "--functional", "thm2", "--n", "1", "--grids", "16,64,256", "--format", "csv"],
+        0,
+    ),
+    "search-wirtinger.json": (
+        ["search", "--functional", "wirtinger", "--trials", "500", "--seed", "1", "--m", "4"],
+        2,
+    ),
+    "search-o15.json": (
+        ["search", "--functional", "o15", "--trials", "400", "--seed", "9", "--m", "10"],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_reports(tmp_path, name):
+    """Report bytes of each command, pinned; refactors must keep them."""
+    argv, code = GOLDEN_CASES[name]
+    if argv[0] in ("verify", "oracle-diff"):
+        dist = tmp_path / "law.json"
+        dist.write_text(json.dumps(GOLDEN_LAW), encoding="utf-8")
+        argv = argv + ["--dist", str(dist), "--psi", GOLDEN_PSI]
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 class TestHostileInput:
     """Inputs that cannot give a verdict exit 1 and write no report."""
 
@@ -245,6 +287,49 @@ class TestHostileInput:
         argv = ["search", "--functional", "thm1-lower", "--trials", trials, "--out", str(out)]
         assert main(argv) == 1 and not out.exists()
         assert "trial count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dist, psi, extra, env",
+        [
+            (None, "constant", [], {"OPIAL_BUDGET": "abc"}),
+            ({"atoms": [[0, None], [1, 0.5]]}, "constant", [], {}),
+            ({"atoms": [[0, 10**400], [1, 0.5]]}, "constant", [], {}),
+            ({"atoms": [], "pieces": [{"lo": None, "hi": 1, "mass": 1}]}, "constant", [], {}),
+            (None, '{"kind": "values", "values": 5}', [], {}),
+            (None, '{"kind": "values", "values": [null, 1, 2]}', [], {}),
+            (None, '{"kind": "constant", "level": null}', [], {}),
+            (None, '{"kind": "step", "threshold": 0, "low": null, "high": 1}', [], {}),
+            (None, "constant", ["--out", "MISSING/r.json"], {}),
+        ],
+        ids=[
+            "budget-env",
+            "null-atom-mass",
+            "huge-int-atom-mass",
+            "null-piece-lo",
+            "values-not-a-list",
+            "null-value",
+            "null-level",
+            "null-step-field",
+            "out-dir-missing",
+        ],
+    )
+    def test_malformed_input(self, tmp_path, capsys, monkeypatch, dist, psi, extra, env):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if dist is None:
+            path = self.three_atoms(tmp_path)
+        else:
+            path = tmp_path / "law.json"
+            path.write_text(json.dumps(dist), encoding="utf-8")
+        extra = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in extra]
+        argv = ["verify", "--dist", str(path), "--psi", psi, "--functional", "thm1-lower", *extra]
+        assert main(argv) == 1
+        assert "opial: error:" in capsys.readouterr().err
+
+    def test_search_node_count_limit(self, capsys):
+        argv = ["search", "--functional", "thm1-lower", "--m", "2000001", "--trials", "1"]
+        assert main(argv) == 1
+        assert "opial: error: m_max must be at most 2000000" in capsys.readouterr().err
 
     def test_json_reports_reject_nan(self):
         with pytest.raises(ValueError):
@@ -601,6 +686,24 @@ class TestSearchCommand:
 
 
 class TestUsage:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for name, (_, help_text) in cli._COMMANDS.items():
+            assert f"  {name}" in out and help_text in out
+
+    @pytest.mark.parametrize("command", ["verify", "oracle-diff", "sharpness", "converge", "search"])
+    def test_command_help(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+
+    def test_flags_may_precede_the_command(self, capsys):
+        assert main(["--functional", "thm1-lower", "search", "--trials", "-5"]) == 1
+        assert "opial: error: trial count must be positive" in capsys.readouterr().err
+
     def test_missing_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main([])

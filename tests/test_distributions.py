@@ -112,7 +112,30 @@ class TestCdf:
                 )
 
 
+def quantize_reference(dist, m):
+    """Scalar reference for :func:`quantize`: one node at a time, as the loop it replaced."""
+    locs = [x for x, _ in dist.atoms]
+    masses = [p for _, p in dist.atoms]
+    for pc in dist.pieces:
+        width = pc.hi - pc.lo
+        share = pc.mass / m
+        for k in range(1, m + 1):
+            locs.append(pc.lo + width * (k - 0.5) / m)
+            masses.append(share)
+    order = np.argsort(np.asarray(locs), kind="stable")
+    return np.asarray(locs, dtype=float)[order], np.asarray(masses, dtype=float)[order]
+
+
 class TestQuantize:
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 100, 2048])
+    def test_matches_scalar_reference_bit_for_bit(self, rng, m):
+        for _ in range(40 if m < 2048 else 8):
+            d = random_mixed_distribution(rng, max_parts=6)
+            q = quantize(d, m)
+            support, mass = quantize_reference(d, m)
+            assert q.support.tobytes() == support.tobytes()
+            assert q.mass.tobytes() == mass.tobytes()
+
     def test_atomic_pass_through(self, rng):
         d = make_discrete([1, 2, 3], [0.2, 0.3, 0.5])
         for m in (1, 7, 100):
@@ -244,6 +267,19 @@ class TestDistributionValidation:
     def test_atom_at_piece_endpoint_ok(self):
         Distribution(atoms=((0.0, 0.5),), pieces=(Piece(0, 1, 0.5),))
 
+    @pytest.mark.parametrize(
+        "spec, pointer",
+        [
+            ({"atoms": [[0, None], [1, 0.5]]}, "/atoms/0: mass"),
+            ({"atoms": [[0.5, 0.5], [[1], 0.5]]}, "/atoms/1: location"),
+            ({"pieces": [{"lo": 0, "hi": None, "mass": 1}]}, "/pieces/0: hi"),
+            ({"pieces": [{"lo": 0, "hi": 1, "mass": 10**400}]}, "/pieces/0: mass"),
+        ],
+    )
+    def test_spec_non_number_named_by_pointer(self, spec, pointer):
+        with pytest.raises(DistributionError, match=f"^{pointer} must be a number$"):
+            Distribution.from_spec_dict(spec)
+
     def test_spec_roundtrip_idempotent(self):
         spec = {
             "atoms": [[2.0, 0.25], [1.0, 0.25]],
@@ -319,3 +355,18 @@ class TestNodeFunction:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             NodeFunction.from_spec({"kind": "spline"})
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "values", "values": 5}, "values"),
+            ({"kind": "values", "values": [1.0, None]}, "values"),
+            ({"kind": "constant", "level": None}, "level"),
+            ({"kind": "constant", "level": [1]}, "level"),
+            ({"kind": "step", "threshold": 0.5, "low": 1.0, "high": None}, "high"),
+            ({"kind": "step", "threshold": 10**400, "low": 1.0, "high": 0.0}, "threshold"),
+        ],
+    )
+    def test_non_number_fields_named(self, spec, field):
+        with pytest.raises(ValueError, match=f"node-function {field} must be"):
+            NodeFunction.from_spec(spec)
