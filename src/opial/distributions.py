@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -300,7 +300,7 @@ class QuantizedModel:
         return math.fsum(self.mass[self.support <= x].tolist())
 
 
-def quantize(dist: Distribution, m: int, max_nodes: int = DEFAULT_MAX_NODES) -> QuantizedModel:
+def quantize(dist: Distribution, m: int) -> QuantizedModel:
     """Reduce `dist` to a pure-atom model at resolution `m`.
 
     Atoms pass through unchanged.  A piece of mass ``w`` on ``(lo, hi)``
@@ -311,9 +311,9 @@ def quantize(dist: Distribution, m: int, max_nodes: int = DEFAULT_MAX_NODES) -> 
     if m < 1:
         raise ValueError(f"resolution m must be >= 1, got {m}")
     node_count = len(dist.atoms) + m * len(dist.pieces)
-    if node_count > max_nodes:
+    if node_count > DEFAULT_MAX_NODES:
         raise DistributionError(
-            f"quantization would create {node_count} nodes (limit {max_nodes})"
+            f"quantization would create {node_count} nodes (limit {DEFAULT_MAX_NODES})"
         )
     locs = [np.array([x for x, _ in dist.atoms], dtype=float)]
     masses = [np.array([p for _, p in dist.atoms], dtype=float)]
@@ -370,7 +370,37 @@ def conditional_truncate(
     return Distribution(atoms=scaled_atoms, pieces=scaled_pieces), p_side
 
 
-NODE_FUNCTION_KINDS = ("values", "constant", "identity", "cos_pi_F", "step")
+class _Kind(NamedTuple):
+    """A node-function kind: its spec fields, each with its default (None
+    when the spec must give it), and its values at the nodes of a model."""
+
+    fields: dict
+    resolve: Callable
+
+
+def _resolve_values(f: "NodeFunction", model: QuantizedModel) -> np.ndarray:
+    assert f.values is not None
+    if len(f.values) != model.node_count:
+        raise ValueError(
+            f"value vector has {len(f.values)} entries but the model has "
+            f"{model.node_count} nodes"
+        )
+    return np.asarray(f.values, dtype=float)
+
+
+#: Node-function kind -> :class:`_Kind`; the one place each kind is dispatched.
+_KINDS = {
+    "values": _Kind({"values": None}, _resolve_values),
+    "constant": _Kind({"level": 1.0}, lambda f, model: np.full(model.node_count, f.level)),
+    "identity": _Kind({}, lambda f, model: np.array(model.support, dtype=float)),
+    "cos_pi_F": _Kind({}, lambda f, model: np.cos(math.pi * model.midpoint_cdf())),
+    "step": _Kind(
+        {"threshold": None, "low": None, "high": None},
+        lambda f, model: np.where(model.support <= f.threshold, f.low, f.high),
+    ),
+}
+
+NODE_FUNCTION_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -430,71 +460,42 @@ class NodeFunction:
 
     def resolve(self, model: QuantizedModel) -> np.ndarray:
         """Evaluate at the nodes of `model`."""
-        if self.kind == "values":
-            assert self.values is not None
-            if len(self.values) != model.node_count:
-                raise ValueError(
-                    f"value vector has {len(self.values)} entries but the model has "
-                    f"{model.node_count} nodes"
-                )
-            return np.asarray(self.values, dtype=float)
-        if self.kind == "constant":
-            return np.full(model.node_count, self.level)
-        if self.kind == "identity":
-            return np.array(model.support, dtype=float)
-        if self.kind == "cos_pi_F":
-            return np.cos(math.pi * model.midpoint_cdf())
-        if self.kind == "step":
-            return np.where(model.support <= self.threshold, self.low, self.high)
-        raise AssertionError(self.kind)
+        return _KINDS[self.kind].resolve(self, model)
 
     @classmethod
     def from_spec(cls, spec: dict | str) -> "NodeFunction":
-        """Parse the JSON spec form, or a bare family name."""
+        """Parse the JSON spec form, or a bare family name (a kind whose
+        fields all have defaults)."""
         if isinstance(spec, str):
             name = spec.strip()
-            if name == "constant":
-                return cls.constant()
-            if name == "identity":
-                return cls.identity()
-            if name == "cos_pi_F":
-                return cls.cos_pi_cdf()
-            raise ValueError(f"unknown node-function name {name!r}")
+            if name not in _KINDS or None in _KINDS[name].fields.values():
+                raise ValueError(f"unknown node-function name {name!r}")
+            spec = {"kind": name}
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ValueError("node-function spec must be an object with a 'kind' field")
         kind = spec["kind"]
-        if kind == "constant":
-            level = spec.get("level", 1.0)
-            return cls.constant(*_spec_numbers({"level": level}, "node-function ", ValueError))
-        if kind == "identity":
-            return cls.identity()
-        if kind == "cos_pi_F":
-            return cls.cos_pi_cdf()
-        if kind == "step":
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValueError(f"unknown node-function kind {kind!r}")
+        fields = {}
+        for name, default in _KINDS[kind].fields.items():
+            if name not in spec and default is None:
+                raise ValueError(f"{kind} spec missing field {name!r}")
+            fields[name] = spec.get(name, default)
+        if "values" in fields:
+            values = fields["values"]
+            if not isinstance(values, list):
+                raise ValueError("node-function values must be a list of numbers")
             try:
-                fields = {name: spec[name] for name in ("threshold", "low", "high")}
-            except KeyError as exc:
-                raise ValueError(f"step spec missing field {exc.args[0]!r}") from None
-            return cls.step(*_spec_numbers(fields, "node-function ", ValueError))
-        if kind == "values":
-            if "values" not in spec:
-                raise ValueError("values spec missing field 'values'")
-            try:
-                return cls.of_values(spec["values"])
+                fields["values"] = tuple(float(v) for v in values)
             except (TypeError, OverflowError):
                 raise ValueError("node-function values must be a list of numbers") from None
-        raise ValueError(f"unknown node-function kind {kind!r}")
+        else:
+            fields = dict(zip(fields, _spec_numbers(fields, "node-function ", ValueError)))
+        return cls(kind=kind, **fields)
 
     def to_spec(self) -> dict:
-        if self.kind == "values":
-            return {"kind": "values", "values": list(self.values or ())}
-        if self.kind == "constant":
-            return {"kind": "constant", "level": self.level}
-        if self.kind == "step":
-            return {
-                "kind": "step",
-                "threshold": self.threshold,
-                "low": self.low,
-                "high": self.high,
-            }
-        return {"kind": self.kind}
+        spec = {"kind": self.kind}
+        for name in _KINDS[self.kind].fields:
+            value = getattr(self, name)
+            spec[name] = list(value) if isinstance(value, tuple) else value
+        return spec

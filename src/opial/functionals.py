@@ -55,8 +55,8 @@ ZERO_MEAN_TOL = 1e-10
 #: Default quantization resolution where an operation needs one.
 DEFAULT_RESOLUTION = 512
 
-#: Default cap on the nested-integral order; beyond this the values are
-#: rarely distinguishable from 0 in double precision at moderate resolution.
+#: Cap on the nested-integral order; beyond this the values are rarely
+#: distinguishable from 0 in double precision at moderate resolution.
 ORDER_CAP = 6
 
 INV_PI_SQ = 1.0 / math.pi**2
@@ -106,17 +106,17 @@ class IneqReport:
 def _build_report(
     functional: str,
     terms: dict,
-    tight: str,
     m: int,
     exact: bool,
     tol: float = EQUALITY_TOL,
     extras: dict | None = None,
 ) -> IneqReport:
-    """Report of one instance; `tight` names the left-hand term compared with rhs."""
+    """Report of one instance, comparing the functional's tight term with rhs."""
     terms = {k: float(v) for k, v in terms.items()}
+    tight = terms[FUNCTIONALS[functional].tight]
     rhs = terms["rhs"]
-    slack = rhs - terms[tight]
-    ratio = 0.0 if rhs == 0.0 else terms[tight] / rhs
+    slack = rhs - tight
+    ratio = 0.0 if rhs == 0.0 else tight / rhs
     equality = slack <= tol * max(1.0, abs(rhs))
     return IneqReport(
         functional=functional,
@@ -201,7 +201,6 @@ def opial_terms(
     return _build_report(
         "thm1-lower" if direction == "below" else "thm1-upper",
         terms,
-        tight="middle",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -272,7 +271,6 @@ def corollary_split(
     return _build_report(
         "corollary",
         terms,
-        tight="middle",
         m=m,
         exact=q_low.is_exact and q_up.is_exact,
         tol=tol,
@@ -285,14 +283,14 @@ def corollary_split(
 # ---------------------------------------------------------------------------
 
 
-def _nested_rows(p, vals, n, order_cap: int) -> np.ndarray:
+def _nested_rows(p, vals, n) -> np.ndarray:
     """I_n row by row, with the order n given per row (or once for all)."""
     n = np.asarray(n)
     low, high = int(n.min()), int(n.max())
     if low < 1:
         raise ValueError(f"order n must be >= 1, got {low}")
-    if high > order_cap:
-        raise ValueError(f"order n={high} exceeds the cap {order_cap}")
+    if high > ORDER_CAP:
+        raise ValueError(f"order n={high} exceeds the cap {ORDER_CAP}")
     cur = i_n = vals
     for k in range(1, high + 1):
         cur = prefix_exclusive(p * cur)
@@ -300,7 +298,7 @@ def _nested_rows(p, vals, n, order_cap: int) -> np.ndarray:
     return i_n
 
 
-def nested_integral(model: QuantizedModel, psi, n: int, order_cap: int = ORDER_CAP) -> np.ndarray:
+def nested_integral(model: QuantizedModel, psi, n: int) -> np.ndarray:
     """n-fold nested integral over strictly ordered arguments below each node.
 
     I_1(x_i) = sum_{x_j < x_i} p_j psi_j,
@@ -309,12 +307,12 @@ def nested_integral(model: QuantizedModel, psi, n: int, order_cap: int = ORDER_C
     Strict inequalities throughout: ties carry no weight here, unlike the
     half-tie transform.
     """
-    return _nested_rows(model.mass, _as_values(psi, model), n, order_cap)
+    return _nested_rows(model.mass, _as_values(psi, model), n)
 
 
-def theorem2_rows(p, vals, n, order_cap: int = ORDER_CAP) -> dict:
+def theorem2_rows(p, vals, n) -> dict:
     """Terms lhs, rhs of :func:`theorem2_terms`, row by row; `n` per row or once."""
-    i_n = _nested_rows(p, vals, n, order_cap)
+    i_n = _nested_rows(p, vals, n)
     n = np.asarray(n)
     factorials = np.array([math.factorial(k + 1) for k in range(int(n.max()) + 1)], dtype=float)
     return {
@@ -327,20 +325,24 @@ def theorem2_terms(
     model: QuantizedModel,
     psi,
     n: int,
-    order_cap: int = ORDER_CAP,
     tol: float = EQUALITY_TOL,
 ) -> IneqReport:
-    """n-th order inequality E|I_n(X) psi(X)| <= E psi^2 / (n+1)!.
+    """n-th order form E|I_n(X) psi(X)| against rhs = E psi^2 / (n+1)!.
 
-    On atomic inputs the bound is strict for nonzero psi; equality is only
-    approached by refining quantizations of continuous distributions with
-    constant psi.
+    The bound is proved, and sharp, for n = 1 only.  For n >= 2 it is
+    false: on m equal atoms the top eigenvector of the symmetrized
+    strict-order kernel gives lhs/rhs 1.0135 (m = 100) and 1.0350
+    (m = 400) at n = 2, and 1.1116 and 1.1558 at n = 3.  The sharp
+    constants are larger, c_2 = 0.173704134513449 and
+    c_3 = (5 + 3 sqrt 5)/240; the report still states 1/(n+1)!, the limit
+    of lhs/E psi^2 at constant psi on refining quantizations of continuous
+    distributions.  On atomic inputs constant psi keeps lhs strictly below
+    that limit.
     """
-    terms = theorem2_rows(model.mass, _as_values(psi, model), n, order_cap)
+    terms = theorem2_rows(model.mass, _as_values(psi, model), n)
     return _build_report(
         "thm2",
         terms,
-        tight="lhs",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -401,7 +403,6 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
     return _build_report(
         "thm3",
         terms,
-        tight="lhs",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -461,7 +462,6 @@ def weighted_opial_terms(
     return _build_report(
         "weighted-lower" if direction == "below" else "weighted-upper",
         weighted_rows(model.mass, vals, weights, direction),
-        tight="middle",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -528,7 +528,6 @@ def wirtinger_terms(
     model: QuantizedModel,
     psi,
     project: bool = False,
-    mean_tol: float = ZERO_MEAN_TOL,
     tol: float = EQUALITY_TOL,
 ) -> IneqReport:
     """Wirtinger-type bound E (sum_{x_j<X} p_j psi_j)^2 <= E psi^2 / pi^2.
@@ -548,17 +547,16 @@ def wirtinger_terms(
     p = model.mass
     mean = comp_sum(p * vals)
     scale = max(1.0, math.sqrt(comp_sum(p * vals * vals)))
-    if abs(mean) > mean_tol * scale:
+    if abs(mean) > ZERO_MEAN_TOL * scale:
         if not project:
             raise ZeroMeanError(
                 f"E psi = {mean!r} violates the zero-mean condition "
-                f"(tolerance {mean_tol} relative); pass project=True to remove the mean"
+                f"(tolerance {ZERO_MEAN_TOL} relative); pass project=True to remove the mean"
             )
         vals = vals - mean
     return _build_report(
         "wirtinger",
         wirtinger_rows(p, vals),
-        tight="lhs",
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -571,42 +569,32 @@ def wirtinger_terms(
 # ---------------------------------------------------------------------------
 
 
-def _require_zero_sum(a: np.ndarray, which: str, mean_tol: float) -> None:
-    total = comp_sum(a)
-    scale = max(1.0, comp_sum(np.abs(a)))
-    if abs(total) > mean_tol * scale:
-        raise ZeroMeanError(f"{which} requires sum(a) = 0; got {total!r}")
-
-
-def discrete_rows(a, n, which: str) -> dict:
-    """Terms lhs, rhs of :func:`discrete_identities`, row by row.
+def o9_1_rows(a, n) -> dict:
+    """Terms lhs, rhs of ``o9-1`` (:func:`discrete_identities`), row by row.
 
     `n` is each row's length N before its zero padding (or one length for
-    all rows); `which` is a key of :data:`DISCRETE_IDENTITY_IDS`.
+    all rows); the other three identity kernels take the same arguments.
     """
-    sum_sq = comp_sum(a * a)
-    if which == "o9-1":
-        lhs = comp_sum(np.abs(a * (prefix_exclusive(a) + a)))
-        rhs = 0.5 * (n + 1) * sum_sq
-    elif which == "o9-2":
-        mags = np.abs(a)
-        lhs = comp_sum(mags * (prefix_exclusive(mags) + mags))
-        rhs = 0.5 * (n + 1) * sum_sq
-    elif which == "o15":
-        lhs = comp_sum(np.abs(a * (prefix_exclusive(a) + 0.5 * a)))
-        rhs = 0.25 * n * sum_sq
-    else:  # o18
-        lhs = comp_sum(np.abs(a * prefix_exclusive(a)))
-        rhs = 0.5 * ((n + 1) // 2) * sum_sq
-    return {"lhs": lhs, "rhs": rhs}
+    return {"lhs": comp_sum(np.abs(a * (prefix_exclusive(a) + a))), "rhs": 0.5 * (n + 1) * comp_sum(a * a)}
 
 
-def discrete_identities(
-    a,
-    which: str,
-    tol: float = EQUALITY_TOL,
-    mean_tol: float = ZERO_MEAN_TOL,
-) -> IneqReport:
+def o9_2_rows(a, n) -> dict:
+    """Terms lhs, rhs of ``o9-2``, row by row."""
+    mags = np.abs(a)
+    return {"lhs": comp_sum(mags * (prefix_exclusive(mags) + mags)), "rhs": 0.5 * (n + 1) * comp_sum(a * a)}
+
+
+def o15_rows(a, n) -> dict:
+    """Terms lhs, rhs of ``o15``, row by row."""
+    return {"lhs": comp_sum(np.abs(a * (prefix_exclusive(a) + 0.5 * a))), "rhs": 0.25 * n * comp_sum(a * a)}
+
+
+def o18_rows(a, n) -> dict:
+    """Terms lhs, rhs of ``o18``, row by row."""
+    return {"lhs": comp_sum(np.abs(a * prefix_exclusive(a))), "rhs": 0.5 * ((n + 1) // 2) * comp_sum(a * a)}
+
+
+def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     """Classical discrete inequalities, both sides evaluated literally.
 
     o9-1: sum_i |a_i sum_{j<=i} a_j|            <= (N+1)/2 sum a^2
@@ -618,19 +606,15 @@ def discrete_identities(
     key = which.replace("_", "-")
     if key not in DISCRETE_IDENTITY_IDS:
         raise ValueError(f"unknown discrete identity {which!r}; expected one of {DISCRETE_IDENTITY_IDS}")
+    spec = FUNCTIONALS[key]
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
-    if key in ("o15", "o18"):
-        _require_zero_sum(arr, key, mean_tol)
-    return _build_report(
-        key,
-        discrete_rows(arr, arr.size, key),
-        tight="lhs",
-        m=arr.size,
-        exact=True,
-        tol=tol,
-    )
+    if spec.zero_mean:
+        total = comp_sum(arr)
+        if abs(total) > ZERO_MEAN_TOL * max(1.0, comp_sum(np.abs(arr))):
+            raise ZeroMeanError(f"{key} requires sum(a) = 0; got {total!r}")
+    return _build_report(key, spec.rows(arr, arr.size), m=arr.size, exact=True, tol=tol)
 
 
 def rtwo_rows(a, n) -> dict:
@@ -677,7 +661,6 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
     return _build_report(
         "rtwo",
         rtwo_rows(arr, arr.size),
-        tight="lhs",
         m=arr.size,
         exact=True,
         tol=tol,
@@ -797,9 +780,8 @@ def _weighted(direction: Direction) -> Functional:
     return Functional("model", evaluate, partial(weighted_rows, direction=direction), "middle", ("chi",), _draw_weight)
 
 
-def _identity(which: str, **options) -> Functional:
-    evaluate = partial(discrete_identities, which=which)
-    return Functional("sequence", evaluate, partial(discrete_rows, which=which), "lhs", **options)
+def _identity(which: str, rows: Callable, **options) -> Functional:
+    return Functional("sequence", partial(discrete_identities, which=which), rows, "lhs", **options)
 
 
 #: Functional id -> :class:`Functional`, in the order of the stable ids.
@@ -824,10 +806,10 @@ FUNCTIONALS = {
             wirtinger_form, lambda p, psi: comp_sum(p * prefix_exclusive(p * psi) ** 2), INV_PI_SQ
         ),
     ),
-    "o9-1": _identity("o9-1"),
-    "o9-2": _identity("o9-2"),
-    "o15": _identity("o15", zero_mean=True, draw=_draw_centred),
-    "o18": _identity("o18", zero_mean=True, draw=_draw_centred),
+    "o9-1": _identity("o9-1", o9_1_rows),
+    "o9-2": _identity("o9-2", o9_2_rows),
+    "o15": _identity("o15", o15_rows, zero_mean=True, draw=_draw_centred),
+    "o18": _identity("o18", o18_rows, zero_mean=True, draw=_draw_centred),
     "rtwo": Functional("sequence", rtwo_terms, rtwo_rows, "lhs", draw=_draw_magnitudes),
     "troy": Functional("exponent", troy_comparison, None, "our_lhs", ("p_exp",), theorem_backed=False),
 }

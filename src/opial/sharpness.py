@@ -1,11 +1,14 @@
 """Sharpness certification: best constants, refinement studies, search.
 
-The sharp constants 1/2 (first order), 1/4 (two-sided split), 1/(n+1)!
-(n-th order) and 1/pi^2 (Wirtinger) are certified numerically in two ways:
-by one power-iteration engine that maximizes a functional's quadratic form
-over the node function (:func:`rayleigh_best_constant`), and by driving
-quantizations of uniform (0, 1) through increasing resolutions and watching
-the values converge to the constants (:func:`convergence_study`).  A
+The sharp constants 1/2 (first order), 1/4 (two-sided split) and 1/pi^2
+(Wirtinger) are certified numerically in two ways: by one power-iteration
+engine that maximizes a functional's quadratic form over the node function
+(:func:`rayleigh_best_constant`), and by driving quantizations of
+uniform (0, 1) through increasing resolutions and watching the values
+converge to the constants (:func:`convergence_study`).  The n-th order
+constant 1/(n+1)! is the limit at constant psi; it is a proved bound for
+n = 1 only and is exceeded for n >= 2 (see
+:func:`~opial.functionals.theorem2_terms`).  A
 randomized search (:func:`search_counterexample`) looks for violations.
 Each functional is looked up in :data:`~opial.functionals.FUNCTIONALS`.
 """
@@ -233,7 +236,10 @@ def convergence_study(
     A functional with a ``study`` in its table entry is evaluated at
     constant psi: thm1-* give the reported ratio, exactly 1 at every
     resolution (half-tie weighting makes the discrete case tight), and thm2
-    gives lhs (n+1)!, which approaches 1 at first order in 1/m.  One with
+    gives lhs (n+1)!, which approaches 1 at first order in 1/m.  For thm2
+    that limit is the constant-psi value 1/(n+1)!, not a sharp constant:
+    it is a bound for n = 1 only (see
+    :func:`~opial.functionals.theorem2_terms`).  One with
     only a quadratic form gives its best constant c_m: wirtinger, which
     approaches 1/pi^2.
     """

@@ -296,6 +296,8 @@ class TestHostileInput:
             ({"atoms": [[0, 10**400], [1, 0.5]]}, "constant", [], {}),
             ({"atoms": [], "pieces": [{"lo": None, "hi": 1, "mass": 1}]}, "constant", [], {}),
             (None, '{"kind": "values", "values": 5}', [], {}),
+            (None, '{"kind": "values", "values": "123"}', [], {}),
+            (None, '{"kind": "values", "values": {"1": 1, "2": 2, "3": 3}}', [], {}),
             (None, '{"kind": "values", "values": [null, 1, 2]}', [], {}),
             (None, '{"kind": "constant", "level": null}', [], {}),
             (None, '{"kind": "step", "threshold": 0, "low": null, "high": 1}', [], {}),
@@ -307,6 +309,8 @@ class TestHostileInput:
             "huge-int-atom-mass",
             "null-piece-lo",
             "values-not-a-list",
+            "values-a-string",
+            "values-an-object",
             "null-value",
             "null-level",
             "null-step-field",

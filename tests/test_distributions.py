@@ -15,6 +15,8 @@ from opial import (
     quantize,
 )
 
+from opial.distributions import DEFAULT_MAX_NODES, NODE_FUNCTION_KINDS
+
 from conftest import random_atomic_distribution, random_mixed_distribution
 
 
@@ -165,7 +167,7 @@ class TestQuantize:
     def test_node_count_guard(self):
         d = make_uniform_interval(0, 1)
         with pytest.raises(DistributionError, match="nodes"):
-            quantize(d, 100, max_nodes=50)
+            quantize(d, DEFAULT_MAX_NODES + 1)
 
     def test_rejects_zero_resolution(self):
         with pytest.raises(ValueError):
@@ -341,25 +343,50 @@ class TestNodeFunction:
         assert NodeFunction.identity().resolve(q).tolist() == [3.0, 7.0]
 
     def test_spec_roundtrip(self):
-        specs = [
-            {"kind": "constant", "level": 2.0},
-            {"kind": "identity"},
-            {"kind": "cos_pi_F"},
-            {"kind": "step", "threshold": 0.5, "low": 1.0, "high": -1.0},
-            {"kind": "values", "values": [1.0, 2.0]},
-        ]
-        for spec in specs:
-            f = NodeFunction.from_spec(spec)
+        specs = {
+            "constant": {"kind": "constant", "level": 2.0},
+            "identity": {"kind": "identity"},
+            "cos_pi_F": {"kind": "cos_pi_F"},
+            "step": {"kind": "step", "threshold": 0.5, "low": 1.0, "high": -1.0},
+            "values": {"kind": "values", "values": [1.0, 2.0]},
+        }
+        for kind in NODE_FUNCTION_KINDS:
+            f = NodeFunction.from_spec(specs[kind])
+            assert f.kind == kind
+            assert f.to_spec() == specs[kind]
             assert NodeFunction.from_spec(f.to_spec()) == f
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            NodeFunction.from_spec({"kind": "spline"})
+    @pytest.mark.parametrize("kind", ["spline", ["x"], {}, 1, None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown node-function kind"):
+            NodeFunction.from_spec({"kind": kind})
+
+    @pytest.mark.parametrize("name", ["constant", " identity ", "cos_pi_F"])
+    def test_bare_names(self, name):
+        assert NodeFunction.from_spec(name) == NodeFunction.from_spec({"kind": name.strip()})
+
+    @pytest.mark.parametrize("name", ["step", "values", "spline"])
+    def test_bare_name_needing_fields_is_unknown(self, name):
+        with pytest.raises(ValueError, match=f"unknown node-function name '{name}'"):
+            NodeFunction.from_spec(name)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "step", "low": 1.0, "high": 0.0}, "step spec missing field 'threshold'"),
+            ({"kind": "step", "threshold": None, "low": 1.0}, "step spec missing field 'high'"),
+            ({"kind": "values"}, "values spec missing field 'values'"),
+        ],
+    )
+    def test_missing_field_messages(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NodeFunction.from_spec(spec)
 
     @pytest.mark.parametrize(
         "spec, field",
         [
             ({"kind": "values", "values": 5}, "values"),
+            ({"kind": "values", "values": "1234"}, "values"),
             ({"kind": "values", "values": [1.0, None]}, "values"),
             ({"kind": "constant", "level": None}, "level"),
             ({"kind": "constant", "level": [1]}, "level"),

@@ -1,0 +1,50 @@
+"""README.md lists the functional ids and node-function kinds the code defines."""
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from opial.distributions import NODE_FUNCTION_KINDS, NodeFunction
+from opial.functionals import FUNCTIONAL_IDS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def paragraph(start: str) -> str:
+    """The README paragraph that begins with `start`, on one line."""
+    found = [p for p in README.read_text(encoding="utf-8").split("\n\n") if p.startswith(start)]
+    assert len(found) == 1, f"README needs one paragraph starting {start!r}"
+    return " ".join(found[0].split())
+
+
+def is_bare_name(kind: str) -> bool:
+    try:
+        NodeFunction.from_spec(kind)
+    except ValueError:
+        return False
+    return True
+
+
+def test_functional_ids_listed_in_table_order():
+    ids = paragraph("Functional ids:").split(". ")[0]
+    assert tuple(re.findall(r"`([^`]+)`", ids)) == FUNCTIONAL_IDS
+
+
+def test_node_function_kinds_listed_in_table_order():
+    specs = paragraph("Node-function specs:")
+    assert tuple(re.findall(r'"kind": "([^"]+)"', specs)) == NODE_FUNCTION_KINDS
+
+
+def test_bare_names_listed():
+    names = paragraph("Node-function specs:").split("bare names")[1]
+    listed = tuple(re.findall(r"`([^`]+)`", names))
+    assert listed == tuple(k for k in NODE_FUNCTION_KINDS if is_bare_name(k))
+
+
+@pytest.mark.parametrize("kind", NODE_FUNCTION_KINDS)
+def test_spec_examples_parse(kind):
+    specs = paragraph("Node-function specs:")
+    example = re.search(r'`(\{"kind": "' + kind + r'"[^`]*\})`', specs).group(1)
+    example = example.replace("[...]", "[1.0]")
+    assert NodeFunction.from_spec(json.loads(example)).kind == kind

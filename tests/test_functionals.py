@@ -337,7 +337,6 @@ class TestNestedIntegral:
             nested_integral(q, np.ones(3), 0)
         with pytest.raises(ValueError, match="cap"):
             nested_integral(q, np.ones(3), 7)
-        nested_integral(q, np.ones(3), 7, order_cap=10)
 
 
 class TestTheorem2:
@@ -611,6 +610,11 @@ class TestDiscreteIdentities:
         assert rep.terms["lhs"] == pytest.approx(25.0, abs=1e-12)
         assert rep.terms["rhs"] == pytest.approx(28.0, abs=1e-12)
 
+    def test_o9_1_example(self):
+        # Signs cancel in the running sums: 1 + 2 + 6, where o9-2 gives 25.
+        rep = discrete_identities(np.array([1.0, -2.0, 3.0]), "o9-1")
+        assert rep.terms["lhs"] == 9.0 and rep.terms["rhs"] == 28.0
+
     def test_o9_2_equality_at_ones(self):
         for n in range(1, 31):
             rep = discrete_identities(np.ones(n), "o9_2")
@@ -639,6 +643,11 @@ class TestDiscreteIdentities:
             a = np.concatenate([np.ones(big_k), -np.ones(big_k)])
             assert discrete_identities(a, "o18").equality
 
+    @pytest.mark.parametrize("which, lhs, rhs", [("o15", 4.0, 4.5), ("o18", 5.0, 6.0)])
+    def test_zero_sum_example(self, which, lhs, rhs):
+        rep = discrete_identities(np.array([1.0, 1.0, -2.0]), which)
+        assert (rep.terms["lhs"], rep.terms["rhs"]) == (lhs, rhs)
+
     def test_o15_holds_for_odd_lengths(self, rng):
         for _ in range(2000):
             n = int(rng.integers(0, 11)) * 2 + 1  # odd, <= 21
@@ -656,6 +665,15 @@ class TestDiscreteIdentities:
     def test_unknown_identity(self):
         with pytest.raises(ValueError, match="identity"):
             discrete_identities(np.ones(3), "o99")
+
+    @pytest.mark.parametrize("which", fn.DISCRETE_IDENTITY_IDS)
+    def test_zero_sum_required_exactly_where_the_table_says(self, which):
+        uncentred = np.array([1.0, 2.0, 4.0])
+        if fn.FUNCTIONALS[which].zero_mean:
+            with pytest.raises(ZeroMeanError, match=which):
+                discrete_identities(uncentred, which)
+        else:
+            assert discrete_identities(uncentred, which).functional == which
 
 
 # ---------------------------------------------------------------------------
