@@ -13,12 +13,13 @@ function, safe for concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .accumulate import prefix_exclusive
+from .accumulate import comp_sum, prefix_exclusive
 
 #: Absolute tolerance for probability-mass comparisons.  Support-point
 #: comparisons are always exact.
@@ -41,16 +42,31 @@ class Piece:
     mass: float
 
 
+def _is_number(value) -> bool:
+    """Whether a spec value is a number, not a string, null, boolean or list."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _spec_numbers(fields: dict, where: str, error=DistributionError) -> list[float]:
-    """``float`` of each named spec field.  A non-number (null, a list, an
-    int too large for a double) raises `error` naming the field after `where`."""
-    numbers = []
+    """``float`` of each named spec field.  A value that is not a number (a
+    string, null, a boolean, a list, an int too large for a double) raises
+    `error` naming the field after `where`."""
+    out = []
     for name, value in fields.items():
         try:
-            numbers.append(float(value))
+            if not _is_number(value):
+                raise TypeError
+            out.append(float(value))
         except (TypeError, OverflowError):
             raise error(f"{where}{name} must be a number") from None
-    return numbers
+    return out
+
+
+def _no_unknown_fields(spec: dict, known, where: str, error=DistributionError) -> None:
+    """Raise `error` naming the first field of `spec` that is not `known`."""
+    for name in spec:
+        if name not in known:
+            raise error(f"{where}unknown field {name!r}")
 
 
 def _mass_total(masses) -> float:
@@ -166,6 +182,7 @@ class Distribution:
         """
         if not isinstance(obj, dict):
             raise DistributionError("distribution spec must be a JSON object")
+        _no_unknown_fields(obj, ("atoms", "pieces"), "distribution spec: ")
         atoms_raw = obj.get("atoms", [])
         pieces_raw = obj.get("pieces", [])
         if not isinstance(atoms_raw, list):
@@ -181,6 +198,7 @@ class Distribution:
         for i, entry in enumerate(pieces_raw):
             if not isinstance(entry, dict):
                 raise DistributionError(f"/pieces/{i}: expected an object with lo/hi/mass")
+            _no_unknown_fields(entry, ("lo", "hi", "mass"), f"/pieces/{i}: ")
             try:
                 fields = {name: entry[name] for name in ("lo", "hi", "mass")}
             except KeyError as exc:
@@ -233,7 +251,7 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
     and anything after them.  Returns one code per row, indexing
     :data:`MODEL_FAULTS` in the order the checks are made: finite, strictly
     increasing, positive masses, masses summing to 1 within
-    :data:`MASS_TOL` (an exact sum, ``math.fsum``).
+    :data:`MASS_TOL` (decided as by the exact sum ``math.fsum``).
     """
     if sizes is None:
         active = np.ones(support.shape, dtype=bool)
@@ -242,12 +260,21 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
     nonfinite = np.any(active & ~(np.isfinite(support) & np.isfinite(mass)), axis=-1)
     unordered = np.any(active[:, 1:] & (np.diff(support, axis=-1) <= 0), axis=-1)
     nonpositive = np.any(active & (mass <= 0.0), axis=-1)
-    # Sum only the rows that pass the other checks: math.fsum rejects inf - inf.
     checked = ~(nonfinite | unordered | nonpositive)
-    unnormalized = np.zeros(checked.shape, dtype=bool)
-    unnormalized[checked] = [
-        abs(_mass_total(row) - 1.0) > MASS_TOL for row in np.where(active, mass, 0.0)[checked].tolist()
-    ]
+    # The checked rows hold n positive finite masses.  Their Neumaier sum t
+    # is within u t + (n u)^2 t of the exact sum, which is within u t of
+    # math.fsum's (u the unit roundoff, each up to a factor 1 + O(n u)); a
+    # row whose |t - 1| lies further than twice that from MASS_TOL is
+    # decided as math.fsum decides it.  The others, and the rows whose sum
+    # overflows, are summed by math.fsum.
+    masses = np.where(active, mass, 0.0)
+    total = comp_sum(masses)
+    u = np.finfo(float).eps / 2
+    margin = 4.0 * (u + (masses.shape[-1] * u) ** 2) * total
+    off = np.abs(total - 1.0)
+    unnormalized = checked & (off > MASS_TOL)
+    near = checked & ~(np.abs(off - MASS_TOL) > margin)
+    unnormalized[near] = [abs(_mass_total(row) - 1.0) > MASS_TOL for row in masses[near].tolist()]
     return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
 
 
@@ -476,6 +503,7 @@ class NodeFunction:
         kind = spec["kind"]
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown node-function kind {kind!r}")
+        _no_unknown_fields(spec, ("kind", *_KINDS[kind].fields), f"{kind} spec: ", ValueError)
         fields = {}
         for name, default in _KINDS[kind].fields.items():
             if name not in spec and default is None:
@@ -483,9 +511,9 @@ class NodeFunction:
             fields[name] = spec.get(name, default)
         if "values" in fields:
             values = fields["values"]
-            if not isinstance(values, list):
-                raise ValueError("node-function values must be a list of numbers")
             try:
+                if not (isinstance(values, list) and all(map(_is_number, values))):
+                    raise TypeError
                 fields["values"] = tuple(float(v) for v in values)
             except (TypeError, OverflowError):
                 raise ValueError("node-function values must be a list of numbers") from None

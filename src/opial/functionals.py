@@ -337,17 +337,15 @@ def theorem2_terms(
     c_3 = (5 + 3 sqrt 5)/240; the report still states 1/(n+1)!, the limit
     of lhs/E psi^2 at constant psi on refining quantizations of continuous
     distributions.  On atomic inputs constant psi keeps lhs strictly below
-    that limit.
+    that limit.  Only at n = 1, where the bound is proved, does the report
+    carry ``strict_for_atoms``: whether the model is atomic, in which case
+    the strict-order argument makes the inequality strict.
     """
     terms = theorem2_rows(model.mass, _as_values(psi, model), n)
-    return _build_report(
-        "thm2",
-        terms,
-        m=model.source_m,
-        exact=model.is_exact,
-        tol=tol,
-        extras={"n": int(n), "strict_for_atoms": bool(model.is_exact)},
-    )
+    extras = {"n": int(n)}
+    if n == 1:
+        extras["strict_for_atoms"] = bool(model.is_exact)
+    return _build_report("thm2", terms, m=model.source_m, exact=model.is_exact, tol=tol, extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -701,30 +699,36 @@ class QuadraticForm:
     bound: float
 
 
-def _draw_nothing(rng, draw):
-    return draw
+def pad_rows(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """`values` of shape (rows, width) with each row's entries past its size set to 0."""
+    return np.where(np.arange(values.shape[-1]) < sizes[:, None], values, 0.0)
 
 
-def _draw_order(rng, draw):
-    return {**draw, "n": int(rng.integers(1, 4))}
+def _draw_nothing(rng, sizes, block):
+    return block
 
 
-def _draw_weight(rng, draw):
-    return {**draw, "chi": rng.uniform(0.0, 3.0, draw["psi"].size)}
+def _draw_order(rng, sizes, block):
+    return {**block, "n": rng.integers(1, 4, size=sizes.size)}
 
 
-def _draw_cut(rng, draw):
+def _draw_weight(rng, sizes, block):
+    return {**block, "chi": pad_rows(rng.uniform(0.0, 3.0, block["psi"].shape), sizes)}
+
+
+def _draw_cut(rng, sizes, block):
     # The split index: c is the support point `cut` counted from 1.
-    return {**draw, "cut": int(rng.integers(1, draw["psi"].size))}
+    return {**block, "cut": rng.integers(1, sizes)}
 
 
-def _draw_centred(rng, draw):
-    a = draw["a"]
-    return None if a.size == 1 else {"a": a - a.mean()}
+def _draw_centred(rng, sizes, block):
+    # One coefficient centres to 0: the size-1 rows are skipped.
+    a = block["a"]
+    return {**block, "a": pad_rows(a - (a.sum(axis=-1) / sizes)[:, None], sizes), "skip": sizes == 1}
 
 
-def _draw_magnitudes(rng, draw):
-    return {"a": np.abs(draw["a"])}
+def _draw_magnitudes(rng, sizes, block):
+    return {**block, "a": np.abs(block["a"])}
 
 
 def _nth_order_value(report: IneqReport) -> float:
@@ -740,11 +744,12 @@ class Functional:
     splits at c, a coefficient "sequence" (called as ``evaluate(a)``) or the
     troy weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
     search), ``tight`` the term compared with rhs, ``params`` the required
-    ones among n, c, chi and p_exp, and ``draw(rng, draw)`` the search's
-    draw of them (None skips the trial).  ``zero_mean`` requires psi (or the
-    sequence) to have mean zero, ``form`` is the tight term's quadratic form
-    and ``study`` the value a refinement study reads off the report at
-    constant psi, whose limit is 1.
+    ones among n, c, chi and p_exp, and ``draw(rng, sizes, block)`` the
+    search's draw of them for a block of zero-padded rows of the given
+    sizes, which may also transform ``a`` and mark rows to ``skip``.
+    ``zero_mean`` requires psi (or the sequence) to have mean zero, ``form``
+    is the tight term's quadratic form and ``study`` the value a refinement
+    study reads off the report at constant psi, whose limit is 1.
     """
 
     input: str

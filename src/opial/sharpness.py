@@ -315,36 +315,62 @@ class Violation:
         }
 
 
-#: Trials in a search's first chunk.  Chunks double from here, so a search
-#: that violates early (wirtinger) evaluates few trials past its violation.
-FIRST_CHUNK_TRIALS = 32
+#: Trials drawn from one generator: trial t is row t mod BLOCK_TRIALS of
+#: block b = t // BLOCK_TRIALS, whose rows come from ``default_rng([seed, b])``.
+BLOCK_TRIALS = 256
 
-#: Cap on a chunk's trials times m_max: the size of each zero-padded array.
+#: Cap on a block's trials times m_max: the size of each zero-padded array.
+#: A block is cut to CHUNK_ELEMENTS // m_max trials where it would exceed it.
 CHUNK_ELEMENTS = 1 << 15
 
 
-def _draw_trial(functional_id: str, seed: int, trial: int, m_max: int) -> dict | None:
-    """Trial `trial`'s instance, drawn from ``default_rng([seed, trial])``.
+def block_trials(m_max: int) -> int:
+    """Trials per block of a search with at most `m_max` nodes per trial."""
+    return max(1, min(BLOCK_TRIALS, CHUNK_ELEMENTS // m_max))
 
-    Sequence functionals get coefficients ``a``; the others get an atomic
-    model (``support``, ``mass``) and node values ``psi``.  The table's
-    ``draw`` then adds the functional's parameter (``n``, ``chi`` or the
-    split index ``cut``) or transforms ``a``, and returns None for the
-    size-1 trials that o15 and o18 skip.
+
+def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
+    """Block `block`'s trials as zero-padded rows, from ``default_rng([seed, block])``.
+
+    Sequence functionals get ``sizes`` from 1 to m_max and N(0,1)
+    coefficients ``a``.  The others get ``sizes`` from 2 to m_max and an
+    atomic model per row: ``support`` from uniform(0.1, 1) gaps after a
+    uniform(-3, 3) offset, Dirichlet(1, ..., 1) ``mass`` (row-normalized
+    standard exponentials, floored at 1e-9 and normalized again) and N(0,1)
+    node values ``psi``.  Every draw is one call for the whole block, in
+    that order, of shape (rows, m_max) or (rows,); entries past a row's
+    size are 0.  The table's ``draw`` then adds the functional's parameter
+    (``n``, ``chi`` or the split index ``cut``) or transforms ``a``, and
+    marks the size-1 rows that o15 and o18 ``skip``.
     """
     spec = fn.FUNCTIONALS[functional_id]
-    rng = np.random.default_rng([seed, trial])
+    rng = np.random.default_rng([seed, block])
+    rows = block_trials(m_max)
+    shape = (rows, m_max)
     if spec.input == "sequence":
-        return spec.draw(rng, {"a": rng.standard_normal(int(rng.integers(1, m_max + 1)))})
-    m = int(rng.integers(2, m_max + 1))
-    gaps = rng.uniform(0.1, 1.0, m)
-    support = np.cumsum(gaps) + rng.uniform(-3.0, 3.0)
-    mass = rng.dirichlet(np.ones(m))
+        sizes = rng.integers(1, m_max + 1, size=rows)
+        a = fn.pad_rows(rng.standard_normal(shape), sizes)
+        return spec.draw(rng, sizes, {"sizes": sizes, "a": a})
+    sizes = rng.integers(2, m_max + 1, size=rows)
+    gaps = rng.uniform(0.1, 1.0, shape)
+    support = fn.pad_rows(np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], sizes)
+    mass = fn.pad_rows(rng.standard_exponential(shape), sizes)
     # Floor the masses: Dirichlet draws can come out small enough to trip
     # the positive-mass and conditioning guards downstream.
-    mass = np.maximum(mass, 1e-9)
-    mass /= mass.sum()
-    return spec.draw(rng, {"support": support, "mass": mass, "psi": rng.standard_normal(m)})
+    mass = fn.pad_rows(np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), sizes)
+    mass /= mass.sum(axis=1)[:, None]
+    psi = fn.pad_rows(rng.standard_normal(shape), sizes)
+    return spec.draw(rng, sizes, {"sizes": sizes, "support": support, "mass": mass, "psi": psi})
+
+
+def _row(block: dict, k: int) -> dict:
+    """Row `k` of a drawn block: its arrays cut to the row's size, its scalars."""
+    size = block["sizes"][k]
+    return {
+        name: value[k, :size] if value.ndim == 2 else value[k]
+        for name, value in block.items()
+        if name not in ("sizes", "skip")
+    }
 
 
 def _evaluate_trial(functional_id: str, draw: dict) -> tuple[fn.IneqReport, dict]:
@@ -375,19 +401,12 @@ def _violates(slack, rhs, rel_tol: float):
     return slack < -rel_tol * np.fmax(1.0, np.abs(rhs))
 
 
-def _pad(rows: list[np.ndarray], active: np.ndarray) -> np.ndarray:
-    """Rows of different lengths, zero-padded to the shape of `active`."""
-    out = np.zeros(active.shape)
-    out[active] = np.concatenate(rows)
-    return out
+def _screen(functional_id: str, block: dict):
+    """Slack, rhs and model faults of a block's rows, by one kernel call.
 
-
-def _screen(functional_id: str, rows: list[dict], m_max: int):
-    """Slack, rhs and model faults of drawn trials, by one kernel call.
-
-    The draws are zero-padded to (trials, m_max) rows and evaluated by the
-    functional's row kernel, whose rows are bit-identical to the public
-    evaluators.  ``flagged`` marks the rows whose model fails an invariant
+    The rows are evaluated by the functional's row kernel, whose rows are
+    bit-identical to the public evaluators.  ``flagged`` marks the rows
+    whose model fails an invariant
     (:func:`~opial.distributions.model_faults`), on which the public path
     raises.  The evaluators' other input checks cannot fail on the draws:
     chi, the rtwo coefficients and both conditional masses are positive by
@@ -395,42 +414,35 @@ def _screen(functional_id: str, rows: list[dict], m_max: int):
     conditions to within a few ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
-    key = "a" if spec.input == "sequence" else "psi"
-    sizes = np.array([d[key].size for d in rows])
-    index = np.arange(m_max)
-    active = index < sizes[:, None]
-    if key == "a":
-        flagged = np.zeros(len(rows), dtype=bool)
-        terms = spec.rows(_pad([d["a"] for d in rows], active), sizes)
+    sizes = block["sizes"]
+    if spec.input == "sequence":
+        terms = spec.rows(block["a"], sizes)
+        return terms["rhs"] - terms[spec.tight], terms["rhs"], np.zeros(sizes.size, dtype=bool)
+    p, psi = block["mass"], block["psi"]
+    flagged = model_faults(block["support"], p, sizes) != 0
+    if spec.zero_mean:  # projected as in the public path
+        psi = fn.pad_rows(psi - comp_sum(p * psi)[:, None], sizes)
+    if spec.input == "distribution":
+        # The conditional laws of the public path, as masked rows of the
+        # same nodes; their models' invariants follow from the full model's.
+        # Their masses are divided by the exact sums the public path takes,
+        # listed row by row to keep few float objects alive at once.
+        index = np.arange(p.shape[-1])
+        lower = index < block["cut"][:, None]
+        upper = ~lower & (index < sizes[:, None])
+        shares = []
+        for row, cut in zip(p, block["cut"].tolist()):
+            row = row.tolist()
+            shares.append((math.fsum(row[:cut]), math.fsum(row[cut:])))
+        p_low, p_up = np.array(shares).T
+        terms = spec.rows(
+            np.where(lower, p / p_low[:, None], 0.0),
+            np.where(lower, psi, 0.0),
+            np.where(upper, p / p_up[:, None], 0.0),
+            np.where(upper, psi, 0.0),
+        )
     else:
-        support = _pad([d["support"] for d in rows], active)
-        p = _pad([d["mass"] for d in rows], active)
-        psi = _pad([d["psi"] for d in rows], active)
-        flagged = model_faults(support, p, sizes) != 0
-        if spec.zero_mean:  # projected as in the public path
-            psi = np.where(active, psi - comp_sum(p * psi)[:, None], 0.0)
-        if spec.input == "distribution":
-            # The conditional laws of the public path, as masked rows of the
-            # same nodes; their models' invariants follow from the full model's.
-            lower = index < np.array([d["cut"] for d in rows])[:, None]
-            upper = active & ~lower
-            p_low = np.array([math.fsum(d["mass"][: d["cut"]]) for d in rows])[:, None]
-            p_up = np.array([math.fsum(d["mass"][d["cut"] :]) for d in rows])[:, None]
-            terms = spec.rows(
-                np.where(lower, p / p_low, 0.0),
-                np.where(lower, psi, 0.0),
-                np.where(upper, p / p_up, 0.0),
-                np.where(upper, psi, 0.0),
-            )
-        else:
-            # A vector parameter (chi) is padded like psi, a scalar one (n) taken per row.
-            params = {
-                name: _pad([d[name] for d in rows], active)
-                if np.ndim(rows[0][name])
-                else np.array([d[name] for d in rows])
-                for name in spec.params
-            }
-            terms = spec.rows(p, psi, **params)
+        terms = spec.rows(p, psi, **{name: block[name] for name in spec.params})
     return terms["rhs"] - terms[spec.tight], terms["rhs"], flagged
 
 
@@ -444,22 +456,28 @@ def search_counterexample(
     """Randomized search for slack < -rel_tol relative.
 
     Node functions are i.i.d. standard normal; distributions have random
-    sorted supports and Dirichlet masses.  Trial t draws its instance from
-    its own generator ``default_rng([seed, t])``, so trials are
-    order-independent and reproducible.  Returns the violation of the
-    lowest violating trial, or None.  Raises ValueError for an id without a
-    search, m_max outside [2, DEFAULT_MAX_NODES] or trials < 1.
+    sorted supports and Dirichlet masses.  Trials are drawn in blocks of
+    B = ``block_trials(m_max)`` trials (BLOCK_TRIALS, fewer where that many
+    rows of m_max would exceed CHUNK_ELEMENTS): trial t is row t mod B of
+    block b = t // B, and block b is drawn from its own generator
+    ``default_rng([seed, b])`` by a few vectorized calls
+    (:func:`_draw_block`).  A result therefore depends only on the
+    functional, the seed, the trial index and m_max, not on `trials`.
+    Returns the violation of the lowest violating trial, or None.  Raises
+    ValueError for an id without a search, m_max outside
+    [2, DEFAULT_MAX_NODES] or trials < 1.
 
-    Trials run in chunks: FIRST_CHUNK_TRIALS at first, then twice as many
-    each time, up to CHUNK_ELEMENTS / m_max.  A chunk's draws are
-    zero-padded into (trials, m_max) arrays and screened by one call of
+    Each block's zero-padded (B, m_max) arrays are screened by one call of
     the functional's row kernel in :mod:`opial.functionals`, whose rows are
     bit-identical to the public evaluators, together with the checks those
     evaluators make on their inputs.  The lowest screened trial is then
     evaluated again through the public evaluator, which builds the returned
     :class:`Violation`, or raises the error a trial-by-trial search would
     have raised there.  The result is the same as evaluating every trial
-    through the public evaluators in order; only the cost differs.
+    through the public evaluators in order; only the cost differs.  A
+    trial costs a few microseconds at m_max = 30, most of it in the
+    screen's compensated passes; a search shorter than one block still
+    draws the whole block.
 
     The Wirtinger bound is only a theorem for continuous distributions;
     searching it over atomic inputs is expected to surface (heuristic-class)
@@ -473,18 +491,16 @@ def search_counterexample(
         raise ValueError(f"m_max must be at most {DEFAULT_MAX_NODES}, got {m_max}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    chunk_cap = max(1, CHUNK_ELEMENTS // m_max)
-    chunk = min(FIRST_CHUNK_TRIALS, chunk_cap)
-    start = 0
-    while start < trials:
-        stop = min(trials, start + chunk)
-        draws = [_draw_trial(functional_id, seed, trial, m_max) for trial in range(start, stop)]
-        kept = np.array([k for k, d in enumerate(draws) if d is not None], dtype=int)
-        if kept.size:
-            slack, rhs, flagged = _screen(functional_id, [draws[k] for k in kept], m_max)
-            kept = kept[flagged | _violates(slack, rhs, rel_tol)]
-        for k in kept:
-            report, instance = _evaluate_trial(functional_id, draws[k])
+    rows = block_trials(m_max)
+    for block_index, start in enumerate(range(0, trials, rows)):
+        drawn = _draw_block(functional_id, seed, block_index, m_max)
+        block = {name: value[: trials - start] for name, value in drawn.items()}
+        slack, rhs, flagged = _screen(functional_id, block)
+        listed = flagged | _violates(slack, rhs, rel_tol)
+        if "skip" in block:
+            listed &= ~block["skip"]
+        for k in np.flatnonzero(listed):
+            report, instance = _evaluate_trial(functional_id, _row(block, k))
             if _violates(report.slack, report.terms["rhs"], rel_tol):
                 return Violation(
                     functional=functional_id,
@@ -494,6 +510,4 @@ def search_counterexample(
                     heuristic=not fn.FUNCTIONALS[functional_id].theorem_backed,
                     instance=instance,
                 )
-        start = stop
-        chunk = min(2 * chunk, chunk_cap)
     return None

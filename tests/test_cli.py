@@ -302,6 +302,15 @@ class TestHostileInput:
             (None, '{"kind": "constant", "level": null}', [], {}),
             (None, '{"kind": "step", "threshold": 0, "low": null, "high": 1}', [], {}),
             (None, "constant", ["--out", "MISSING/r.json"], {}),
+            (None, '{"kind": "values", "values": ["1", "2", "3"]}', [], {}),
+            (None, '{"kind": "constant", "level": "2.5"}', [], {}),
+            (None, '{"kind": "constant", "level": true}', [], {}),
+            (None, '{"kind": "constant", "level": "2.5", "bogus": 1}', [], {}),
+            (None, '{"kind": "step", "threshold": 0, "low": 1, "high": 2, "level": 7}', [], {}),
+            ({"atoms": [[0, "0.5"], [1, 0.5]]}, "constant", [], {}),
+            ({"atoms": [[0, 0.5], [1, 0.5]], "extra": 3}, "constant", [], {}),
+            ({"atoms": [[0, "0.5"], [1, 0.5]], "extra": 3}, "constant", [], {}),
+            ({"atoms": [], "pieces": [{"lo": 0, "hi": 1, "mass": 1, "width": 1}]}, "constant", [], {}),
         ],
         ids=[
             "budget-env",
@@ -315,6 +324,15 @@ class TestHostileInput:
             "null-level",
             "null-step-field",
             "out-dir-missing",
+            "numeric-string-values",
+            "numeric-string-level",
+            "boolean-level",
+            "numeric-string-level-and-unknown-field",
+            "unknown-step-field",
+            "numeric-string-atom-mass",
+            "unknown-dist-field",
+            "numeric-string-atom-mass-and-unknown-field",
+            "unknown-piece-field",
         ],
     )
     def test_malformed_input(self, tmp_path, capsys, monkeypatch, dist, psi, extra, env):

@@ -15,7 +15,8 @@ from opial import (
     quantize,
 )
 
-from opial.distributions import DEFAULT_MAX_NODES, NODE_FUNCTION_KINDS
+from opial.accumulate import comp_sum
+from opial.distributions import DEFAULT_MAX_NODES, MASS_TOL, NODE_FUNCTION_KINDS, model_faults
 
 from conftest import random_atomic_distribution, random_mixed_distribution
 
@@ -276,10 +277,26 @@ class TestDistributionValidation:
             ({"atoms": [[0.5, 0.5], [[1], 0.5]]}, "/atoms/1: location"),
             ({"pieces": [{"lo": 0, "hi": None, "mass": 1}]}, "/pieces/0: hi"),
             ({"pieces": [{"lo": 0, "hi": 1, "mass": 10**400}]}, "/pieces/0: mass"),
+            ({"atoms": [[0, "0.5"], [1, 0.5]]}, "/atoms/0: mass"),
+            ({"atoms": [["1", 1.0]]}, "/atoms/0: location"),
+            ({"atoms": [[0, True]]}, "/atoms/0: mass"),
+            ({"pieces": [{"lo": "0", "hi": 1, "mass": 1}]}, "/pieces/0: lo"),
         ],
     )
     def test_spec_non_number_named_by_pointer(self, spec, pointer):
         with pytest.raises(DistributionError, match=f"^{pointer} must be a number$"):
+            Distribution.from_spec_dict(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"atoms": [[0, 0.5], [1, 0.5]], "extra": 3}, "distribution spec: unknown field 'extra'"),
+            ({"atoms": [[0, "0.5"], [1, 0.5]], "extra": 3}, "distribution spec: unknown field 'extra'"),
+            ({"pieces": [{"lo": 0, "hi": 1, "mass": 1, "width": 1}]}, "/pieces/0: unknown field 'width'"),
+        ],
+    )
+    def test_spec_unknown_field_named(self, spec, message):
+        with pytest.raises(DistributionError, match=f"^{message}$"):
             Distribution.from_spec_dict(spec)
 
     def test_spec_roundtrip_idempotent(self):
@@ -318,6 +335,81 @@ class TestQuantizedModelValidation:
         q = QuantizedModel(support=[1.0, 2.0], mass=[0.5, 0.5])
         with pytest.raises(ValueError):
             q.mass[0] = 0.3
+
+
+def fsum_unnormalized(row) -> bool:
+    """The mass check as one exact sum: the rule the batched decision keeps."""
+    try:
+        total = math.fsum(row)
+    except OverflowError:
+        total = math.inf
+    return abs(total - 1.0) > MASS_TOL
+
+
+class TestModelFaults:
+    def rows_at_the_tolerance(self):
+        """Rows whose exact totals lie on, and 1 and 2 ulp around, 1 +- MASS_TOL."""
+        rows = []
+        for edge in (1.0 + MASS_TOL, 1.0 - MASS_TOL):
+            total = edge
+            for _ in range(2):
+                total = np.nextafter(total, 0.0)
+            for _ in range(5):
+                # exact splits of `total`: halvings, and a Sterbenz difference
+                rows.append([total / 2, total / 4, total / 8, total / 8])
+                rows.append([total - 0.5, 0.25, 0.125, 0.125])
+                rows.append([0.125] * 4 + [total - 0.75, 0.125, 0.125])
+                total = np.nextafter(total, 2.0)
+        return rows
+
+    def row_rounded_across_the_tolerance(self):
+        """Positive masses whose Neumaier sum and exact sum fall on either side of 1 - MASS_TOL.
+
+        `low` is the least double within MASS_TOL of 1 and `below` the one
+        before it, whose last bit is even.  `below` plus half their gap ties
+        to `below`, and the tiny third mass is lost in the compensation, so
+        Neumaier gives `below` while the exact sum rounds up to `low`.
+        """
+        low = 1.0 - MASS_TOL
+        while 1.0 - low > MASS_TOL:
+            low = np.nextafter(low, 2.0)
+        below = np.nextafter(low, 0.0)
+        half = (low - below) / 2
+        return [float(below), float(half), float(half) * 2.0**-60]
+
+    def test_neumaier_and_exact_sums_differ_at_the_tolerance(self):
+        row = self.row_rounded_across_the_tolerance()
+        assert comp_sum(np.array(row)) != math.fsum(row)
+        assert not fsum_unnormalized(row)
+        assert model_faults(np.array([[0.0, 1.0, 2.0]]), np.array([row])).tolist() == [0]
+
+    def test_mass_decision_is_the_exact_sums(self, rng):
+        rows = self.rows_at_the_tolerance() + [self.row_rounded_across_the_tolerance()]
+        for _ in range(300):
+            m = int(rng.integers(1, 40))
+            mass = rng.dirichlet(np.ones(m)) * (1.0 + rng.uniform(-3.0, 3.0) * MASS_TOL)
+            rows.append(mass.tolist())
+        rows += [[1e308, 1e308], [1.7e308, 1e-300, 1.7e308], [5e-324, 1.0], [0.5, 0.5 + 2 * MASS_TOL]]
+        width = max(map(len, rows))
+        mass = np.zeros((len(rows), width))
+        for r, row in enumerate(rows):
+            mass[r, : len(row)] = row
+        sizes = np.array([len(row) for row in rows])
+        support = np.tile(np.arange(width, dtype=float), (len(rows), 1))
+        want = [4 if fsum_unnormalized(row) else 0 for row in rows]
+        assert model_faults(support, mass, sizes).tolist() == want
+        assert sum(want) > 0 and want.count(0) > 0
+        edge = self.rows_at_the_tolerance()
+        assert {fsum_unnormalized(row) for row in edge} == {True, False}
+
+    def test_long_rows_near_the_tolerance(self, rng):
+        for m in (1000, 8196):
+            mass = rng.uniform(0.5, 1.0, (6, m))
+            mass /= mass.sum(axis=1)[:, None]
+            mass *= 1.0 + MASS_TOL * np.array([-1.01, -0.99, 0.0, 0.99, 1.01, 1.0])[:, None]
+            support = np.tile(np.arange(m, dtype=float), (6, 1))
+            want = [4 if fsum_unnormalized(row) else 0 for row in mass.tolist()]
+            assert model_faults(support, mass).tolist() == want
 
 
 class TestNodeFunction:
@@ -392,8 +484,25 @@ class TestNodeFunction:
             ({"kind": "constant", "level": [1]}, "level"),
             ({"kind": "step", "threshold": 0.5, "low": 1.0, "high": None}, "high"),
             ({"kind": "step", "threshold": 10**400, "low": 1.0, "high": 0.0}, "threshold"),
+            ({"kind": "values", "values": ["1", "2", "3", "4"]}, "values"),
+            ({"kind": "values", "values": [1.0, True]}, "values"),
+            ({"kind": "constant", "level": "2.5"}, "level"),
+            ({"kind": "constant", "level": False}, "level"),
+            ({"kind": "step", "threshold": "0.5", "low": 1.0, "high": 0.0}, "threshold"),
         ],
     )
     def test_non_number_fields_named(self, spec, field):
         with pytest.raises(ValueError, match=f"node-function {field} must be"):
+            NodeFunction.from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "constant", "level": "2.5", "bogus": 1}, "constant spec: unknown field 'bogus'"),
+            ({"kind": "step", "threshold": 0, "low": 1, "high": 2, "level": 7}, "step spec: unknown field 'level'"),
+            ({"kind": "identity", "values": [1.0]}, "identity spec: unknown field 'values'"),
+        ],
+    )
+    def test_unknown_fields_named(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             NodeFunction.from_spec(spec)

@@ -1,4 +1,4 @@
-"""README.md lists the functional ids and node-function kinds the code defines."""
+"""README.md lists the functional ids, node-function kinds and search constants the code defines."""
 import json
 import re
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 from opial.distributions import NODE_FUNCTION_KINDS, NodeFunction
 from opial.functionals import FUNCTIONAL_IDS
+from opial.sharpness import BLOCK_TRIALS, CHUNK_ELEMENTS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -48,3 +49,16 @@ def test_spec_examples_parse(kind):
     example = re.search(r'`(\{"kind": "' + kind + r'"[^`]*\})`', specs).group(1)
     example = example.replace("[...]", "[1.0]")
     assert NodeFunction.from_spec(json.loads(example)).kind == kind
+
+
+def test_search_block_stream_stated():
+    text = paragraph("Trials are drawn in blocks of")
+    number = r"(\d[\d ]*)"
+    sizes = re.search(rf"blocks of {number}, or of {number} / M when M exceeds {number}\.", text)
+    assert sizes, text
+    stated = [int(g.replace(" ", "")) for g in sizes.groups()]
+    assert stated == [BLOCK_TRIALS, CHUNK_ELEMENTS, CHUNK_ELEMENTS // BLOCK_TRIALS]
+    rows = re.search(rf"Trial t is row t mod {number} of block b = t // {number},", text)
+    assert rows and [int(g) for g in rows.groups()] == [BLOCK_TRIALS, BLOCK_TRIALS]
+    assert f"zero-padded ({BLOCK_TRIALS} x M) arrays" in text
+    assert "block b comes from its own generator `default_rng([S, b])`" in text

@@ -748,8 +748,9 @@ class TestRowKernels:
         models, psis, pad, active, sizes = self.batch(rng)
         if spec.input == "sequence":
             # The search's draw centres (o15, o18) or takes magnitudes (rtwo).
-            seqs = [spec.draw(rng, {"a": v})["a"] for v in psis]
-            self.assert_rows(spec.rows(pad(seqs), sizes), [spec.evaluate(v) for v in seqs])
+            drawn = spec.draw(rng, sizes, {"sizes": sizes, "a": pad(psis)})["a"]
+            seqs = [row[:size] for row, size in zip(drawn, sizes)]
+            self.assert_rows(spec.rows(drawn, sizes), [spec.evaluate(v) for v in seqs])
             return
         p, psi = pad([q.mass for q in models]), pad(psis)
         if spec.zero_mean:

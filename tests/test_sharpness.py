@@ -20,8 +20,10 @@ from opial import (
 from opial.functionals import INV_PI_SQ
 from opial.accumulate import comp_sum
 from opial.functionals import FUNCTIONALS, SEARCHABLE_IDS, THEOREM_BACKED_IDS
+from opial.distributions import MASS_TOL
 from opial.sharpness import (
-    FIRST_CHUNK_TRIALS,
+    BLOCK_TRIALS,
+    CHUNK_ELEMENTS,
     ConvergenceError,
     Violation,
     convergence_study,
@@ -239,86 +241,116 @@ class TestSearchCounterexample:
 
 
 # ---------------------------------------------------------------------------
-# the batched search against a trial-by-trial loop over the public evaluators
+# the block stream against a trial-by-trial loop over the public evaluators
 # ---------------------------------------------------------------------------
 
 
-def draw_one(functional, seed, trial, m_max):
-    """One trial's instance, drawn in the search's documented order."""
-    rng = np.random.default_rng([seed, trial])
+def pad(values, sizes):
+    return np.where(np.arange(values.shape[1]) < sizes[:, None], values, 0.0)
+
+
+def draw_block(functional, seed, block, m_max):
+    """Block `block`'s arrays, drawn in the search's documented order."""
+    rows = max(1, min(BLOCK_TRIALS, CHUNK_ELEMENTS // m_max))
+    rng = np.random.default_rng([seed, block])
+    shape = (rows, m_max)
     if functional in fn.DISCRETE_IDENTITY_IDS or functional == "rtwo":
-        size = int(rng.integers(1, m_max + 1))
-        a = rng.standard_normal(size)
+        sizes = rng.integers(1, m_max + 1, size=rows)
+        a = pad(rng.standard_normal(shape), sizes)
         if functional in ("o15", "o18"):
-            if size == 1:
-                return None
-            a = a - a.mean()
-        if functional == "rtwo":
-            a = np.abs(a)
-        return {"a": a}
-    m = int(rng.integers(2, m_max + 1))
-    gaps = rng.uniform(0.1, 1.0, m)
-    support = np.cumsum(gaps) + rng.uniform(-3.0, 3.0)
-    mass = np.maximum(rng.dirichlet(np.ones(m)), 1e-9)
-    mass /= mass.sum()
-    draw = {"support": support, "mass": mass, "psi": rng.standard_normal(m)}
+            # centred by the mean over the zero-padded row; size-1 rows skipped
+            return {"sizes": sizes, "a": pad(a - (a.sum(axis=1) / sizes)[:, None], sizes), "skip": sizes == 1}
+        return {"sizes": sizes, "a": np.abs(a) if functional == "rtwo" else a}
+    sizes = rng.integers(2, m_max + 1, size=rows)
+    gaps = rng.uniform(0.1, 1.0, shape)
+    support = pad(np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], sizes)
+    exponentials = pad(rng.standard_exponential(shape), sizes)
+    mass = pad(np.maximum(exponentials / exponentials.sum(axis=1)[:, None], 1e-9), sizes)
+    mass /= mass.sum(axis=1)[:, None]
+    block = {"sizes": sizes, "support": support, "mass": mass, "psi": pad(rng.standard_normal(shape), sizes)}
     if functional == "thm2":
-        draw["n"] = int(rng.integers(1, 4))
+        block["n"] = rng.integers(1, 4, size=rows)
     elif functional in ("weighted-lower", "weighted-upper"):
-        draw["chi"] = rng.uniform(0.0, 3.0, m)
+        block["chi"] = pad(rng.uniform(0.0, 3.0, shape), sizes)
     elif functional == "corollary":
-        draw["cut"] = int(rng.integers(1, m))
-    return draw
+        block["cut"] = rng.integers(1, sizes)
+    return block
 
 
-def loop_trials(functional, trials, seed, m_max, draw=draw_one):
+def block_rows(block):
+    """One dict per row (None for a skipped one), its arrays views into the block."""
+    out = []
+    for k, size in enumerate(block["sizes"]):
+        if "skip" in block and block["skip"][k]:
+            out.append(None)
+            continue
+        out.append({
+            name: value[k, :size] if value.ndim == 2 else int(value[k])
+            for name, value in block.items()
+            if name not in ("sizes", "skip")
+        })
+    return out
+
+
+def draw_trials(functional, seed, trials, m_max, change=None):
+    """The first `trials` rows of the stream, each passed through `change(trial, row)`."""
+    rows = max(1, min(BLOCK_TRIALS, CHUNK_ELEMENTS // m_max))
+    out = []
+    for block in range(-(-trials // rows)):
+        for k, row in enumerate(block_rows(draw_block(functional, seed, block, m_max))):
+            if row is not None and change is not None:
+                change(block * rows + k, row)
+            out.append(row)
+    return out[:trials]
+
+
+def evaluate(functional, d):
+    """One trial through its public evaluator: (report, instance)."""
+    if "a" in d:
+        a = d["a"]
+        report = fn.rtwo_terms(a) if functional == "rtwo" else fn.discrete_identities(a, functional)
+        return report, {"a": [float(v) for v in a]}
+    model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True, source_m=1)
+    psi = d["psi"]
+    instance = {
+        "support": [float(v) for v in model.support],
+        "mass": [float(v) for v in model.mass],
+        "psi": [float(v) for v in psi],
+    }
+    if functional in ("thm1-lower", "thm1-upper"):
+        direction = "below" if functional == "thm1-lower" else "above"
+        report = fn.opial_terms(model, psi, direction)
+    elif functional == "thm2":
+        report = fn.theorem2_terms(model, psi, d["n"])
+        instance["n"] = d["n"]
+    elif functional == "thm3":
+        report = fn.theorem3_terms(model, psi)
+    elif functional in ("weighted-lower", "weighted-upper"):
+        direction = "below" if functional == "weighted-lower" else "above"
+        report = fn.weighted_opial_terms(model, psi, d["chi"], direction)
+        instance["chi"] = [float(v) for v in d["chi"]]
+    elif functional == "corollary":
+        c = float(model.support[d["cut"] - 1])
+        dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
+        report = fn.corollary_split(dist, psi, c, m=1)
+        instance["c"] = c
+    else:
+        psi = psi - comp_sum(model.mass * psi)
+        report = fn.wirtinger_terms(model, psi)
+        instance["psi"] = [float(v) for v in psi]
+    return report, instance
+
+
+def loop_trials(functional, trials, seed, m_max, change=None):
     """Yield (trial, report, instance), each trial through the public evaluator."""
-    for trial in range(trials):
-        d = draw(functional, seed, trial, m_max)
-        if d is None:
-            continue
-        if "a" in d:
-            a = d["a"]
-            if functional == "rtwo":
-                report = fn.rtwo_terms(a)
-            else:
-                report = fn.discrete_identities(a, functional)
-            yield trial, report, {"a": [float(v) for v in a]}
-            continue
-        model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True, source_m=1)
-        psi = d["psi"]
-        instance = {
-            "support": [float(v) for v in model.support],
-            "mass": [float(v) for v in model.mass],
-            "psi": [float(v) for v in psi],
-        }
-        if functional in ("thm1-lower", "thm1-upper"):
-            direction = "below" if functional == "thm1-lower" else "above"
-            report = fn.opial_terms(model, psi, direction)
-        elif functional == "thm2":
-            report = fn.theorem2_terms(model, psi, d["n"])
-            instance["n"] = d["n"]
-        elif functional == "thm3":
-            report = fn.theorem3_terms(model, psi)
-        elif functional in ("weighted-lower", "weighted-upper"):
-            direction = "below" if functional == "weighted-lower" else "above"
-            report = fn.weighted_opial_terms(model, psi, d["chi"], direction)
-            instance["chi"] = [float(v) for v in d["chi"]]
-        elif functional == "corollary":
-            c = float(model.support[d["cut"] - 1])
-            dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
-            report = fn.corollary_split(dist, psi, c, m=1)
-            instance["c"] = c
-        else:
-            psi = psi - comp_sum(model.mass * psi)
-            report = fn.wirtinger_terms(model, psi)
-            instance["psi"] = [float(v) for v in psi]
-        yield trial, report, instance
+    for trial, d in enumerate(draw_trials(functional, seed, trials, m_max, change)):
+        if d is not None:
+            yield (trial, *evaluate(functional, d))
 
 
-def loop_search(functional, trials, seed, m_max, draw=draw_one, rel_tol=1e-9):
+def loop_search(functional, trials, seed, m_max, change=None, rel_tol=1e-9):
     """The search's contract: the first violating trial, in trial order."""
-    for trial, report, instance in loop_trials(functional, trials, seed, m_max, draw):
+    for trial, report, instance in loop_trials(functional, trials, seed, m_max, change):
         if report.slack < -rel_tol * max(1.0, abs(report.terms["rhs"])):
             return Violation(functional, trial, seed, report.slack, functional == "wirtinger", instance)
     return None
@@ -329,13 +361,97 @@ def as_text(violation):
 
 
 def patch_draws(monkeypatch, change):
-    """Make the search draw `change(trial, draw_one(...))` for every trial."""
+    """Pass every row of the search's blocks through `change(trial, row)`.
 
-    def draw(functional, seed, trial, m_max):
-        return change(trial, draw_one(functional, seed, trial, m_max))
+    `row` holds views into the block, so the change edits the block the
+    search screens.  Give :func:`loop_search` the same `change`.
+    """
+    original = sharpness._draw_block
 
-    monkeypatch.setattr(sharpness, "_draw_trial", draw)
-    return draw
+    def draw(functional, seed, block, m_max):
+        drawn = original(functional, seed, block, m_max)
+        rows = sharpness.block_trials(m_max)
+        for k in range(rows):
+            change(block * rows + k, sharpness._row(drawn, k))
+        return drawn
+
+    monkeypatch.setattr(sharpness, "_draw_block", draw)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestBlockStream:
+    """The block draw: its documented order, its invariants, its independence of --trials."""
+
+    @pytest.mark.parametrize("m_max", [2, 3, 30, 1000])
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_follows_the_documented_order(self, functional, m_max):
+        for block in (0, 3):
+            got = sharpness._draw_block(functional, 17, block, m_max)
+            want = draw_block(functional, 17, block, m_max)
+            assert sorted(got) == sorted(want)
+            for name in want:
+                assert got[name].dtype == want[name].dtype, name
+                assert got[name].tolist() == want[name].tolist(), name
+
+    def test_block_size_is_cut_to_the_element_cap(self):
+        assert sharpness.block_trials(2) == BLOCK_TRIALS
+        assert sharpness.block_trials(30) == BLOCK_TRIALS
+        assert BLOCK_TRIALS * 30 <= CHUNK_ELEMENTS
+        assert sharpness.block_trials(1000) == CHUNK_ELEMENTS // 1000
+        assert sharpness.block_trials(CHUNK_ELEMENTS + 1) == 1
+
+    @pytest.mark.parametrize("m_max", [2, 3, 30, 1000])
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_draw_invariants(self, functional, m_max):
+        spec = FUNCTIONALS[functional]
+        for block in range(3):
+            drawn = sharpness._draw_block(functional, 5, block, m_max)
+            sizes = drawn["sizes"]
+            assert sizes.shape == (sharpness.block_trials(m_max),)
+            low = 1 if spec.input == "sequence" else 2
+            assert sizes.min() >= low and sizes.max() <= m_max
+            active = np.arange(m_max) < sizes[:, None]
+            for name, value in drawn.items():
+                if value.ndim == 2:
+                    assert value.shape == active.shape and not value[~active].any(), name
+            for k, size in enumerate(sizes):
+                row = sharpness._row(drawn, k)
+                if spec.input == "sequence":
+                    a = row["a"]
+                    if functional in ("o15", "o18"):
+                        assert drawn["skip"][k] == (size == 1)
+                        assert abs(math.fsum(a)) <= 1e-14 * max(1.0, math.fsum(np.abs(a)))
+                    if functional == "rtwo":
+                        assert (a >= 0.0).all()
+                    continue
+                assert (row["mass"] > 0.0).all()
+                assert abs(math.fsum(row["mass"]) - 1.0) <= MASS_TOL
+                assert (np.diff(row["support"]) > 0.0).all()
+                if functional == "thm2":
+                    assert 1 <= row["n"] <= 3
+                if "chi" in row:
+                    assert ((row["chi"] >= 0.0) & (row["chi"] < 3.0)).all()
+                if functional == "corollary":
+                    assert 1 <= row["cut"] < size
+
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_result_does_not_depend_on_the_trial_count(self, functional):
+        # A threshold between the second and third lowest relative slack of
+        # the first 40 trials makes one of them the first violation.
+        seed, m_max = 3, 30
+        rel = sorted(
+            report.slack / max(1.0, abs(report.terms["rhs"]))
+            for _, report, _ in loop_trials(functional, 40, seed, m_max)
+        )
+        rel_tol = -rel[2]
+        short = search_counterexample(functional, 40, seed, m_max, rel_tol=rel_tol)
+        long = search_counterexample(functional, 4000, seed, m_max, rel_tol=rel_tol)
+        assert short is not None and short.trial < 40
+        assert as_text(short) == as_text(long)
+        assert as_text(short) == as_text(loop_search(functional, 40, seed, m_max, rel_tol=rel_tol))
 
 
 class TestBatchedSearchMatchesLoop:
@@ -343,7 +459,7 @@ class TestBatchedSearchMatchesLoop:
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_same_result_as_trial_loop(self, functional, m_max):
         for seed in (0, 11, 2024):
-            trials = 3 * FIRST_CHUNK_TRIALS + 7  # three chunks, the last one partial
+            trials = sharpness.block_trials(m_max) + 7  # two blocks, the last one partial
             batched = search_counterexample(functional, trials=trials, seed=seed, m_max=m_max)
             looped = loop_search(functional, trials, seed, m_max)
             assert as_text(batched) == as_text(looped)
@@ -351,9 +467,9 @@ class TestBatchedSearchMatchesLoop:
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_same_trial_at_a_threshold_inside_the_slack_range(self, functional):
         # A tolerance at the 5 % point of the trials' relative slacks makes a
-        # few trials, spread over the chunks, fall below it, and puts one
+        # few trials, spread over the blocks, fall below it, and puts one
         # trial exactly on it: a drift of one ulp there changes the result.
-        trials, seed, m_max = 4 * FIRST_CHUNK_TRIALS, 7, 30
+        trials, seed, m_max = BLOCK_TRIALS + 64, 7, 30
         rel = sorted(
             report.slack / max(1.0, abs(report.terms["rhs"]))
             for _, report, _ in loop_trials(functional, trials, seed, m_max)
@@ -364,57 +480,71 @@ class TestBatchedSearchMatchesLoop:
         assert looped is not None
         assert as_text(batched) == as_text(looped)
 
-    @pytest.mark.parametrize("m_max", [2, 30])
+    @pytest.mark.parametrize("m_max", [2, 3, 30])
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_screen_slacks_are_the_evaluators_bit_for_bit(self, functional, m_max):
-        trials, seed = 2 * FIRST_CHUNK_TRIALS, 8
-        looped = list(loop_trials(functional, trials, seed, m_max))
-        draws = [draw_one(functional, seed, t, m_max) for t, _, _ in looped]
-        slack, rhs, flagged = sharpness._screen(functional, draws, m_max)
+        drawn = sharpness._draw_block(functional, 8, 0, m_max)
+        slack, rhs, flagged = sharpness._screen(functional, drawn)
         assert not flagged.any()
-        want = [(r.slack, r.terms["rhs"]) for _, r, _ in looped]
-        assert np.array(list(zip(slack, rhs))).view(np.int64).tolist() == (
-            np.array(want).view(np.int64).tolist()
-        )
+        skip = drawn.get("skip", np.zeros(slack.size, dtype=bool))
+        kept = np.flatnonzero(~skip)
+        assert kept.size > 0
+        reports = [evaluate(functional, sharpness._row(drawn, k))[0] for k in kept]
+        assert bits(slack[kept]) == bits([r.slack for r in reports])
+        assert bits(rhs[kept]) == bits([r.terms["rhs"] for r in reports])
 
-    def test_wirtinger_violates_in_first_chunk(self):
+    @pytest.mark.parametrize("functional", ["o15", "o18"])
+    def test_size_one_rows_are_skipped(self, functional):
+        # With rel_tol = -1 every evaluated trial violates, so the result is
+        # the first trial of size 2: the size-1 rows before it are skipped.
+        found = []
+        for seed in range(8):
+            violation = search_counterexample(functional, 50, seed, 2, rel_tol=-1.0)
+            assert len(violation.instance["a"]) == 2
+            assert as_text(violation) == as_text(loop_search(functional, 50, seed, 2, rel_tol=-1.0))
+            found.append(violation.trial)
+        assert max(found) > 0
+
+    def test_wirtinger_violates_in_first_block(self):
         violation = search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
-        assert violation is not None and violation.trial < FIRST_CHUNK_TRIALS
+        assert violation is not None and violation.trial < BLOCK_TRIALS
         assert as_text(violation) == as_text(loop_search("wirtinger", 200, 1, 4))
 
-    def test_first_violation_in_second_chunk(self, monkeypatch):
-        def quiet_first_chunk(trial, d):
-            if trial < FIRST_CHUNK_TRIALS:
-                d["psi"] = np.zeros_like(d["psi"])  # slack 0: no violation
-            return d
+    def test_first_violation_in_second_block(self, monkeypatch):
+        def quiet_first_block(trial, row):
+            if trial < BLOCK_TRIALS:
+                row["psi"][:] = 0.0  # slack 0: no violation
 
-        draw = patch_draws(monkeypatch, quiet_first_chunk)
-        violation = search_counterexample("wirtinger", trials=400, seed=5, m_max=4)
+        patch_draws(monkeypatch, quiet_first_block)
+        violation = search_counterexample("wirtinger", trials=600, seed=5, m_max=4)
         assert violation is not None
-        assert FIRST_CHUNK_TRIALS <= violation.trial < 3 * FIRST_CHUNK_TRIALS
-        assert as_text(violation) == as_text(loop_search("wirtinger", 400, 5, 4, draw=draw))
+        assert BLOCK_TRIALS <= violation.trial < 2 * BLOCK_TRIALS
+        assert as_text(violation) == as_text(loop_search("wirtinger", 600, 5, 4, quiet_first_block))
+
+    #: A seed whose first wirtinger violation at m_max 4 has trials on both sides in its block.
+    SEED = 6
 
     def _first_violation(self):
-        violation = loop_search("wirtinger", 200, 1, 4)
-        assert violation is not None and violation.trial + 3 < FIRST_CHUNK_TRIALS
+        violation = loop_search("wirtinger", 200, self.SEED, 4)
+        assert violation is not None and 1 <= violation.trial < BLOCK_TRIALS - 1
         return violation.trial
 
-    @pytest.mark.parametrize("offset", [-1, 1, 2 * FIRST_CHUNK_TRIALS])
+    @pytest.mark.parametrize("offset", [-1, 1, BLOCK_TRIALS])
     def test_invalid_model_after_violation_is_not_reached(self, monkeypatch, offset):
         bad = self._first_violation() + offset
 
-        def repeat_a_node(trial, d):
+        def repeat_a_node(trial, row):
             if trial == bad:
-                d["support"][1] = d["support"][0]
-            return d
+                row["support"][1] = row["support"][0]
 
-        draw = patch_draws(monkeypatch, repeat_a_node)
+        patch_draws(monkeypatch, repeat_a_node)
+        trials = 2 * BLOCK_TRIALS
         if offset < 0:
             with pytest.raises(DistributionError, match="strictly increasing"):
-                loop_search("wirtinger", 200, 1, 4, draw=draw)
+                loop_search("wirtinger", trials, self.SEED, 4, repeat_a_node)
             with pytest.raises(DistributionError, match="strictly increasing"):
-                search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
+                search_counterexample("wirtinger", trials=trials, seed=self.SEED, m_max=4)
         else:
-            batched = search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
+            batched = search_counterexample("wirtinger", trials=trials, seed=self.SEED, m_max=4)
             assert batched is not None and batched.trial == bad - offset
-            assert as_text(batched) == as_text(loop_search("wirtinger", 200, 1, 4, draw=draw))
+            assert as_text(batched) == as_text(loop_search("wirtinger", trials, self.SEED, 4, repeat_a_node))
