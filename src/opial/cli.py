@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import sys
 import tempfile
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -59,6 +61,9 @@ def validate(args: argparse.Namespace) -> None:
         )
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliError(f"tolerance must be positive and finite, got {args.tol}")
+    for flag, value in (("--c", args.c), ("--p-exp", args.p_exp)):
+        if value is not None and not math.isfinite(value):
+            raise CliError(f"{flag} must be finite, got {value}")
     if args.trials < 1:
         raise CliError(f"trial count must be positive, got {args.trials}")
     if args.format == "csv" and handler is not _cmd_converge:
@@ -118,8 +123,76 @@ def load_specs(
 # ---------------------------------------------------------------------------
 
 
+#: Exact types a container may hold and still go to the C encoder whole.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _c_encoder(depth: int):
+    """CPython's C JSON encoder, as json.dumps builds it without ``indent``,
+    with each item of a container on its own line at indentation `depth`."""
+    return c_make_encoder(
+        None,  # no circular-reference markers: a leaf container holds no container
+        json.JSONEncoder().default,  # raises TypeError for what JSON cannot hold
+        encode_basestring_ascii,
+        None,
+        ": ",
+        ",\n" + "  " * depth,
+        True,  # sort_keys
+        False,  # skipkeys
+        False,  # allow_nan
+    )
+
+
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    json.dumps encodes in pure Python once ``indent`` is set.  Here Python
+    walks only the containers that hold containers; every other container,
+    such as a long ``psi_star``, is one call of the C encoder, whose item
+    separator carries the newline and the indentation.
+    """
+    chunks: list[str] = []
+    _encode(doc, 0, chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _encode(value, depth: int, chunks: list[str]) -> None:
+    """Append the JSON text of `value`, written at indentation level `depth`."""
+    if not isinstance(value, (dict, list, tuple)):
+        chunks += _c_encoder(0)(value, 0)
+        return
+    is_dict = isinstance(value, dict)
+    items = value.values() if is_dict else value
+    if not items:
+        chunks.append("{}" if is_dict else "[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth
+    if _SCALAR_TYPES.issuperset(map(type, items)):
+        text = "".join(_c_encoder(depth + 1)(value, 0))
+        chunks += (text[0], inner, text[1:-1], close, text[-1])
+        return
+    opening, closing = ("{", "}") if is_dict else ("[", "]")
+    sep = opening
+    for item in sorted(value.items()) if is_dict else value:
+        chunks += (sep, inner)
+        if is_dict:
+            key, item = item
+            chunks += (_key_text(key), ": ")
+        _encode(item, depth + 1, chunks)
+        sep = ","
+    chunks += (close, closing)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: a string, or a scalar's JSON text, quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii("".join(_c_encoder(0)(key, 0)))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -321,7 +394,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
         # Reported as the ratio to the stated constant, which constant psi attains.
         ratio = result.c_m / form.bound
         doc = {
-            "psi_star": [float(v) for v in result.psi_star],
+            "psi_star": result.psi_star.tolist(),
             "ratio_star": ratio,
             "iterations": result.iterations,
             "converged": result.converged,

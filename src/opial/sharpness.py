@@ -56,7 +56,7 @@ class WirtingerConstant:
     def to_json_dict(self) -> dict:
         return {
             "c_m": float(self.c_m),
-            "psi_star": [float(v) for v in self.psi_star],
+            "psi_star": self.psi_star.tolist(),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
             "residual": float(self.residual),

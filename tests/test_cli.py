@@ -1,9 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opial import cli
 from opial.cli import main
@@ -201,13 +204,21 @@ GOLDEN_PSI = '{"kind": "values", "values": [0.5, -1.25, 2.0, 0.75]}'
 GOLDEN_CHI = '{"kind": "values", "values": [1.0, 0.5, 2.0, 1.5]}'
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: name -> (argv before --out, exit code); "{dist}" stands for the law's file.
+#: --dist and --psi for the golden law; "{dist}" stands for the law's file.
+ON_LAW = ["--dist", "{dist}", "--psi", GOLDEN_PSI]
+
+#: name -> (argv before --out, exit code).
 GOLDEN_CASES = {
-    "verify-thm2-n2.json": (["verify", "--functional", "thm2", "--n", "2"], 0),
-    "verify-thm3.json": (["verify", "--functional", "thm3"], 0),
-    "verify-weighted-upper.json": (["verify", "--functional", "weighted-upper", "--chi", GOLDEN_CHI], 0),
-    "verify-corollary.json": (["verify", "--functional", "corollary", "--c", "1.5"], 0),
-    "oracle-diff-thm2.json": (["oracle-diff", "--functional", "thm2", "--n", "2"], 0),
+    "verify-thm2-n2.json": (["verify", "--functional", "thm2", "--n", "2", *ON_LAW], 0),
+    "verify-thm3.json": (["verify", "--functional", "thm3", *ON_LAW], 0),
+    "verify-weighted-upper.json": (
+        ["verify", "--functional", "weighted-upper", "--chi", GOLDEN_CHI, *ON_LAW],
+        0,
+    ),
+    "verify-corollary.json": (["verify", "--functional", "corollary", "--c", "1.5", *ON_LAW], 0),
+    "oracle-diff-thm2.json": (["oracle-diff", "--functional", "thm2", "--n", "2", *ON_LAW], 0),
+    "sharpness-thm1-lower.json": (["sharpness", "--functional", "thm1-lower", "--dist", "{dist}"], 0),
+    "sharpness-wirtinger.json": (["sharpness", "--functional", "wirtinger", "--m", "16"], 0),
     "converge-thm2.csv": (
         ["converge", "--functional", "thm2", "--n", "1", "--grids", "16,64,256", "--format", "csv"],
         0,
@@ -227,13 +238,46 @@ GOLDEN_CASES = {
 def test_golden_reports(tmp_path, name):
     """Report bytes of each command, pinned; refactors must keep them."""
     argv, code = GOLDEN_CASES[name]
-    if argv[0] in ("verify", "oracle-diff"):
-        dist = tmp_path / "law.json"
-        dist.write_text(json.dumps(GOLDEN_LAW), encoding="utf-8")
-        argv = argv + ["--dist", str(dist), "--psi", GOLDEN_PSI]
+    dist = tmp_path / "law.json"
+    dist.write_text(json.dumps(GOLDEN_LAW), encoding="utf-8")
+    argv = [arg.replace("{dist}", str(dist)) for arg in argv]
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == code
     assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_every_command_has_a_golden_report():
+    assert {argv[0] for argv, _ in GOLDEN_CASES.values()} == set(cli._COMMANDS)
+
+
+def reference_json_text(doc) -> str:
+    """The report format that ``cli._json_text`` must reproduce byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+#: JSON documents: every scalar type, non-ASCII strings and keys, empty
+#: containers, and lists that mix scalars with containers.
+JSON_DOCS = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(), children, max_size=6),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_DOCS)
+@example({"psi_star": [0.5, -1.25, 1e300, 5e-324], "trace": [[1, 0.25], [2, 0.5]], "ok": True})
+@example({"é": {"ß": "ü\n\"", "a": None}, "x": [[], {}, [[]], 3, "s"]})
+@example({2: {"b": [1]}, 1.5: [[]], -1: 0})  # number keys of a walked dict
+@example({None: [{}]})
+@example({"k": ({"t": (1, 2.0)}, ())})  # tuples are arrays
+@example([True, False, None, 0, -7, 12345678901234567890])
+def test_json_text_is_the_json_dumps_format(doc):
+    assert cli._json_text(doc) == reference_json_text(doc)
 
 
 class TestHostileInput:
@@ -353,9 +397,31 @@ class TestHostileInput:
         assert main(argv) == 1
         assert "opial: error: m_max must be at most 2000000" in capsys.readouterr().err
 
-    def test_json_reports_reject_nan(self):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda v: {"terms": {"lhs": v, "rhs": 1.0}},
+            lambda v: {"psi_star": [1.0, v, 2.0]},
+            lambda v: {"trace": [[1, 0.5], [2, v]]},
+            lambda v: {"top": v, "psi_star": [1.0]},
+        ],
+        ids=["leaf-dict", "leaf-list", "nested-list", "scalar"],
+    )
+    def test_json_reports_reject_nan(self, value, place):
         with pytest.raises(ValueError):
-            cli._json_text({"terms": {"lhs": float("nan")}})
+            cli._json_text(place(value))
+
+    def test_non_finite_split_point(self, tmp_path, capsys):
+        code, out = self.verify(tmp_path, "constant", "--functional", "corollary", "--c", "nan")
+        assert code == 1 and not out.exists()
+        assert "--c must be finite" in capsys.readouterr().err
+
+    def test_non_finite_weight_exponent(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--functional", "troy", "--psi", "constant", "--p-exp", "inf"]
+        assert main(argv + ["--out", str(out)]) == 1 and not out.exists()
+        assert "--p-exp must be finite" in capsys.readouterr().err
 
 
 class TestSpecLoading:
