@@ -16,8 +16,8 @@ import io
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
@@ -30,6 +30,7 @@ from .distributions import (
     Distribution,
     DistributionError,
     NodeFunction,
+    make_uniform_interval,
     quantize,
 )
 
@@ -48,14 +49,16 @@ def validate(args: argparse.Namespace) -> None:
     """Fill in the defaults that depend on the command or environment; check the flags."""
     handler = _COMMANDS[args.command][0]
     if args.m is None:
-        args.m = 30 if handler is _cmd_search else fn.DEFAULT_RESOLUTION
+        args.m = sharp.DEFAULT_M_MAX if handler is _cmd_search else fn.DEFAULT_RESOLUTION
     if args.budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         try:
             args.budget = int(env) if env else oracle_mod.DEFAULT_BUDGET
         except ValueError:
             raise CliError(f"${BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
-    if args.functional is not None and args.functional not in fn.FUNCTIONAL_IDS:
+    if args.functional is None:
+        raise CliError("--functional is required")
+    if args.functional not in fn.FUNCTIONAL_IDS:
         raise CliError(
             f"unknown functional {args.functional!r}; expected one of {', '.join(fn.FUNCTIONAL_IDS)}"
         )
@@ -196,20 +199,23 @@ def _key_text(key) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write `text` to a new file beside `path`, then rename it over `path`.
+
+    The file is created as ``open(path, "w")`` would create it, with mode
+    0666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", dir=directory, delete=False, suffix=".tmp"
-    )
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-        handle.close()
-        os.replace(handle.name, path)
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
     except BaseException:
-        handle.close()
-        if os.path.exists(handle.name):
-            os.unlink(handle.name)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
         raise
 
 
@@ -242,12 +248,6 @@ def _values_vector(psi: NodeFunction | None, what: str) -> np.ndarray:
     return np.asarray(psi.values, dtype=float)
 
 
-def _functional(args: argparse.Namespace) -> fn.Functional:
-    if args.functional is None:
-        raise CliError("--functional is required")
-    return fn.FUNCTIONALS[args.functional]
-
-
 #: Message for a missing required parameter, by parameter.
 _MISSING = {
     "n": "{} requires --n",
@@ -267,7 +267,7 @@ def _params(args: argparse.Namespace, spec: fn.Functional, chi) -> dict:
 
 
 def _evaluate_report(args: argparse.Namespace, dist, psi, chi) -> fn.IneqReport:
-    spec = _functional(args)
+    spec = fn.FUNCTIONALS[args.functional]
     functional = args.functional
     if spec.input == "sequence":
         return spec.evaluate(_values_vector(psi, functional), tol=args.tol)
@@ -294,7 +294,7 @@ def _require_finite(functional: str, terms: dict) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     dist, psi, chi = load_specs(args.dist_path, args.psi_spec, args.chi_spec)
-    spec = _functional(args)
+    spec = fn.FUNCTIONALS[args.functional]
     if spec.input == "exponent":
         params = _params(args, spec, chi)
         if psi is None:
@@ -326,7 +326,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     dist, psi, chi = load_specs(args.dist_path, args.psi_spec, args.chi_spec)
-    spec = _functional(args)
+    spec = fn.FUNCTIONALS[args.functional]
     functional = args.functional
     if not spec.oracle_backed:
         raise CliError(
@@ -376,40 +376,27 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
 
 def _cmd_sharpness(args: argparse.Namespace) -> int:
     functional = args.functional
-    spec = fn.FUNCTIONALS.get(functional)
-    if spec is None or spec.form is None:
+    spec = fn.FUNCTIONALS[functional]
+    if spec.form is None:
         solved = [k for k, f in fn.FUNCTIONALS.items() if f.form is not None]
         raise CliError(f"sharpness supports --functional {', '.join(solved[:-1])} or {solved[-1]}")
-    form = spec.form
     if spec.zero_mean:
         # The zero-mean bound is sharp on continuous laws: solve uniform (0, 1).
-        result = sharp.wirtinger_best_constant(args.m)
-        doc = result.to_json_dict()
-        line = f"{functional} c_m={result.c_m:.12g} target={form.bound:.12g} iterations={result.iterations}"
+        dist = make_uniform_interval(0.0, 1.0)
+    elif args.dist_path:
+        dist = load_distribution(args.dist_path)
     else:
-        if not args.dist_path:
-            raise CliError("sharpness for thm1-* requires --dist")
-        model = quantize(load_distribution(args.dist_path), args.m)
-        result = sharp.rayleigh_best_constant(model, functional)
-        # Reported as the ratio to the stated constant, which constant psi attains.
-        ratio = result.c_m / form.bound
-        doc = {
-            "psi_star": result.psi_star.tolist(),
-            "ratio_star": ratio,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "trace": [[i, c / form.bound] for i, c in result.trace],
-        }
-        line = f"{functional} ratio_star={ratio:.12g} iterations={result.iterations}"
-    doc["functional"] = functional
-    _emit(args, doc)
-    print(line)
+        raise CliError(f"sharpness for {functional} requires --dist")
+    result = sharp.rayleigh_best_constant(quantize(dist, args.m), functional)
+    _emit(args, result.to_json_dict())
+    print(
+        f"{functional} c_m={result.c_m:.12g} ratio_star={result.ratio_star:.12g} "
+        f"iterations={result.iterations}"
+    )
     return EXIT_OK
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    if args.functional is None:
-        raise CliError("--functional is required")
     if not args.grids:
         raise CliError("--grids is required")
     study = sharp.convergence_study(args.functional, args.grids, n=args.n)
@@ -423,13 +410,12 @@ def _cmd_converge(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.functional is None:
-        raise CliError("--functional is required")
     violation = sharp.search_counterexample(
         args.functional,
         trials=args.trials,
         seed=args.seed,
         m_max=args.m,
+        rel_tol=args.tol,
     )
     doc = {
         "functional": args.functional,
@@ -500,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, metavar="K", help="nested-integral order")
     p.add_argument("--c", type=float, metavar="REAL", help="split point for the two-sided form")
     p.add_argument("--p-exp", dest="p_exp", type=float, metavar="REAL", help="weight exponent for the troy comparison")
-    p.add_argument("--m", type=int, default=None, metavar="INT", help=f"quantization resolution (default {fn.DEFAULT_RESOLUTION}); for search, the maximum node count (default 30)")
+    p.add_argument("--m", type=int, default=None, metavar="INT", help=f"quantization resolution (default {fn.DEFAULT_RESOLUTION}); for search, the maximum node count (default {sharp.DEFAULT_M_MAX})")
     p.add_argument("--grids", type=_parse_grids, metavar="LIST", help="comma-separated grid sizes")
     p.add_argument("--tol", type=float, default=fn.EQUALITY_TOL, metavar="REAL", help="verification tolerance (relative)")
     p.add_argument("--seed", type=int, default=0, metavar="INT", help="master seed for randomized commands")

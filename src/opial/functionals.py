@@ -690,12 +690,11 @@ class QuadraticForm:
     """A tight term written as psi^T K psi, for the sharp-constant engine.
 
     ``matvec(p, psi)`` applies the symmetric K by the functional's own
-    passes, ``value(p, psi)`` is psi^T K psi summed as the term is, and
-    ``bound`` is the constant c of the stated bound psi^T K psi <= c E psi^2.
+    passes, and ``bound`` is the constant c of the stated bound
+    psi^T K psi <= c E psi^2.
     """
 
     matvec: Callable
-    value: Callable
     bound: float
 
 
@@ -775,7 +774,7 @@ def _first_order(direction: Direction) -> Functional:
         partial(opial_terms, direction=direction),
         partial(opial_rows, direction=direction),
         "middle",
-        form=QuadraticForm(first_order_form, lambda p, psi: 0.5 * comp_sum(p * psi) ** 2, 0.5),
+        form=QuadraticForm(first_order_form, 0.5),
         study=lambda report: report.ratio,
     )
 
@@ -807,9 +806,7 @@ FUNCTIONALS = {
         "lhs",
         theorem_backed=False,
         zero_mean=True,
-        form=QuadraticForm(
-            wirtinger_form, lambda p, psi: comp_sum(p * prefix_exclusive(p * psi) ** 2), INV_PI_SQ
-        ),
+        form=QuadraticForm(wirtinger_form, INV_PI_SQ),
     ),
     "o9-1": _identity("o9-1", o9_1_rows),
     "o9-2": _identity("o9-2", o9_2_rows),

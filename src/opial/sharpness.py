@@ -36,16 +36,24 @@ class ConvergenceError(RuntimeError):
     """An iterative solver hit its iteration cap before converging."""
 
 
+#: Cap on the power iteration's steps; past it the engine raises ConvergenceError.
+MAX_ITER = 100_000
+
+#: Relative rise of the Rayleigh quotient below which the power iteration stops.
+EIGEN_TOL = 1e-12
+
+
 @dataclass(frozen=True)
-class WirtingerConstant:
+class BestConstant:
     """Best constant of a functional's quadratic form on a quantized model.
 
     c_m is the maximum of psi^T K psi / E psi^2, over zero-mean psi where
     the functional requires it; psi_star is the maximizer normalized to
     E psi^2 = 1; residual is the symmetric-space eigen residual at
-    convergence.
+    convergence; trace holds the quotient after each step.
     """
 
+    functional: str
     c_m: float
     psi_star: np.ndarray
     iterations: int
@@ -53,23 +61,26 @@ class WirtingerConstant:
     residual: float
     trace: tuple[tuple[int, float], ...]
 
+    @property
+    def ratio_star(self) -> float:
+        """c_m over the stated constant of the functional's bound."""
+        return self.c_m / fn.FUNCTIONALS[self.functional].form.bound
+
     def to_json_dict(self) -> dict:
+        """The ``sharpness`` report of every solved functional."""
         return {
             "c_m": float(self.c_m),
-            "psi_star": self.psi_star.tolist(),
-            "iterations": int(self.iterations),
             "converged": bool(self.converged),
+            "functional": self.functional,
+            "iterations": int(self.iterations),
+            "psi_star": self.psi_star.tolist(),
+            "ratio_star": float(self.ratio_star),
             "residual": float(self.residual),
-            "trace": [[int(i), float(r)] for i, r in self.trace],
+            "trace": [[int(i), float(c)] for i, c in self.trace],
         }
 
 
-def rayleigh_best_constant(
-    model: QuantizedModel,
-    functional: str = "wirtinger",
-    max_iter: int = 100_000,
-    tol: float = 1e-12,
-) -> WirtingerConstant:
+def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger") -> BestConstant:
     """Maximize psi^T K psi / psi^T D psi for the tight term K of `functional`.
 
     K is the functional's :class:`~opial.functionals.QuadraticForm`, applied
@@ -79,9 +90,13 @@ def rayleigh_best_constant(
     direction, phi parallel to sqrt(p), is deflated by orthogonal projection
     at every step and the iteration starts from cos(pi F); otherwise K is
     nonnegative, its top vector is positive (Perron-Frobenius) and the
-    iteration starts from the positive 1 + F.  A one-dimensional admissible
-    space takes the single quotient of its one direction.  Raises
-    :class:`ConvergenceError` at the iteration cap.
+    iteration starts from the positive 1 + F.  Neither start vector
+    projects to zero: 1 + F > 0, and for m >= 2 cos(pi F) is strictly
+    decreasing, so not constant.  Where only one direction is admissible
+    (one node, or two nodes with zero mean) the iteration converges at its
+    first step.
+    Stops when the quotient rises by at most EIGEN_TOL relative or no
+    longer rises; raises :class:`ConvergenceError` after MAX_ITER steps.
     """
     spec = fn.FUNCTIONALS.get(functional)
     if spec is None or spec.form is None:
@@ -89,8 +104,7 @@ def rayleigh_best_constant(
     matvec = spec.form.matvec
     deflate = spec.zero_mean
     p = np.asarray(model.mass, dtype=float)
-    m = p.size
-    if deflate and m < 2:
+    if deflate and p.size < 2:
         raise ValueError("the zero-mean subspace is trivial for a single node")
     sq = np.sqrt(p)
     s = sq  # unit vector: sum of masses is 1
@@ -98,46 +112,22 @@ def rayleigh_best_constant(
     def project(v: np.ndarray) -> np.ndarray:
         return v - (s @ v) * s if deflate else v
 
-    if m == 1 + deflate:
-        # One admissible direction: the zero-mean one of two nodes, or the only node.
-        psi = np.array([p[1], -p[0]]) if deflate else np.ones(1)
-        num = spec.form.value(p, psi)
-        den = comp_sum(p * psi * psi)
-        c = num / den
-        psi_star = psi / math.sqrt(den)
-        res = project((matvec(p, psi_star) - c * p * psi_star) / sq)
-        return WirtingerConstant(
-            c_m=c,
-            psi_star=psi_star,
-            iterations=0,
-            converged=True,
-            residual=float(np.linalg.norm(res)),
-            trace=((0, c),),
-        )
-
     def apply(phi: np.ndarray) -> np.ndarray:
         return project(matvec(p, phi / sq) / sq)
 
     cdf = model.midpoint_cdf()
     phi = project(sq * (np.cos(math.pi * cdf) if deflate else 1.0 + cdf))
-    norm = np.linalg.norm(phi)
-    if norm == 0.0:
-        phi = np.zeros(m)
-        phi[0] = 1.0
-        phi = project(phi)
-        norm = np.linalg.norm(phi)
-    phi /= norm
+    phi /= np.linalg.norm(phi)
 
     trace: list[tuple[int, float]] = []
     c_prev = -math.inf
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         w = apply(phi)
         c = float(phi @ w)
         if c <= c_prev:
             # No further float-representable improvement.
-            c = c_prev
             converged = True
             iterations -= 1
             break
@@ -147,20 +137,21 @@ def rayleigh_best_constant(
             converged = True
             break
         phi = w / norm_w
-        if c - c_prev <= tol * max(1.0, abs(c)) and iterations > 1:
+        if c - c_prev <= EIGEN_TOL * max(1.0, abs(c)) and iterations > 1:
             converged = True
             break
         c_prev = c
     if not converged:
         raise ConvergenceError(
-            f"power iteration did not converge within {max_iter} iterations"
+            f"power iteration did not converge within {MAX_ITER} iterations"
         )
     c_final = trace[-1][1]
     residual = float(np.linalg.norm(apply(phi) - c_final * phi))
     psi_star = phi / sq
     den = comp_sum(p * psi_star * psi_star)
     psi_star = psi_star / math.sqrt(den)
-    return WirtingerConstant(
+    return BestConstant(
+        functional=functional,
         c_m=c_final,
         psi_star=psi_star,
         iterations=iterations,
@@ -170,12 +161,9 @@ def rayleigh_best_constant(
     )
 
 
-def wirtinger_best_constant(m: int, max_iter: int = 100_000, tol: float = 1e-12) -> WirtingerConstant:
+def wirtinger_best_constant(m: int) -> BestConstant:
     """Best Wirtinger constant of uniform (0, 1) quantized at resolution m."""
-    if m < 2:
-        raise ValueError(f"need resolution m >= 2, got {m}")
-    model = quantize(make_uniform_interval(0.0, 1.0), m)
-    return rayleigh_best_constant(model, max_iter=max_iter, tol=tol)
+    return rayleigh_best_constant(quantize(make_uniform_interval(0.0, 1.0), m))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +241,6 @@ def convergence_study(
     params = {"n": n} if "n" in spec.params else {}
     if params and n is None:
         raise ValueError(f"{functional_id} study requires the order n")
-    if spec.zero_mean and grids[0] < 2:
-        raise ValueError(f"need resolution m >= 2, got {grids[0]}")
     base = make_uniform_interval(0.0, 1.0)
     values: list[float] = []
     errors: list[float] = []
@@ -314,6 +300,9 @@ class Violation:
             "instance": self.instance,
         }
 
+
+#: Default maximum node count of a search trial (``search --m``).
+DEFAULT_M_MAX = 30
 
 #: Trials drawn from one generator: trial t is row t mod BLOCK_TRIALS of
 #: block b = t // BLOCK_TRIALS, whose rows come from ``default_rng([seed, b])``.
@@ -450,8 +439,8 @@ def search_counterexample(
     functional_id: str,
     trials: int,
     seed: int,
-    m_max: int = 30,
-    rel_tol: float = 1e-9,
+    m_max: int = DEFAULT_M_MAX,
+    rel_tol: float = fn.EQUALITY_TOL,
 ) -> Violation | None:
     """Randomized search for slack < -rel_tol relative.
 

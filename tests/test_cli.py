@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opial import cli
+from opial import functionals as fn
 from opial.cli import main
 
 
@@ -728,6 +731,35 @@ class TestSharpnessCommand:
         ratios = [r for _, r in doc["trace"]]
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
 
+    def test_one_document_for_every_solved_functional(self, tmp_path):
+        dist = write_uniform_n(tmp_path / "d.json", 6)
+        solved = [k for k, f in fn.FUNCTIONALS.items() if f.form is not None]
+        keys = {}
+        for functional in solved:
+            out = tmp_path / f"{functional}.json"
+            argv = ["sharpness", "--functional", functional, "--m", "16", "--out", str(out)]
+            assert main(argv + ["--dist", str(dist)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["functional"] == functional
+            assert doc["ratio_star"] == doc["c_m"] / fn.FUNCTIONALS[functional].form.bound
+            keys[functional] = set(doc)
+        assert len(solved) == 3
+        assert all(k == keys["wirtinger"] for k in keys.values()), keys
+        assert keys["wirtinger"] == {
+            "c_m", "converged", "functional", "iterations", "psi_star", "ratio_star",
+            "residual", "trace", "tol", "version",
+        }
+
+    def test_report_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "sharp.json"
+        old = os.umask(0o022)
+        try:
+            assert main(["sharpness", "--functional", "wirtinger", "--m", "16", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["sharp.json"]
+
 
 class TestSearchCommand:
     def test_sound_functional_exits_zero(self, tmp_path):
@@ -772,6 +804,16 @@ class TestSearchCommand:
         assert doc["violation"]["heuristic"] is True
         assert "heuristic-class" in capsys.readouterr().err
 
+    def test_tol_sets_the_violation_threshold(self, tmp_path):
+        # The atomic Wirtinger excess is below 1/8 - 1/pi^2 of E psi^2, far
+        # inside a relative tolerance of 1.
+        argv = ["search", "--functional", "wirtinger", "--trials", "500", "--seed", "1", "--m", "4"]
+        assert main(argv) == 2
+        out = tmp_path / "search.json"
+        assert main(argv + ["--tol", "1", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["violation"] is None and doc["tol"] == 1.0
+
 
 class TestUsage:
     def test_help_lists_every_command(self, capsys):
@@ -787,6 +829,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("command", ["verify", "oracle-diff", "sharpness", "converge", "search"])
+    def test_functional_required(self, command, capsys):
+        assert main([command, "--grids", "4,8"]) == 1
+        assert capsys.readouterr().err == "opial: error: --functional is required\n"
 
     def test_flags_may_precede_the_command(self, capsys):
         assert main(["--functional", "thm1-lower", "search", "--trials", "-5"]) == 1

@@ -1,13 +1,13 @@
-"""README.md lists the functional ids, node-function kinds and search constants the code defines."""
+"""README.md lists the functional ids, node-function kinds, sharpness keys and search constants the code defines."""
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from opial.distributions import NODE_FUNCTION_KINDS, NodeFunction
+from opial.distributions import NODE_FUNCTION_KINDS, NodeFunction, make_uniform_interval, quantize
 from opial.functionals import FUNCTIONAL_IDS
-from opial.sharpness import BLOCK_TRIALS, CHUNK_ELEMENTS
+from opial.sharpness import BLOCK_TRIALS, CHUNK_ELEMENTS, rayleigh_best_constant
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +16,14 @@ def paragraph(start: str) -> str:
     """The README paragraph that begins with `start`, on one line."""
     found = [p for p in README.read_text(encoding="utf-8").split("\n\n") if p.startswith(start)]
     assert len(found) == 1, f"README needs one paragraph starting {start!r}"
+    return " ".join(found[0].split())
+
+
+def bullet(start: str) -> str:
+    """The README list item that begins with `start`, on one line."""
+    items = README.read_text(encoding="utf-8").split("\n- ")
+    found = [item for item in items if item.startswith(start)]
+    assert len(found) == 1, f"README needs one list item starting {start!r}"
     return " ".join(found[0].split())
 
 
@@ -49,6 +57,12 @@ def test_spec_examples_parse(kind):
     example = re.search(r'`(\{"kind": "' + kind + r'"[^`]*\})`', specs).group(1)
     example = example.replace("[...]", "[1.0]")
     assert NodeFunction.from_spec(json.loads(example)).kind == kind
+
+
+def test_sharpness_keys_listed():
+    keys = bullet("`sharpness` --").split(" keys ")[1].split(" (")[0]
+    result = rayleigh_best_constant(quantize(make_uniform_interval(0.0, 1.0), 4))
+    assert re.findall(r"`([^`]+)`", keys) == sorted(result.to_json_dict())
 
 
 def test_search_block_stream_stated():

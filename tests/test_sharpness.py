@@ -55,7 +55,7 @@ class TestMaximizeRatioOpial:
 
     def test_single_atom_immediate(self):
         result, ratio = first_order_ratio(uniform_model(1))
-        assert ratio == 1.0 and result.iterations == 0
+        assert ratio == 1.0 and result.iterations == 1
 
     def test_skewed_two_atoms_maximizer_constant(self):
         model = quantize(make_discrete([0.0, 1.0], [0.9, 0.1]), 1)
@@ -163,9 +163,10 @@ class TestWirtingerBestConstant:
         with pytest.raises(ValueError):
             wirtinger_best_constant(1)
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sharpness, "MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            wirtinger_best_constant(800, max_iter=1, tol=0.0)
+            wirtinger_best_constant(800)
 
     def test_deterministic(self):
         a = wirtinger_best_constant(200)
@@ -173,6 +174,26 @@ class TestWirtingerBestConstant:
         assert a.c_m == b.c_m
         assert np.array_equal(a.psi_star, b.psi_star)
         assert a.trace == b.trace
+
+
+class TestOneAdmissibleDirection:
+    """One node for thm1-*, two for wirtinger: the iteration stops at once."""
+
+    @pytest.mark.parametrize("functional", ["thm1-lower", "thm1-upper", "wirtinger"])
+    def test_single_quotient(self, functional, rng):
+        zero_mean = FUNCTIONALS[functional].zero_mean
+        m = 2 if zero_mean else 1
+        for _ in range(50):
+            q = random_atomic_model(rng, m_max=m, m_min=m)
+            p = q.mass
+            psi = np.array([p[1], -p[0]]) if zero_mean else np.ones(1)
+            want = psi @ dense_form(functional, p) @ psi / (p @ (psi * psi))
+            result = rayleigh_best_constant(q, functional)
+            assert result.c_m == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert result.converged and result.iterations <= 2
+            assert result.residual <= 1e-15
+            # The maximizer is the one direction, normalized to E psi^2 = 1.
+            assert abs(result.psi_star @ (p * psi)) == pytest.approx(math.sqrt(p @ (psi * psi)), rel=1e-13)
 
 
 class TestConvergenceStudy:
