@@ -67,8 +67,6 @@ def validate(args: argparse.Namespace) -> None:
     for flag, value in (("--c", args.c), ("--p-exp", args.p_exp)):
         if value is not None and not math.isfinite(value):
             raise CliError(f"{flag} must be finite, got {value}")
-    if args.trials < 1:
-        raise CliError(f"trial count must be positive, got {args.trials}")
     if args.format == "csv" and handler is not _cmd_converge:
         raise CliError("csv format is only available for converge study tables")
 
@@ -242,86 +240,70 @@ def _emit(args: argparse.Namespace, doc: dict | list[list]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _values_vector(psi: NodeFunction | None, what: str) -> np.ndarray:
-    if psi is None or psi.kind != "values":
-        raise CliError(f"{what} requires --psi with kind 'values'")
-    return np.asarray(psi.values, dtype=float)
-
-
-#: Message for a missing required parameter, by parameter.
-_MISSING = {
-    "n": "{} requires --n",
-    "c": "{} requires --c",
-    "chi": "functional {} requires --chi",
-    "p_exp": "{} requires --p-exp",
-}
+def _require(value, flag: str, functional: str):
+    """`value`, which the functional needs: None means `flag` was not given."""
+    if value is None:
+        raise CliError(f"{functional} requires {flag}")
+    return value
 
 
 def _params(args: argparse.Namespace, spec: fn.Functional, chi) -> dict:
     """The functional's required parameters, from the flags and --chi."""
     given = {"n": args.n, "c": args.c, "chi": chi, "p_exp": args.p_exp}
-    for name in spec.params:
-        if given[name] is None:
-            raise CliError(_MISSING[name].format(args.functional))
-    return {name: given[name] for name in spec.params}
+    return {
+        name: _require(given[name], "--" + name.replace("_", "-"), args.functional)
+        for name in spec.params
+    }
 
 
-def _evaluate_report(args: argparse.Namespace, dist, psi, chi) -> fn.IneqReport:
-    spec = fn.FUNCTIONALS[args.functional]
+def _evaluate_report(args: argparse.Namespace, dist, psi, chi, model=None):
+    """Evaluate --functional on the loaded inputs: the one way from the flags
+    to a report, for verify and oracle-diff.  `model` is --dist quantized at
+    --m where the caller has it already."""
     functional = args.functional
+    spec = fn.FUNCTIONALS[functional]
+    if spec.input in ("model", "distribution"):
+        _require(dist, "--dist", functional)
+    psi = _require(psi, "--psi", functional)
+    params = _params(args, spec, chi)
     if spec.input == "sequence":
-        return spec.evaluate(_values_vector(psi, functional), tol=args.tol)
-    if dist is None:
-        raise CliError(f"functional {functional} requires --dist")
-    if psi is None:
-        raise CliError(f"functional {functional} requires --psi")
+        if psi.kind != "values":
+            raise CliError(f"{functional} requires --psi with kind 'values'")
+        return spec.evaluate(np.asarray(psi.values, dtype=float), tol=args.tol)
+    if spec.input == "exponent":
+        return spec.evaluate(psi=psi, m=args.m, **params)
     if spec.input == "distribution":
-        return spec.evaluate(dist, psi, m=args.m, tol=args.tol, **_params(args, spec, chi))
-    model = quantize(dist, args.m)
+        return spec.evaluate(dist, psi, m=args.m, tol=args.tol, **params)
+    if model is None:
+        model = quantize(dist, args.m)
     options = {"project": args.project} if spec.zero_mean else {}
-    return spec.evaluate(model, psi, tol=args.tol, **options, **_params(args, spec, chi))
-
-
-def _require_finite(functional: str, terms: dict) -> None:
-    """Reject a report whose terms overflowed or came from non-finite input."""
-    bad = sorted(k for k, v in terms.items() if not math.isfinite(v))
-    if bad:
-        raise CliError(
-            f"{functional}: non-finite terms {', '.join(bad)}; the input overflows "
-            "double precision or is not finite"
-        )
+    return spec.evaluate(model, psi, tol=args.tol, **options, **params)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    dist, psi, chi = load_specs(args.dist_path, args.psi_spec, args.chi_spec)
-    spec = fn.FUNCTIONALS[args.functional]
-    if spec.input == "exponent":
-        params = _params(args, spec, chi)
-        if psi is None:
-            raise CliError(f"{args.functional} requires --psi")
-        record = spec.evaluate(psi=psi, m=args.m, **params)
-        _require_finite(
-            args.functional,
-            {"our_lhs": record.our_lhs, "our_rhs": record.our_rhs, "troy_rhs": record.troy_rhs},
+    report = _evaluate_report(args, *load_specs(args.dist_path, args.psi_spec, args.chi_spec))
+    if isinstance(report, fn.TroyComparison):
+        terms = {"our_lhs": report.our_lhs, "our_rhs": report.our_rhs, "troy_rhs": report.troy_rhs}
+        slack, rhs = report.our_rhs - report.our_lhs, report.our_rhs
+        summary = (
+            f"troy p={report.p_exp} our_lhs={report.our_lhs:.12g} "
+            f"our_rhs={report.our_rhs:.12g} troy_rhs={report.troy_rhs:.12g}"
         )
-        _emit(args, record.to_json_dict())
-        slack = record.our_rhs - record.our_lhs
-        ok = slack >= -args.tol * max(1.0, abs(record.our_rhs))
-        print(
-            f"troy p={record.p_exp} our_lhs={record.our_lhs:.12g} "
-            f"our_rhs={record.our_rhs:.12g} troy_rhs={record.troy_rhs:.12g}"
+    else:
+        terms, slack, rhs = report.terms, report.slack, report.terms["rhs"]
+        summary = (
+            f"{report.functional} slack={report.slack:.6g} ratio={report.ratio:.12g} "
+            f"equality={str(report.equality).lower()}"
         )
-        return EXIT_OK if ok else EXIT_VIOLATION
-    report = _evaluate_report(args, dist, psi, chi)
-    _require_finite(report.functional, report.terms)
+    bad = sorted(k for k, v in terms.items() if not math.isfinite(v))
+    if bad:  # overflow or non-finite input: no verdict
+        raise CliError(
+            f"{args.functional}: non-finite terms {', '.join(bad)}; the input overflows "
+            "double precision or is not finite"
+        )
     _emit(args, report.to_json_dict())
-    rhs = report.terms["rhs"]
-    ok = report.slack >= -args.tol * max(1.0, abs(rhs))
-    print(
-        f"{report.functional} slack={report.slack:.6g} ratio={report.ratio:.12g} "
-        f"equality={str(report.equality).lower()}"
-    )
-    return EXIT_OK if ok else EXIT_VIOLATION
+    print(summary)
+    return EXIT_VIOLATION if fn.violates(slack, rhs, args.tol) else EXIT_OK
 
 
 def _cmd_oracle_diff(args: argparse.Namespace) -> int:
@@ -332,25 +314,25 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
         raise CliError(
             f"no enumeration oracle for {functional}; its evaluation is already literal"
         )
-    if dist is None or psi is None:
-        raise CliError("oracle-diff requires --dist and --psi")
-    model = quantize(dist, args.m)
-    psi_vals = psi.resolve(model)
-    chi_vals = chi.resolve(model) if chi is not None else None
-    if spec.zero_mean and args.project:
-        # Project once so the oracle sees the same values as the fast path.
-        psi_vals = psi_vals - float(np.sum(model.mass * psi_vals))
-    _params(args, spec, chi_vals)
+    model = quantize(_require(dist, "--dist", functional), args.m)
     if spec.input == "distribution" and dist.pieces:
         # The fast path quantizes each conditional separately, which is a
         # different discretization than splitting the quantized model.
         raise CliError(f"oracle-diff for {functional} requires an atomic distribution")
-    fast = _evaluate_report(args, dist, psi_vals, chi_vals).terms
+    fast = _evaluate_report(args, dist, psi, chi, model).terms
+    # The oracle gets psi as the fast path resolved it: on an atomic law the
+    # two sides of the split are the full model's nodes, in order.
+    if spec.input == "distribution":
+        psi_vals = np.concatenate([vals for _, vals in fn.split_at(dist, psi, args.c, args.m)[:2]])
+    elif spec.zero_mean:
+        psi_vals = fn.zero_mean_values(model.mass, psi.resolve(model), args.project)
+    else:
+        psi_vals = psi.resolve(model)
     try:
         slow = oracle_mod.enumerate_functional(
             model,
             psi_vals,
-            chi=chi_vals,
+            chi=None if chi is None else chi.resolve(model),
             functional=functional,
             n=args.n,
             c=args.c,
@@ -383,10 +365,8 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     if spec.zero_mean:
         # The zero-mean bound is sharp on continuous laws: solve uniform (0, 1).
         dist = make_uniform_interval(0.0, 1.0)
-    elif args.dist_path:
-        dist = load_distribution(args.dist_path)
     else:
-        raise CliError(f"sharpness for {functional} requires --dist")
+        dist = load_distribution(_require(args.dist_path, "--dist", functional))
     result = sharp.rayleigh_best_constant(quantize(dist, args.m), functional)
     _emit(args, result.to_json_dict())
     print(
@@ -397,9 +377,8 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    if not args.grids:
-        raise CliError("--grids is required")
-    study = sharp.convergence_study(args.functional, args.grids, n=args.n)
+    grids = _require(args.grids, "--grids", args.functional)
+    study = sharp.convergence_study(args.functional, grids, n=args.n)
     _emit(args, study.to_csv_rows() if args.format == "csv" else study.to_json_dict())
     last = study.rows[-1]
     print(
@@ -503,7 +482,9 @@ def run(args: argparse.Namespace) -> int:
     """Execute parsed arguments; returns the process exit code."""
     try:
         validate(args)
-        return _COMMANDS[args.command][0](args)
+        # Overflow surfaces as non-finite terms and one error line, not numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command][0](args)
     except (CliError, ValueError, sharp.ConvergenceError) as exc:
         print(f"opial: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

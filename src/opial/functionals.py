@@ -143,6 +143,27 @@ def _as_values(psi, model: QuantizedModel) -> np.ndarray:
     return vals
 
 
+def violates(slack, rhs, tol: float):
+    """Whether a slack is a violation: slack < -tol * max(1, |rhs|), elementwise."""
+    return slack < -tol * np.fmax(1.0, np.abs(rhs))
+
+
+def zero_mean_values(p, vals: np.ndarray, project: bool) -> np.ndarray:
+    """`vals` held to E psi = 0 under masses `p`: a mean above ZERO_MEAN_TOL
+    relative to max(1, sqrt(E psi^2)) is removed with `project` and raises
+    :class:`ZeroMeanError` without it."""
+    mean = comp_sum(p * vals)
+    scale = max(1.0, math.sqrt(comp_sum(p * vals * vals)))
+    if abs(mean) <= ZERO_MEAN_TOL * scale:
+        return vals
+    if not project:
+        raise ZeroMeanError(
+            f"E psi = {mean!r} violates the zero-mean condition "
+            f"(tolerance {ZERO_MEAN_TOL} relative); pass project=True to remove the mean"
+        )
+    return vals - mean
+
+
 def _check_direction(direction: str) -> None:
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
@@ -220,6 +241,34 @@ def corollary_rows(p_low, vals_low, p_up, vals_up) -> dict:
     return {key: low[key] + up[key] for key in ("lhs", "middle", "rhs")}
 
 
+def split_at(dist: Distribution, psi, c: float, m: int):
+    """``((q_low, vals_low), (q_up, vals_up), P(X <= c))``: the laws of X given
+    X <= c and X > c, each quantized at `m` with psi on its nodes.
+
+    Named node-function families are resolved against each conditional model
+    (in particular cos_pi_F uses the conditional CDF); explicit value vectors
+    align with the full support, the lower nodes then the upper, and therefore
+    require an atomic distribution.
+    """
+    lower_dist, p_low = conditional_truncate(dist, c, "lower")
+    upper_dist, _ = conditional_truncate(dist, c, "upper")
+    q_low = quantize(lower_dist, m)
+    q_up = quantize(upper_dist, m)
+    if isinstance(psi, NodeFunction) and psi.kind != "values":
+        return (q_low, psi.resolve(q_low)), (q_up, psi.resolve(q_up)), p_low
+    # An explicit value vector is aligned to the full quantized support; it
+    # can only be split at c when that support survives the split, i.e. for
+    # purely atomic distributions.
+    if dist.pieces:
+        raise ValueError(
+            "explicit value vectors cannot be split at c for distributions "
+            "with continuous pieces; use a named node-function family"
+        )
+    full = quantize(dist, m)
+    vals = _as_values(psi, full)
+    return (q_low, vals[full.support <= c]), (q_up, vals[full.support > c]), p_low
+
+
 def corollary_split(
     dist: Distribution,
     psi,
@@ -232,34 +281,8 @@ def corollary_split(
     Each conditional law gets its own first-order evaluation; the right-hand
     side is E[psi^2 (1_{X<=c}/p + 1_{X>c}/(1-p))]/2 with p = P(X <= c).
     Equality iff psi is constant on each side separately.
-
-    Named node-function families are resolved against each conditional model
-    (in particular cos_pi_F uses the conditional CDF); explicit value vectors
-    align with the full support and therefore require an atomic distribution.
     """
-    lower_dist, p_low = conditional_truncate(dist, c, "lower")
-    upper_dist, p_up = conditional_truncate(dist, c, "upper")
-    q_low = quantize(lower_dist, m)
-    q_up = quantize(upper_dist, m)
-
-    is_vector = not isinstance(psi, NodeFunction) or psi.kind == "values"
-    if is_vector:
-        # An explicit value vector is aligned to the full quantized support;
-        # it can only be split at c when that support survives the split,
-        # i.e. for purely atomic distributions.
-        if dist.pieces:
-            raise ValueError(
-                "explicit value vectors cannot be split at c for distributions "
-                "with continuous pieces; use a named node-function family"
-            )
-        full = quantize(dist, m)
-        vals = _as_values(psi, full)
-        vals_low = vals[full.support <= c]
-        vals_up = vals[full.support > c]
-    else:
-        vals_low = psi.resolve(q_low)
-        vals_up = psi.resolve(q_up)
-
+    (q_low, vals_low), (q_up, vals_up), p_low = split_at(dist, psi, c, m)
     after_low = np.zeros(q_up.node_count)
     before_up = np.zeros(q_low.node_count)
     terms = corollary_rows(
@@ -541,20 +564,10 @@ def wirtinger_terms(
     and be reported violated.  On genuinely atomic input the report is
     flagged ``heuristic``, and the bound may fail by far more.
     """
-    vals = _as_values(psi, model)
-    p = model.mass
-    mean = comp_sum(p * vals)
-    scale = max(1.0, math.sqrt(comp_sum(p * vals * vals)))
-    if abs(mean) > ZERO_MEAN_TOL * scale:
-        if not project:
-            raise ZeroMeanError(
-                f"E psi = {mean!r} violates the zero-mean condition "
-                f"(tolerance {ZERO_MEAN_TOL} relative); pass project=True to remove the mean"
-            )
-        vals = vals - mean
+    vals = zero_mean_values(model.mass, _as_values(psi, model), project)
     return _build_report(
         "wirtinger",
-        wirtinger_rows(p, vals),
+        wirtinger_rows(model.mass, vals),
         m=model.source_m,
         exact=model.is_exact,
         tol=tol,
@@ -601,18 +614,17 @@ def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     o18:  sum_i |a_i sum_{j<i} a_j|             <= floor((N+1)/2)/2 sum a^2
                                                                     (sum a = 0)
     """
-    key = which.replace("_", "-")
-    if key not in DISCRETE_IDENTITY_IDS:
+    if which not in DISCRETE_IDENTITY_IDS:
         raise ValueError(f"unknown discrete identity {which!r}; expected one of {DISCRETE_IDENTITY_IDS}")
-    spec = FUNCTIONALS[key]
+    spec = FUNCTIONALS[which]
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
     if spec.zero_mean:
         total = comp_sum(arr)
         if abs(total) > ZERO_MEAN_TOL * max(1.0, comp_sum(np.abs(arr))):
-            raise ZeroMeanError(f"{key} requires sum(a) = 0; got {total!r}")
-    return _build_report(key, spec.rows(arr, arr.size), m=arr.size, exact=True, tol=tol)
+            raise ZeroMeanError(f"{which} requires sum(a) = 0; got {total!r}")
+    return _build_report(which, spec.rows(arr, arr.size), m=arr.size, exact=True, tol=tol)
 
 
 def rtwo_rows(a, n) -> dict:

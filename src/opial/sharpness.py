@@ -1,11 +1,14 @@
 """Sharpness certification: best constants, refinement studies, search.
 
-The sharp constants 1/2 (first order), 1/4 (two-sided split) and 1/pi^2
-(Wirtinger) are certified numerically in two ways: by one power-iteration
-engine that maximizes a functional's quadratic form over the node function
+The sharp constants 1/2 (first order) and 1/pi^2 (Wirtinger) are
+certified numerically in two ways: by one power-iteration engine that
+maximizes a functional's quadratic form over the node function
 (:func:`rayleigh_best_constant`), and by driving quantizations of
 uniform (0, 1) through increasing resolutions and watching the values
-converge to the constants (:func:`convergence_study`).  The n-th order
+converge to the constants (:func:`convergence_study`).  The two-sided
+split (``corollary``) has neither a quadratic form nor a study, so no
+constant of it is certified here; its bound is only verified and
+searched.  The n-th order
 constant 1/(n+1)! is the limit at constant psi; it is a proved bound for
 n = 1 only and is exceeded for n >= 2 (see
 :func:`~opial.functionals.theorem2_terms`).  A
@@ -386,10 +389,6 @@ def _evaluate_trial(functional_id: str, draw: dict) -> tuple[fn.IneqReport, dict
     return spec.evaluate(model, psi, **params), instance
 
 
-def _violates(slack, rhs, rel_tol: float):
-    return slack < -rel_tol * np.fmax(1.0, np.abs(rhs))
-
-
 def _screen(functional_id: str, block: dict):
     """Slack, rhs and model faults of a block's rows, by one kernel call.
 
@@ -485,12 +484,12 @@ def search_counterexample(
         drawn = _draw_block(functional_id, seed, block_index, m_max)
         block = {name: value[: trials - start] for name, value in drawn.items()}
         slack, rhs, flagged = _screen(functional_id, block)
-        listed = flagged | _violates(slack, rhs, rel_tol)
+        listed = flagged | fn.violates(slack, rhs, rel_tol)
         if "skip" in block:
             listed &= ~block["skip"]
         for k in np.flatnonzero(listed):
             report, instance = _evaluate_trial(functional_id, _row(block, k))
-            if _violates(report.slack, report.terms["rhs"], rel_tol):
+            if fn.violates(report.slack, report.terms["rhs"], rel_tol):
                 return Violation(
                     functional=functional_id,
                     trial=start + int(k),

@@ -189,7 +189,7 @@ def test_criterion_5_discrete_identities():
     notes = []
 
     for n in range(1, 31):
-        if not discrete_identities(np.ones(n), "o9_2").equality:
+        if not discrete_identities(np.ones(n), "o9-2").equality:
             ok = False
             notes.append(f"o9-2 not tight at N={n}")
 

@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -304,9 +305,12 @@ class TestHostileInput:
         assert "finite" in capsys.readouterr().err
 
     def test_overflowing_psi_values(self, tmp_path, capsys):
-        code, out = self.verify(tmp_path, '{"kind": "values", "values": [1e200, -2e200, 3e200]}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out = self.verify(tmp_path, '{"kind": "values", "values": [1e200, -2e200, 3e200]}')
         assert code == 1 and not out.exists()
-        assert "non-finite terms" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("opial: error: thm1-lower: non-finite terms") and err.count("\n") == 1
 
     def test_overflowing_masses(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -333,7 +337,7 @@ class TestHostileInput:
         out = tmp_path / "search.json"
         argv = ["search", "--functional", "thm1-lower", "--trials", trials, "--out", str(out)]
         assert main(argv) == 1 and not out.exists()
-        assert "trial count" in capsys.readouterr().err
+        assert "trials must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "dist, psi, extra, env",
@@ -598,6 +602,37 @@ class TestOracleDiff:
         assert code == 1
         assert "converge" in capsys.readouterr().err
 
+    #: The flags each oracle-backed functional needs besides --dist and --psi.
+    PARAMS = {
+        "thm2": ["--n", "2"],
+        "corollary": ["--c", "1.5"],
+        "weighted-lower": ["--chi", GOLDEN_CHI],
+        "weighted-upper": ["--chi", GOLDEN_CHI],
+        "wirtinger": ["--project"],
+    }
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            GOLDEN_PSI,
+            '{"kind": "constant", "level": 1.5}',
+            "identity",
+            "cos_pi_F",
+            '{"kind": "step", "threshold": 1.5, "low": -1.0, "high": 2.0}',
+        ],
+    )
+    @pytest.mark.parametrize("functional", [k for k, f in fn.FUNCTIONALS.items() if f.oracle_backed])
+    def test_fast_terms_are_the_verify_terms(self, tmp_path, functional, psi):
+        dist = tmp_path / "law.json"
+        dist.write_text(json.dumps(GOLDEN_LAW), encoding="utf-8")
+        flags = ["--functional", functional, "--dist", str(dist), "--psi", psi, *self.PARAMS.get(functional, [])]
+        verified, diffed = tmp_path / "verify.json", tmp_path / "diff.json"
+        assert main(["verify", *flags, "--out", str(verified)]) in (0, 2)
+        assert main(["oracle-diff", *flags, "--out", str(diffed)]) == 0
+        terms = json.loads(verified.read_text())["terms"]
+        fast = json.loads(diffed.read_text())["fast"]
+        assert fast and fast == {key: terms[key] for key in fast}
+
     def test_wirtinger_oracle_diff_with_projection(self, tmp_path):
         dist = write_uniform_n(tmp_path / "d.json", 6)
         out = tmp_path / "diff.json"
@@ -837,7 +872,12 @@ class TestUsage:
 
     def test_flags_may_precede_the_command(self, capsys):
         assert main(["--functional", "thm1-lower", "search", "--trials", "-5"]) == 1
-        assert "opial: error: trial count must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == "opial: error: trials must be at least 1, got -5\n"
+
+    def test_verify_ignores_trials(self, tmp_path):
+        dist = write_uniform_n(tmp_path / "d.json", 3)
+        argv = ["verify", "--dist", str(dist), "--psi", "constant", "--functional", "thm1-lower"]
+        assert main([*argv, "--trials", "0"]) == 0
 
     def test_missing_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -606,7 +606,7 @@ class TestWirtinger:
 
 class TestDiscreteIdentities:
     def test_o9_2_example(self):
-        rep = discrete_identities(np.array([1.0, 2.0, 3.0]), "o9_2")
+        rep = discrete_identities(np.array([1.0, 2.0, 3.0]), "o9-2")
         assert rep.terms["lhs"] == pytest.approx(25.0, abs=1e-12)
         assert rep.terms["rhs"] == pytest.approx(28.0, abs=1e-12)
 
@@ -617,14 +617,14 @@ class TestDiscreteIdentities:
 
     def test_o9_2_equality_at_ones(self):
         for n in range(1, 31):
-            rep = discrete_identities(np.ones(n), "o9_2")
+            rep = discrete_identities(np.ones(n), "o9-2")
             assert rep.equality
 
     def test_o9_1_equals_o9_2_on_magnitudes(self, rng):
         for _ in range(50):
             a = rng.standard_normal(int(rng.integers(1, 20)))
-            lhs_abs = discrete_identities(np.abs(a), "o9_1").terms["lhs"]
-            lhs_two = discrete_identities(a, "o9_2").terms["lhs"]
+            lhs_abs = discrete_identities(np.abs(a), "o9-1").terms["lhs"]
+            lhs_two = discrete_identities(a, "o9-2").terms["lhs"]
             assert rel_close(lhs_abs, lhs_two, 1e-12)
 
     def test_o15_even_step_equality(self):

@@ -369,7 +369,7 @@ def loop_trials(functional, trials, seed, m_max, change=None):
             yield (trial, *evaluate(functional, d))
 
 
-def loop_search(functional, trials, seed, m_max, change=None, rel_tol=1e-9):
+def loop_search(functional, trials, seed, m_max, change=None, rel_tol=fn.EQUALITY_TOL):
     """The search's contract: the first violating trial, in trial order."""
     for trial, report, instance in loop_trials(functional, trials, seed, m_max, change):
         if report.slack < -rel_tol * max(1.0, abs(report.terms["rhs"])):
