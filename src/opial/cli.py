@@ -281,7 +281,9 @@ def _evaluate_report(args: argparse.Namespace, dist, psi, chi, model=None):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = _evaluate_report(args, *load_specs(args.dist_path, args.psi_spec, args.chi_spec))
+    reads_dist = fn.FUNCTIONALS[args.functional].input in ("model", "distribution")
+    dist_path = args.dist_path if reads_dist else None
+    report = _evaluate_report(args, *load_specs(dist_path, args.psi_spec, args.chi_spec))
     if isinstance(report, fn.TroyComparison):
         terms = {"our_lhs": report.our_lhs, "our_rhs": report.our_rhs, "troy_rhs": report.troy_rhs}
         slack, rhs = report.our_rhs - report.our_lhs, report.our_rhs

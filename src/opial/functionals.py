@@ -159,7 +159,7 @@ def zero_mean_values(p, vals: np.ndarray, project: bool) -> np.ndarray:
     if not project:
         raise ZeroMeanError(
             f"E psi = {mean!r} violates the zero-mean condition "
-            f"(tolerance {ZERO_MEAN_TOL} relative); pass project=True to remove the mean"
+            f"(tolerance {ZERO_MEAN_TOL} relative); pass project=True (--project) to remove the mean"
         )
     return vals - mean
 
@@ -728,8 +728,15 @@ def _draw_weight(rng, sizes, block):
 
 
 def _draw_cut(rng, sizes, block):
-    # The split index: c is the support point `cut` counted from 1.
-    return {**block, "cut": rng.integers(1, sizes)}
+    # The split point c is the support point `cut`, counted from 1.
+    cut = rng.integers(1, sizes)
+    return {**block, "c": block["support"][np.arange(sizes.size), cut - 1]}
+
+
+def _draw_projected(rng, sizes, block):
+    # psi less its compensated mean: E psi = 0 to a few ulp, as wirtinger requires.
+    p, psi = block["mass"], block["psi"]
+    return {**block, "psi": pad_rows(psi - comp_sum(p * psi)[:, None], sizes)}
 
 
 def _draw_centred(rng, sizes, block):
@@ -742,8 +749,8 @@ def _draw_magnitudes(rng, sizes, block):
     return {**block, "a": np.abs(block["a"])}
 
 
-def _nth_order_value(report: IneqReport) -> float:
-    return report.terms["lhs"] * math.factorial(report.extras["n"] + 1)
+def _nth_order_value(terms: dict, n: int) -> float:
+    return terms["lhs"] * math.factorial(n + 1)
 
 
 @dataclass(frozen=True)
@@ -757,10 +764,12 @@ class Functional:
     search), ``tight`` the term compared with rhs, ``params`` the required
     ones among n, c, chi and p_exp, and ``draw(rng, sizes, block)`` the
     search's draw of them for a block of zero-padded rows of the given
-    sizes, which may also transform ``a`` and mark rows to ``skip``.
+    sizes.  It may also centre ``a`` or ``psi`` and mark rows to ``skip``:
+    every row it leaves is a valid input of the evaluator.
     ``zero_mean`` requires psi (or the sequence) to have mean zero, ``form``
-    is the tight term's quadratic form and ``study`` the value a refinement
-    study reads off the report at constant psi, whose limit is 1.
+    is the tight term's quadratic form and ``study(terms, **params)`` the
+    value a refinement study reads off the kernel's terms at constant psi,
+    whose limit is 1.
     """
 
     input: str
@@ -787,7 +796,7 @@ def _first_order(direction: Direction) -> Functional:
         partial(opial_rows, direction=direction),
         "middle",
         form=QuadraticForm(first_order_form, 0.5),
-        study=lambda report: report.ratio,
+        study=lambda terms: terms["middle"] / terms["rhs"],
     )
 
 
@@ -816,6 +825,7 @@ FUNCTIONALS = {
         wirtinger_terms,
         wirtinger_rows,
         "lhs",
+        draw=_draw_projected,
         theorem_backed=False,
         zero_mean=True,
         form=QuadraticForm(wirtinger_form, INV_PI_SQ),

@@ -268,17 +268,15 @@ class PartitionMasses:
         return {"u": self.u, "v1": self.v1, "v2": self.v2, "w": self.w, "total": self.total}
 
 
-def partition_masses(model: QuantizedModel, budget: int = DEFAULT_BUDGET) -> PartitionMasses:
-    """Exact masses of the triple order regions by full enumeration."""
-    x = [float(v) for v in model.support]
-    p = [float(v) for v in model.mass]
+def _region_sums(x: list[float], p: list[float], f: list[float]) -> tuple[float, float, float, float]:
+    """Sums of p_i p_j p_k |f_i f_k| over the triples (i, j, k) of each order
+    region: all distinct, low tie, high tie and triple tie."""
     m = len(x)
-    _charge(3 * m**3, budget)
     u = v1 = v2 = w = 0.0
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                q = p[i] * p[j] * p[k]
+                q = p[i] * p[j] * p[k] * abs(f[i] * f[k])
                 a, b, cc = x[i], x[j], x[k]
                 if a == b == cc:
                     w += q
@@ -286,12 +284,18 @@ def partition_masses(model: QuantizedModel, budget: int = DEFAULT_BUDGET) -> Par
                     u += q
                 else:
                     lo = min(a, b, cc)
-                    ties_at_lo = (a == lo) + (b == lo) + (cc == lo)
-                    if ties_at_lo == 2:
+                    if (a == lo) + (b == lo) + (cc == lo) == 2:
                         v1 += q
                     else:
                         v2 += q
-    return PartitionMasses(u=u, v1=v1, v2=v2, w=w)
+    return u, v1, v2, w
+
+
+def partition_masses(model: QuantizedModel, budget: int = DEFAULT_BUDGET) -> PartitionMasses:
+    """Exact masses of the triple order regions by full enumeration."""
+    x, p, f = _unpack(model, np.ones(model.node_count))
+    _charge(3 * len(x) ** 3, budget)
+    return PartitionMasses(*_region_sums(x, p, f))
 
 
 @dataclass(frozen=True)
@@ -344,23 +348,7 @@ def check_two3_decomposition(
     x, p, f = _unpack(model, psi)
     m = len(x)
     _charge(4 * m**3, budget)
-    u_term = v1_term = v2_term = w_term = 0.0
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                q = p[i] * p[j] * p[k]
-                val = abs(f[i] * f[k])
-                a, b, cc = x[i], x[j], x[k]
-                if a == b == cc:
-                    w_term += q * val
-                elif a != b and b != cc and a != cc:
-                    u_term += q * val
-                else:
-                    lo = min(a, b, cc)
-                    if (a == lo) + (b == lo) + (cc == lo) == 2:
-                        v1_term += q * val
-                    else:
-                        v2_term += q * val
+    u_term, v1_term, v2_term, w_term = _region_sums(x, p, f)
     e_abs = 0.0
     for i in range(m):
         e_abs += p[i] * abs(f[i])

@@ -26,7 +26,8 @@ from . import functionals as fn
 from .accumulate import comp_sum
 from .distributions import (
     DEFAULT_MAX_NODES,
-    Distribution,
+    MODEL_FAULTS,
+    DistributionError,
     QuantizedModel,
     make_uniform_interval,
     model_faults,
@@ -225,7 +226,7 @@ def convergence_study(
     """Refinement study on uniform (0, 1).
 
     A functional with a ``study`` in its table entry is evaluated at
-    constant psi: thm1-* give the reported ratio, exactly 1 at every
+    constant psi: thm1-* give the ratio middle/rhs, exactly 1 at every
     resolution (half-tie weighting makes the discrete case tight), and thm2
     gives lhs (n+1)!, which approaches 1 at first order in 1/m.  For thm2
     that limit is the constant-psi value 1/(n+1)!, not a sharp constant:
@@ -250,7 +251,7 @@ def convergence_study(
     for m in grids:
         model = quantize(base, m)
         if spec.study is not None:
-            value = spec.study(spec.evaluate(model, np.ones(model.node_count), **params))
+            value = spec.study(spec.rows(model.mass, np.ones(model.node_count), **params), **params)
             limit = 1.0
         else:
             value = rayleigh_best_constant(model, functional_id).c_m
@@ -332,8 +333,10 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     node values ``psi``.  Every draw is one call for the whole block, in
     that order, of shape (rows, m_max) or (rows,); entries past a row's
     size are 0.  The table's ``draw`` then adds the functional's parameter
-    (``n``, ``chi`` or the split index ``cut``) or transforms ``a``, and
-    marks the size-1 rows that o15 and o18 ``skip``.
+    (``n``, ``chi``, or the split point ``c``: the support point of a
+    uniform index from 1 to size - 1) or transforms ``a`` or ``psi`` (psi
+    less its compensated mean for wirtinger), and marks the size-1 rows
+    that o15 and o18 ``skip``.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
@@ -365,61 +368,36 @@ def _row(block: dict, k: int) -> dict:
     }
 
 
-def _evaluate_trial(functional_id: str, draw: dict) -> tuple[fn.IneqReport, dict]:
-    """One drawn trial through the public evaluators: its report and instance."""
-    spec = fn.FUNCTIONALS[functional_id]
-    if "a" in draw:
-        return spec.evaluate(draw["a"]), {"a": [float(v) for v in draw["a"]]}
-    model = QuantizedModel(support=draw["support"], mass=draw["mass"], is_exact=True, source_m=1)
-    psi = draw["psi"]
-    if spec.zero_mean:  # wirtinger on atoms: the heuristic class, projected
-        psi = psi - comp_sum(model.mass * psi)
-    instance = {
-        "support": [float(v) for v in model.support],
-        "mass": [float(v) for v in model.mass],
-        "psi": [float(v) for v in psi],
-    }
-    if spec.input == "distribution":
-        c = float(model.support[draw["cut"] - 1])
-        dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
-        instance["c"] = c
-        return spec.evaluate(dist, psi, c, m=1), instance
-    params = {name: draw[name] for name in spec.params}
-    instance.update({name: np.asarray(value).tolist() for name, value in params.items()})
-    return spec.evaluate(model, psi, **params), instance
-
-
 def _screen(functional_id: str, block: dict):
-    """Slack, rhs and model faults of a block's rows, by one kernel call.
+    """Slack, rhs and model fault code of a block's rows, by one kernel call.
 
     The rows are evaluated by the functional's row kernel, whose rows are
-    bit-identical to the public evaluators.  ``flagged`` marks the rows
-    whose model fails an invariant
+    bit-identical to the public evaluators.  A nonzero fault code is the
+    first invariant the row's model fails
     (:func:`~opial.distributions.model_faults`), on which the public path
     raises.  The evaluators' other input checks cannot fail on the draws:
     chi, the rtwo coefficients and both conditional masses are positive by
-    construction, and centred rows meet the zero-sum and zero-mean
+    construction, and the centred rows meet the zero-sum and zero-mean
     conditions to within a few ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
     sizes = block["sizes"]
     if spec.input == "sequence":
         terms = spec.rows(block["a"], sizes)
-        return terms["rhs"] - terms[spec.tight], terms["rhs"], np.zeros(sizes.size, dtype=bool)
+        return terms["rhs"] - terms[spec.tight], terms["rhs"], np.zeros(sizes.size, dtype=int)
     p, psi = block["mass"], block["psi"]
-    flagged = model_faults(block["support"], p, sizes) != 0
-    if spec.zero_mean:  # projected as in the public path
-        psi = fn.pad_rows(psi - comp_sum(p * psi)[:, None], sizes)
+    faults = model_faults(block["support"], p, sizes)
     if spec.input == "distribution":
-        # The conditional laws of the public path, as masked rows of the
-        # same nodes; their models' invariants follow from the full model's.
-        # Their masses are divided by the exact sums the public path takes,
-        # listed row by row to keep few float objects alive at once.
-        index = np.arange(p.shape[-1])
-        lower = index < block["cut"][:, None]
-        upper = ~lower & (index < sizes[:, None])
+        # The conditional laws of the public path, X <= c and X > c, as
+        # masked rows of the same nodes; their models' invariants follow
+        # from the full model's.  Their masses are divided by the exact sums
+        # the public path takes, listed row by row to keep few float objects
+        # alive at once.
+        active = np.arange(p.shape[-1]) < sizes[:, None]
+        lower = active & (block["support"] <= block["c"][:, None])
+        upper = active & ~lower
         shares = []
-        for row, cut in zip(p, block["cut"].tolist()):
+        for row, cut in zip(p, np.count_nonzero(lower, axis=1).tolist()):
             row = row.tolist()
             shares.append((math.fsum(row[:cut]), math.fsum(row[cut:])))
         p_low, p_up = np.array(shares).T
@@ -431,7 +409,7 @@ def _screen(functional_id: str, block: dict):
         )
     else:
         terms = spec.rows(p, psi, **{name: block[name] for name in spec.params})
-    return terms["rhs"] - terms[spec.tight], terms["rhs"], flagged
+    return terms["rhs"] - terms[spec.tight], terms["rhs"], faults
 
 
 def search_counterexample(
@@ -455,17 +433,19 @@ def search_counterexample(
     ValueError for an id without a search, m_max outside
     [2, DEFAULT_MAX_NODES] or trials < 1.
 
-    Each block's zero-padded (B, m_max) arrays are screened by one call of
-    the functional's row kernel in :mod:`opial.functionals`, whose rows are
-    bit-identical to the public evaluators, together with the checks those
-    evaluators make on their inputs.  The lowest screened trial is then
-    evaluated again through the public evaluator, which builds the returned
-    :class:`Violation`, or raises the error a trial-by-trial search would
-    have raised there.  The result is the same as evaluating every trial
-    through the public evaluators in order; only the cost differs.  A
-    trial costs a few microseconds at m_max = 30, most of it in the
-    screen's compensated passes; a search shorter than one block still
-    draws the whole block.
+    Every drawn row is a valid input of the functional's public evaluator
+    (the table's ``draw`` centres and splits it), and each block's
+    zero-padded (B, m_max) arrays are screened by one call of the
+    functional's row kernel in :mod:`opial.functionals`, whose rows are
+    bit-identical to the public evaluators, together with the model checks
+    those evaluators make (:func:`_screen`).  The screen is the only
+    evaluation: the lowest listed trial of a block raises the
+    :class:`~opial.distributions.DistributionError` its model would raise,
+    or is returned with its screened slack and its row as the instance.
+    The result is the same as evaluating every trial through the public
+    evaluators in order; only the cost differs.  A trial costs a few
+    microseconds at m_max = 30, most of it in the screen's compensated
+    passes; a search shorter than one block still draws the whole block.
 
     The Wirtinger bound is only a theorem for continuous distributions;
     searching it over atomic inputs is expected to surface (heuristic-class)
@@ -483,19 +463,20 @@ def search_counterexample(
     for block_index, start in enumerate(range(0, trials, rows)):
         drawn = _draw_block(functional_id, seed, block_index, m_max)
         block = {name: value[: trials - start] for name, value in drawn.items()}
-        slack, rhs, flagged = _screen(functional_id, block)
-        listed = flagged | fn.violates(slack, rhs, rel_tol)
+        slack, rhs, faults = _screen(functional_id, block)
+        listed = (faults != 0) | fn.violates(slack, rhs, rel_tol)
         if "skip" in block:
             listed &= ~block["skip"]
-        for k in np.flatnonzero(listed):
-            report, instance = _evaluate_trial(functional_id, _row(block, k))
-            if fn.violates(report.slack, report.terms["rhs"], rel_tol):
-                return Violation(
-                    functional=functional_id,
-                    trial=start + int(k),
-                    seed=seed,
-                    slack=report.slack,
-                    heuristic=not fn.FUNCTIONALS[functional_id].theorem_backed,
-                    instance=instance,
-                )
+        if listed.any():
+            k = int(listed.argmax())
+            if faults[k]:
+                raise DistributionError(MODEL_FAULTS[faults[k]])
+            return Violation(
+                functional=functional_id,
+                trial=start + k,
+                seed=seed,
+                slack=float(slack[k]),
+                heuristic=not fn.FUNCTIONALS[functional_id].theorem_backed,
+                instance={name: value.tolist() for name, value in _row(block, k).items()},
+            )
     return None

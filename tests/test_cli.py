@@ -177,7 +177,8 @@ class TestVerify:
             "64",
         ]
         assert main(args) == 1
-        assert "zero-mean" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "zero-mean" in err and "(--project)" in err
         assert main(args + ["--project"]) == 0
 
     def test_unknown_functional(self, capsys):
@@ -504,6 +505,31 @@ class TestSpecLoading:
         )
         assert code == 1
         assert "/pieces/0" in capsys.readouterr().err
+
+    @staticmethod
+    def mass_two(tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"atoms": [[1.0, 1.0], [2.0, 1.0]], "pieces": []}))
+        return str(bad)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--functional", "troy", "--psi", "constant", "--p-exp", "1"],
+            ["--functional", "o9-1", "--psi", '{"kind": "values", "values": [1, -2, 3]}'],
+        ],
+        ids=["troy", "o9-1"],
+    )
+    def test_dist_not_loaded_where_unread(self, tmp_path, argv):
+        plain, ignored = tmp_path / "plain.json", tmp_path / "ignored.json"
+        assert main(["verify", *argv, "--out", str(plain)]) == 0
+        assert main(["verify", *argv, "--dist", self.mass_two(tmp_path), "--out", str(ignored)]) == 0
+        assert ignored.read_bytes() == plain.read_bytes()
+
+    def test_oracle_diff_loads_dist(self, tmp_path, capsys):
+        argv = ["oracle-diff", "--dist", self.mass_two(tmp_path), "--psi", "constant"]
+        assert main(argv + ["--functional", "thm1-lower"]) == 1
+        assert "total mass 2.0" in capsys.readouterr().err
 
 
 class TestOracleDiff:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -288,13 +289,20 @@ def draw_block(functional, seed, block, m_max):
     exponentials = pad(rng.standard_exponential(shape), sizes)
     mass = pad(np.maximum(exponentials / exponentials.sum(axis=1)[:, None], 1e-9), sizes)
     mass /= mass.sum(axis=1)[:, None]
-    block = {"sizes": sizes, "support": support, "mass": mass, "psi": pad(rng.standard_normal(shape), sizes)}
+    psi = pad(rng.standard_normal(shape), sizes)
+    block = {"sizes": sizes, "support": support, "mass": mass, "psi": psi}
     if functional == "thm2":
         block["n"] = rng.integers(1, 4, size=rows)
     elif functional in ("weighted-lower", "weighted-upper"):
         block["chi"] = pad(rng.uniform(0.0, 3.0, shape), sizes)
     elif functional == "corollary":
-        block["cut"] = rng.integers(1, sizes)
+        # the support point of a split index drawn from 1 to size - 1
+        cut = rng.integers(1, sizes)
+        block["c"] = np.array([support[k, cut[k] - 1] for k in range(rows)])
+    elif functional == "wirtinger":
+        # psi less its compensated mean, taken over each unpadded row
+        for k, size in enumerate(sizes):
+            psi[k, :size] -= comp_sum(mass[k, :size] * psi[k, :size])
     return block
 
 
@@ -306,7 +314,7 @@ def block_rows(block):
             out.append(None)
             continue
         out.append({
-            name: value[k, :size] if value.ndim == 2 else int(value[k])
+            name: value[k, :size] if value.ndim == 2 else value[k].item()
             for name, value in block.items()
             if name not in ("sizes", "skip")
         })
@@ -351,14 +359,11 @@ def evaluate(functional, d):
         report = fn.weighted_opial_terms(model, psi, d["chi"], direction)
         instance["chi"] = [float(v) for v in d["chi"]]
     elif functional == "corollary":
-        c = float(model.support[d["cut"] - 1])
         dist = Distribution(atoms=tuple(zip(model.support, model.mass)))
-        report = fn.corollary_split(dist, psi, c, m=1)
-        instance["c"] = c
+        report = fn.corollary_split(dist, psi, d["c"], m=1)
+        instance["c"] = d["c"]
     else:
-        psi = psi - comp_sum(model.mass * psi)
         report = fn.wirtinger_terms(model, psi)
-        instance["psi"] = [float(v) for v in psi]
     return report, instance
 
 
@@ -397,6 +402,16 @@ def patch_draws(monkeypatch, change):
         return drawn
 
     monkeypatch.setattr(sharpness, "_draw_block", draw)
+
+
+def refuse_evaluators(monkeypatch):
+    """Make every public evaluator in the table raise: the search must not call one."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search called a public evaluator")
+
+    for name, spec in FUNCTIONALS.items():
+        monkeypatch.setitem(FUNCTIONALS, name, dataclasses.replace(spec, evaluate=refuse))
 
 
 def bits(values):
@@ -456,7 +471,7 @@ class TestBlockStream:
                 if "chi" in row:
                     assert ((row["chi"] >= 0.0) & (row["chi"] < 3.0)).all()
                 if functional == "corollary":
-                    assert 1 <= row["cut"] < size
+                    assert row["c"] in row["support"][:-1]
 
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_result_does_not_depend_on_the_trial_count(self, functional):
@@ -486,18 +501,21 @@ class TestBatchedSearchMatchesLoop:
             assert as_text(batched) == as_text(looped)
 
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
-    def test_same_trial_at_a_threshold_inside_the_slack_range(self, functional):
+    def test_same_trial_at_a_threshold_inside_the_slack_range(self, functional, monkeypatch):
         # A tolerance at the 5 % point of the trials' relative slacks makes a
         # few trials, spread over the blocks, fall below it, and puts one
         # trial exactly on it: a drift of one ulp there changes the result.
+        # The search runs without the public evaluators: its screen alone
+        # builds the result.
         trials, seed, m_max = BLOCK_TRIALS + 64, 7, 30
         rel = sorted(
             report.slack / max(1.0, abs(report.terms["rhs"]))
             for _, report, _ in loop_trials(functional, trials, seed, m_max)
         )
         rel_tol = -rel[len(rel) // 20]
-        batched = search_counterexample(functional, trials, seed, m_max, rel_tol=rel_tol)
         looped = loop_search(functional, trials, seed, m_max, rel_tol=rel_tol)
+        refuse_evaluators(monkeypatch)
+        batched = search_counterexample(functional, trials, seed, m_max, rel_tol=rel_tol)
         assert looped is not None
         assert as_text(batched) == as_text(looped)
 
@@ -526,10 +544,12 @@ class TestBatchedSearchMatchesLoop:
             found.append(violation.trial)
         assert max(found) > 0
 
-    def test_wirtinger_violates_in_first_block(self):
+    def test_wirtinger_violates_in_first_block(self, monkeypatch):
+        looped = loop_search("wirtinger", 200, 1, 4)
+        refuse_evaluators(monkeypatch)
         violation = search_counterexample("wirtinger", trials=200, seed=1, m_max=4)
         assert violation is not None and violation.trial < BLOCK_TRIALS
-        assert as_text(violation) == as_text(loop_search("wirtinger", 200, 1, 4))
+        assert as_text(violation) == as_text(looped)
 
     def test_first_violation_in_second_block(self, monkeypatch):
         def quiet_first_block(trial, row):
@@ -569,3 +589,19 @@ class TestBatchedSearchMatchesLoop:
             batched = search_counterexample("wirtinger", trials=trials, seed=self.SEED, m_max=4)
             assert batched is not None and batched.trial == bad - offset
             assert as_text(batched) == as_text(loop_search("wirtinger", trials, self.SEED, 4, repeat_a_node))
+
+    def test_corollary_model_fault_raises_at_its_trial(self, monkeypatch):
+        # Real draws cannot repeat a node (the gaps are at least 0.1); the
+        # screen's model check raises what QuantizedModel raises on the row.
+        bad = BLOCK_TRIALS + 5
+
+        def repeat_a_node(trial, row):
+            if trial == bad:
+                row["support"][1] = row["support"][0]
+
+        patch_draws(monkeypatch, repeat_a_node)
+        assert search_counterexample("corollary", trials=bad, seed=3, m_max=30) is None
+        with pytest.raises(DistributionError, match="strictly increasing"):
+            loop_search("corollary", bad + 1, 3, 30, repeat_a_node)
+        with pytest.raises(DistributionError, match="strictly increasing"):
+            search_counterexample("corollary", trials=bad + 1, seed=3, m_max=30)
