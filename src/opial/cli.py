@@ -2,9 +2,12 @@
 
 One parser takes the command (see :data:`_COMMANDS`) and the flags, which
 every command shares and which may come before or after it; the parsed
-namespace is the run's configuration.  Reports are written atomically
-(temp file + rename) and are byte-deterministic for a fixed configuration
-including the seed.  Exit codes: 0 all inequalities verified, 1 usage or
+namespace is the run's configuration.  :func:`main` builds that parser on
+its first call and reuses it for every later call in the process; each
+parse returns a fresh namespace, and the help text reads the terminal
+width when it prints.  Reports are written atomically (temp file + fsync
++ rename) and are byte-deterministic for a fixed configuration including
+the seed.  Exit codes: 0 all inequalities verified, 1 usage or
 spec error (printed as ``opial: error: ...``), 2 violation found.
 """
 from __future__ import annotations
@@ -16,7 +19,6 @@ import io
 import json
 import math
 import os
-import secrets
 import sys
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
@@ -200,10 +202,12 @@ def _write_atomic(path: str, text: str) -> None:
     """Write `text` to a new file beside `path`, then rename it over `path`.
 
     The file is created as ``open(path, "w")`` would create it, with mode
-    0666 less the umask.
+    0666 less the umask.  Its data is flushed to disk (fsync) before the
+    rename, so a crash after the rename cannot leave an empty or partial
+    report at `path`: a reader finds the old report or the whole new one.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".{os.path.basename(path)}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8") as handle:
@@ -449,8 +453,13 @@ def _parse_grids(text: str) -> list[int]:
     return grids
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command and the flags every command shares, in any order."""
+    """The command and the flags every command shares, in any order.
+
+    Built on the first call and shared by every later one, so callers
+    must not change it; parsing leaves it unchanged.
+    """
     commands = "".join(f"  {name:<13}{text}\n" for name, (_, text) in _COMMANDS.items())
     p = _Parser(
         prog="opial",

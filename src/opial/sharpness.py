@@ -431,7 +431,7 @@ def search_counterexample(
     functional, the seed, the trial index and m_max, not on `trials`.
     Returns the violation of the lowest violating trial, or None.  Raises
     ValueError for an id without a search, m_max outside
-    [2, DEFAULT_MAX_NODES] or trials < 1.
+    [2, DEFAULT_MAX_NODES], trials < 1 or seed < 0.
 
     Every drawn row is a valid input of the functional's public evaluator
     (the table's ``draw`` centres and splits it), and each block's
@@ -459,6 +459,8 @@ def search_counterexample(
         raise ValueError(f"m_max must be at most {DEFAULT_MAX_NODES}, got {m_max}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rows = block_trials(m_max)
     for block_index, start in enumerate(range(0, trials, rows)):
         drawn = _draw_block(functional_id, seed, block_index, m_max)

@@ -340,6 +340,12 @@ class TestHostileInput:
         assert main(argv) == 1 and not out.exists()
         assert "trials must be at least 1" in capsys.readouterr().err
 
+    def test_search_needs_non_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "search.json"
+        argv = ["search", "--functional", "thm1-lower", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 1 and not out.exists()
+        assert capsys.readouterr().err == "opial: error: seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize(
         "dist, psi, extra, env",
         [
@@ -430,6 +436,73 @@ class TestHostileInput:
         argv = ["verify", "--functional", "troy", "--psi", "constant", "--p-exp", "inf"]
         assert main(argv + ["--out", str(out)]) == 1 and not out.exists()
         assert "--p-exp must be finite" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process, and every call through it
+    gives what the same call gives through a parser built for it alone."""
+
+    #: (argv, environment changes) in call order; None unsets a variable.
+    #: Every command, an argparse usage error, help at two widths, the
+    #: version, and oracle-diff with $OPIAL_BUDGET too small and then unset.
+    CALLS = [
+        *((argv, {}) for argv, _ in GOLDEN_CASES.values()),
+        (["verify", "--frobnicate"], {}),
+        (["--help"], {"COLUMNS": "60"}),
+        (["--help"], {"COLUMNS": "120"}),
+        (["--version"], {}),
+        (GOLDEN_CASES["oracle-diff-thm2.json"][0], {"OPIAL_BUDGET": "10"}),
+        (GOLDEN_CASES["oracle-diff-thm2.json"][0], {"OPIAL_BUDGET": None}),
+    ]
+
+    @staticmethod
+    def outcome(entry, argv, out, capsys):
+        """Exit code, stdout, stderr and report bytes (None if none) of one call."""
+        out.unlink(missing_ok=True)
+        try:
+            code = entry([*argv, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    def test_same_outcome_as_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        dist = tmp_path / "law.json"
+        dist.write_text(json.dumps(GOLDEN_LAW), encoding="utf-8")
+        out = tmp_path / "report"
+        built = []
+        init = cli._Parser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def fresh(argv):
+            return cli.run(cli.build_parser.__wrapped__().parse_args(argv))
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted_init)
+        cli.build_parser.cache_clear()
+        builds_in_main = 0
+        outcomes = []
+        for argv, env in self.CALLS:
+            for name, value in env.items():
+                if value is None:
+                    monkeypatch.delenv(name)
+                else:
+                    monkeypatch.setenv(name, value)
+            argv = [arg.replace("{dist}", str(dist)) for arg in argv]
+            before = len(built)
+            reused = self.outcome(main, argv, out, capsys)
+            builds_in_main += len(built) - before
+            assert reused == self.outcome(fresh, argv, out, capsys), argv
+            outcomes.append(reused)
+        assert builds_in_main == 1
+        assert cli.build_parser() is cli.build_parser()
+        codes = [code for code, *_ in outcomes]
+        assert codes == [code for _, code in GOLDEN_CASES.values()] + [1, 0, 0, 0, 1, 0]
+        narrow, wide = outcomes[len(GOLDEN_CASES) + 1][1], outcomes[len(GOLDEN_CASES) + 2][1]
+        assert narrow != wide  # the width is read when help prints, not when it is built
+        assert "budget" in outcomes[-2][2] and outcomes[-1][3] is not None
 
 
 class TestSpecLoading:
