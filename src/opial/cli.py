@@ -58,6 +58,8 @@ def validate(args: argparse.Namespace) -> None:
             args.budget = int(env) if env else oracle_mod.DEFAULT_BUDGET
         except ValueError:
             raise CliError(f"${BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
+    if args.budget < 0:
+        raise CliError(f"budget must be >= 0, got {args.budget}")
     if args.functional is None:
         raise CliError("--functional is required")
     if args.functional not in fn.FUNCTIONAL_IDS:
@@ -368,8 +370,8 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     if spec.form is None:
         solved = [k for k, f in fn.FUNCTIONALS.items() if f.form is not None]
         raise CliError(f"sharpness supports --functional {', '.join(solved[:-1])} or {solved[-1]}")
-    if spec.zero_mean:
-        # The zero-mean bound is sharp on continuous laws: solve uniform (0, 1).
+    if spec.zero_mean and args.dist_path is None:
+        # The zero-mean bound is sharp on continuous laws: by default solve uniform (0, 1).
         dist = make_uniform_interval(0.0, 1.0)
     else:
         dist = load_distribution(_require(args.dist_path, "--dist", functional))

@@ -703,11 +703,13 @@ class QuadraticForm:
 
     ``matvec(p, psi)`` applies the symmetric K by the functional's own
     passes, and ``bound`` is the constant c of the stated bound
-    psi^T K psi <= c E psi^2.
+    psi^T K psi <= c E psi^2.  ``rank_one`` marks K = c p p^T, whose top
+    eigenpair is known: c_m = c at constant psi, on every law.
     """
 
     matvec: Callable
     bound: float
+    rank_one: bool = False
 
 
 def pad_rows(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -795,7 +797,7 @@ def _first_order(direction: Direction) -> Functional:
         partial(opial_terms, direction=direction),
         partial(opial_rows, direction=direction),
         "middle",
-        form=QuadraticForm(first_order_form, 0.5),
+        form=QuadraticForm(first_order_form, 0.5, rank_one=True),
         study=lambda terms: terms["middle"] / terms["rhs"],
     )
 

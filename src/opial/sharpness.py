@@ -1,11 +1,14 @@
 """Sharpness certification: best constants, refinement studies, search.
 
 The sharp constants 1/2 (first order) and 1/pi^2 (Wirtinger) are
-certified numerically in two ways: by one power-iteration engine that
-maximizes a functional's quadratic form over the node function
+certified numerically in two ways: by one engine that maximizes a
+functional's quadratic form over the node function
 (:func:`rayleigh_best_constant`), and by driving quantizations of
 uniform (0, 1) through increasing resolutions and watching the values
-converge to the constants (:func:`convergence_study`).  The two-sided
+converge to the constants (:func:`convergence_study`).  The first-order
+form has rank one, so the engine states its eigenpair (1/2 at constant
+psi, on every law) and checks it by one residual pass; the Wirtinger
+constant of a law is found by power iteration.  The two-sided
 split (``corollary``) has neither a quadratic form nor a study, so no
 constant of it is certified here; its bound is only verified and
 searched.  The n-th order
@@ -53,8 +56,10 @@ class BestConstant:
 
     c_m is the maximum of psi^T K psi / E psi^2, over zero-mean psi where
     the functional requires it; psi_star is the maximizer normalized to
-    E psi^2 = 1; residual is the symmetric-space eigen residual at
-    convergence; trace holds the quotient after each step.
+    E psi^2 = 1; residual is the symmetric-space eigen residual of
+    (c_m, psi_star); trace holds the quotient after each power step.  A
+    rank-one form's pair is stated in closed form, not iterated: its
+    iterations is 0, its trace is empty and psi_star is all ones.
     """
 
     functional: str
@@ -89,38 +94,53 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
 
     K is the functional's :class:`~opial.functionals.QuadraticForm`, applied
     in O(m) by its own prefix/suffix passes, and D = diag(p).  The problem is
-    solved as a symmetric eigenproblem in phi = D^(1/2) psi by power
-    iteration.  For a zero-mean functional (Wirtinger) the constant
-    direction, phi parallel to sqrt(p), is deflated by orthogonal projection
-    at every step and the iteration starts from cos(pi F); otherwise K is
-    nonnegative, its top vector is positive (Perron-Frobenius) and the
-    iteration starts from the positive 1 + F.  Neither start vector
-    projects to zero: 1 + F > 0, and for m >= 2 cos(pi F) is strictly
-    decreasing, so not constant.  Where only one direction is admissible
-    (one node, or two nodes with zero mean) the iteration converges at its
-    first step.
-    Stops when the quotient rises by at most EIGEN_TOL relative or no
-    longer rises; raises :class:`ConvergenceError` after MAX_ITER steps.
+    the symmetric eigenproblem of B = D^(-1/2) K D^(-1/2) in
+    phi = D^(1/2) psi.
+
+    A rank-one form (thm1-*: K = p p^T / 2) is solved in closed form:
+    B = c sqrt(p) sqrt(p)^T has the one nonzero eigenvalue c, its stated
+    constant, at phi = sqrt(p), so c_m = c and psi_star = 1 on every law,
+    with ``iterations == 0`` and an empty trace.  Its residual is still a
+    certificate: one pass of the form at phi = sqrt(p), less c sqrt(p).
+
+    Every other form is zero-mean (Wirtinger) and is solved by power
+    iteration: the constant direction, phi parallel to sqrt(p), is deflated
+    by orthogonal projection at every step, and the iteration starts from
+    cos(pi F), which for m >= 2 is strictly decreasing, so it does not
+    project to zero.  Where only one direction is admissible (two nodes)
+    the iteration converges at its first step.  It stops when the quotient
+    rises by at most EIGEN_TOL relative or no longer rises, and raises
+    :class:`ConvergenceError` after MAX_ITER steps.
     """
     spec = fn.FUNCTIONALS.get(functional)
     if spec is None or spec.form is None:
         raise ValueError(f"no quadratic form for functional {functional!r}")
-    matvec = spec.form.matvec
-    deflate = spec.zero_mean
+    form = spec.form
     p = np.asarray(model.mass, dtype=float)
-    if deflate and p.size < 2:
-        raise ValueError("the zero-mean subspace is trivial for a single node")
     sq = np.sqrt(p)
+    if form.rank_one:
+        psi_star = np.ones(p.size)
+        residual = float(np.linalg.norm(form.matvec(p, psi_star) / sq - form.bound * sq))
+        return BestConstant(
+            functional=functional,
+            c_m=form.bound,
+            psi_star=psi_star,
+            iterations=0,
+            converged=True,
+            residual=residual,
+            trace=(),
+        )
+    if p.size < 2:
+        raise ValueError("the zero-mean subspace is trivial for a single node")
     s = sq  # unit vector: sum of masses is 1
 
     def project(v: np.ndarray) -> np.ndarray:
-        return v - (s @ v) * s if deflate else v
+        return v - (s @ v) * s
 
     def apply(phi: np.ndarray) -> np.ndarray:
-        return project(matvec(p, phi / sq) / sq)
+        return project(form.matvec(p, phi / sq) / sq)
 
-    cdf = model.midpoint_cdf()
-    phi = project(sq * (np.cos(math.pi * cdf) if deflate else 1.0 + cdf))
+    phi = project(sq * np.cos(math.pi * model.midpoint_cdf()))
     phi /= np.linalg.norm(phi)
 
     trace: list[tuple[int, float]] = []

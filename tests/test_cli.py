@@ -406,6 +406,18 @@ class TestHostileInput:
         assert main(argv) == 1
         assert "opial: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_negative_budget(self, tmp_path, capsys, monkeypatch, via):
+        out = tmp_path / "diff.json"
+        argv = ["oracle-diff", "--dist", self.three_atoms(tmp_path), "--psi", "constant", "--functional", "thm2"]
+        argv += ["--n", "2", "--out", str(out)]
+        if via == "flag":
+            argv += ["--budget", "-1"]
+        else:
+            monkeypatch.setenv("OPIAL_BUDGET", "-1")
+        assert main(argv) == 1 and not out.exists()
+        assert capsys.readouterr().err == "opial: error: budget must be >= 0, got -1\n"
+
     def test_search_node_count_limit(self, capsys):
         argv = ["search", "--functional", "thm1-lower", "--m", "2000001", "--trials", "1"]
         assert main(argv) == 1
@@ -864,6 +876,15 @@ class TestSharpnessCommand:
         assert doc["ratio_star"] >= 1.0 - 1e-8
         ratios = [r for _, r in doc["trace"]]
         assert all(b >= a for a, b in zip(ratios, ratios[1:]))
+
+    def test_wirtinger_on_the_given_law(self, tmp_path):
+        # Six equal atoms: c_m = 1/(4 m^2 sin^2(pi/(2m))), above 1/pi^2.
+        dist = write_uniform_n(tmp_path / "d.json", 6)
+        out = tmp_path / "sharp.json"
+        assert main(["sharpness", "--functional", "wirtinger", "--dist", str(dist), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert abs(doc["c_m"] - 1.0 / (4 * 36 * math.sin(math.pi / 12) ** 2)) <= 1e-13
+        assert doc["ratio_star"] > 1.0
 
     def test_one_document_for_every_solved_functional(self, tmp_path):
         dist = write_uniform_n(tmp_path / "d.json", 6)

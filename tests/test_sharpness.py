@@ -56,7 +56,7 @@ class TestMaximizeRatioOpial:
 
     def test_single_atom_immediate(self):
         result, ratio = first_order_ratio(uniform_model(1))
-        assert ratio == 1.0 and result.iterations == 1
+        assert ratio == 1.0 and result.iterations == 0
 
     def test_skewed_two_atoms_maximizer_constant(self):
         model = quantize(make_discrete([0.0, 1.0], [0.9, 0.1]), 1)
@@ -88,6 +88,22 @@ class TestMaximizeRatioOpial:
         above, _ = first_order_ratio(q, "thm1-upper")
         assert below.c_m == above.c_m
         assert np.array_equal(below.psi_star, above.psi_star)
+
+    def test_dense_top_eigenpair(self, rng):
+        # Checked against a dense eigensolve of the form built entrywise,
+        # not against the rank-one closed form the engine states.
+        for _ in range(200):
+            q = random_atomic_model(rng, m_max=60, m_min=1)
+            sq = np.sqrt(q.mass)
+            sym = dense_form("thm1-lower", q.mass) / sq[:, None] / sq[None, :]
+            top = np.linalg.eigh(sym)[1][:, -1]
+            below = rayleigh_best_constant(q, "thm1-lower")
+            above = rayleigh_best_constant(q, "thm1-upper")
+            assert abs(below.c_m - np.linalg.eigvalsh(sym)[-1]) <= 1e-13
+            phi = sq * below.psi_star
+            assert abs(phi @ top) / np.linalg.norm(phi) >= 1.0 - 1e-13
+            docs = [{**r.to_json_dict(), "functional": None} for r in (below, above)]
+            assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
 
 
 def dense_form(functional, p):
