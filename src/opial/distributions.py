@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .accumulate import comp_sum, prefix_exclusive
+from .accumulate import prefix_exclusive
 
 #: Absolute tolerance for probability-mass comparisons.  Support-point
 #: comparisons are always exact.
@@ -44,6 +44,9 @@ class Piece:
 
 def _is_number(value) -> bool:
     """Whether a spec value is a number, not a string, null, boolean or list."""
+    # Exact float and int, the types JSON decodes to, skip the ABC check.
+    if type(value) is float or type(value) is int:
+        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -252,40 +255,60 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
     :data:`MODEL_FAULTS` in the order the checks are made: finite, strictly
     increasing, positive masses, masses summing to 1 within
     :data:`MASS_TOL` (decided as by the exact sum ``math.fsum``).
+
+    The masses are summed plainly, in blocks of about sqrt(width) entries;
+    only the rows whose sum lies within that sum's error bound of the
+    tolerance, and the rows whose sum overflows, are summed by
+    ``math.fsum``.
     """
+    rows, width = mass.shape
     if sizes is None:
-        active = np.ones(support.shape, dtype=bool)
+        active = after_first = True
     else:
-        active = np.arange(support.shape[-1]) < np.asarray(sizes)[:, None]
-    nonfinite = np.any(active & ~(np.isfinite(support) & np.isfinite(mass)), axis=-1)
-    unordered = np.any(active[:, 1:] & (np.diff(support, axis=-1) <= 0), axis=-1)
-    nonpositive = np.any(active & (mass <= 0.0), axis=-1)
+        active = np.arange(width) < np.asarray(sizes)[:, None]
+        after_first = active[:, 1:]
+    nonfinite = np.any(~(np.isfinite(support) & np.isfinite(mass)), axis=-1, where=active)
+    unordered = np.any(support[:, 1:] <= support[:, :-1], axis=-1, where=after_first)
+    nonpositive = np.any(mass <= 0.0, axis=-1, where=active)
     checked = ~(nonfinite | unordered | nonpositive)
-    # The checked rows hold n positive finite masses.  Their Neumaier sum t
-    # is within u t + (n u)^2 t of the exact sum, which is within u t of
-    # math.fsum's (u the unit roundoff, each up to a factor 1 + O(n u)); a
-    # row whose |t - 1| lies further than twice that from MASS_TOL is
-    # decided as math.fsum decides it.  The others, and the rows whose sum
-    # overflows, are summed by math.fsum.
-    masses = np.where(active, mass, 0.0)
-    total = comp_sum(masses)
-    u = np.finfo(float).eps / 2
-    margin = 4.0 * (u + (masses.shape[-1] * u) ** 2) * total
-    off = np.abs(total - 1.0)
-    unnormalized = checked & (off > MASS_TOL)
-    near = checked & ~(np.abs(off - MASS_TOL) > margin)
+    # Each row, zero-padded, as k blocks of c entries (k, c about
+    # sqrt(width)), summed within the blocks and then across them.  On the
+    # checked rows the terms are nonnegative, so in whatever order numpy
+    # adds them the sum t is within (c - 1 + k - 1) u t of the exact sum (u
+    # the unit roundoff, up to a factor 1 + O((k + c) u)), which is within
+    # u t of math.fsum's; a row whose |t - 1| lies further than twice that
+    # from MASS_TOL is decided as math.fsum decides it.  The others, and the
+    # rows whose sum overflows, are summed by math.fsum.
+    c = math.isqrt(max(width - 1, 0)) + 1
+    k = -(-width // c)
+    masses = np.zeros((rows, k * c))
+    np.copyto(masses[:, :width], mass, where=active)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = masses.reshape(rows, k, c).sum(axis=-1).sum(axis=-1)
+        margin = 2.0 * (k + c) * (np.finfo(float).eps / 2) * total
+        off = np.abs(total - 1.0)
+        unnormalized = checked & (off > MASS_TOL)
+        near = checked & ~(np.abs(off - MASS_TOL) > margin)
     unnormalized[near] = [abs(_mass_total(row) - 1.0) > MASS_TOL for row in masses[near].tolist()]
-    return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
+    codes = np.zeros(rows, dtype=int)
+    # Written last to first, so the first failed check's code stands.
+    for code, failed in ((4, unnormalized), (3, nonpositive), (2, unordered), (1, nonfinite)):
+        codes[failed] = code
+    return codes
 
 
 @dataclass(frozen=True)
 class QuantizedModel:
     """Canonical pure-atom evaluation form.
 
-    ``support`` is strictly increasing, ``mass`` is positive and sums to 1.
-    ``is_exact`` is True when the source distribution had no continuous
-    pieces, in which case every evaluation on this model is exact for the
-    source.  ``source_m`` records the atomization resolution used.
+    ``support`` is strictly increasing, ``mass`` is positive and sums to 1
+    within :data:`MASS_TOL`; construction checks all three by
+    :func:`model_faults` (a plain blocked sum of the masses, with
+    ``math.fsum`` only when that sum is too close to the tolerance to
+    decide) and raises with the first one that fails.  ``is_exact`` is
+    True when the source distribution had no continuous pieces, in which
+    case every evaluation on this model is exact for the source.
+    ``source_m`` records the atomization resolution used.
     """
 
     support: np.ndarray
@@ -331,9 +354,13 @@ def quantize(dist: Distribution, m: int) -> QuantizedModel:
     """Reduce `dist` to a pure-atom model at resolution `m`.
 
     Atoms pass through unchanged.  A piece of mass ``w`` on ``(lo, hi)``
-    becomes ``m`` atoms of mass ``w/m`` at ``lo + (hi-lo)(k-1/2)/m``; those
-    midpoints are strictly interior, so they can never collide with atoms or
-    with nodes of other pieces.
+    becomes ``m`` atoms of mass ``w/m`` at ``lo + (hi-lo)(k-1/2)/m``, an
+    ascending run of strictly interior midpoints.  The nodes need no sort:
+    :class:`Distribution` keeps its atoms sorted, its pieces sorted with
+    disjoint interiors and no atom inside a piece, so the model is the
+    atoms merged with one run per piece, in piece order, each run placed
+    after the atoms at or below its ``lo``.  The model's own check still
+    proves the merged support strictly increasing.
     """
     if m < 1:
         raise ValueError(f"resolution m must be >= 1, got {m}")
@@ -342,16 +369,20 @@ def quantize(dist: Distribution, m: int) -> QuantizedModel:
         raise DistributionError(
             f"quantization would create {node_count} nodes (limit {DEFAULT_MAX_NODES})"
         )
-    locs = [np.array([x for x, _ in dist.atoms], dtype=float)]
-    masses = [np.array([p for _, p in dist.atoms], dtype=float)]
-    for pc in dist.pieces:
-        locs.append(pc.lo + (pc.hi - pc.lo) * (np.arange(1, m + 1) - 0.5) / m)
-        masses.append(np.full(m, pc.mass / m))
-    support = np.concatenate(locs)
-    order = np.argsort(support, kind="stable")
+    locs, probs = np.array(dist.atoms, dtype=float).reshape(-1, 2).T
+    cuts = np.searchsorted(locs, [pc.lo for pc in dist.pieces], side="right").tolist()
+    steps = np.arange(1, m + 1) - 0.5
+    support, mass = [], []
+    done = 0
+    for pc, cut in zip(dist.pieces, cuts):
+        support += [locs[done:cut], pc.lo + (pc.hi - pc.lo) * steps / m]
+        mass += [probs[done:cut], np.full(m, pc.mass / m)]
+        done = cut
+    support.append(locs[done:])
+    mass.append(probs[done:])
     return QuantizedModel(
-        support=support[order],
-        mass=np.concatenate(masses)[order],
+        support=np.concatenate(support),
+        mass=np.concatenate(mass),
         is_exact=not dist.pieces,
         source_m=m,
     )

@@ -231,10 +231,11 @@ def opial_terms(
 def corollary_rows(p_low, vals_low, p_up, vals_up) -> dict:
     """Terms of :func:`corollary_split`, row by row.
 
-    Each row holds both conditional models on one node axis: ``p_low`` is
-    the lower model's masses and zero elsewhere, ``p_up`` the upper model's
-    masses and zero elsewhere, and the values are zero where their masses
-    are.
+    ``p_low, vals_low`` are the lower conditional model's masses and
+    values, ``p_up, vals_up`` the upper one's; the two halves' lengths may
+    differ.  Zero masses with zero values leave every pass unchanged, so the
+    search's masked rows, which hold both halves on one shared node axis,
+    give the same terms as the halves alone.
     """
     low = opial_rows(p_low, vals_low, "below")
     up = opial_rows(p_up, vals_up, "above")
@@ -283,14 +284,7 @@ def corollary_split(
     Equality iff psi is constant on each side separately.
     """
     (q_low, vals_low), (q_up, vals_up), p_low = split_at(dist, psi, c, m)
-    after_low = np.zeros(q_up.node_count)
-    before_up = np.zeros(q_low.node_count)
-    terms = corollary_rows(
-        np.concatenate((q_low.mass, after_low)),
-        np.concatenate((vals_low, after_low)),
-        np.concatenate((before_up, q_up.mass)),
-        np.concatenate((before_up, vals_up)),
-    )
+    terms = corollary_rows(q_low.mass, vals_low, q_up.mass, vals_up)
     return _build_report(
         "corollary",
         terms,

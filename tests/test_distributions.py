@@ -139,6 +139,58 @@ class TestQuantize:
             assert q.support.tobytes() == support.tobytes()
             assert q.mass.tobytes() == mass.tobytes()
 
+    EDGE_LAWS = {
+        "atoms at lo and hi": Distribution(
+            atoms=((0.0, 0.2), (1.0, 0.3)), pieces=(Piece(0.0, 1.0, 0.5),)
+        ),
+        "touching pieces, atom at the shared end": Distribution(
+            atoms=((1.0, 0.2),), pieces=(Piece(0.0, 1.0, 0.4), Piece(1.0, 2.5, 0.4))
+        ),
+        "atoms below every piece": Distribution(
+            atoms=((-2.0, 0.2), (-1.0, 0.3)), pieces=(Piece(0.0, 1.0, 0.25), Piece(1.5, 2.0, 0.25))
+        ),
+        "atoms above every piece": Distribution(
+            atoms=((3.0, 0.2), (4.0, 0.3)), pieces=(Piece(0.0, 1.0, 0.25), Piece(1.0, 2.0, 0.25))
+        ),
+        "touching pieces, atoms at every end": Distribution(
+            atoms=((-1.0, 0.1), (0.0, 0.1), (1.0, 0.1), (2.0, 0.1), (3.0, 0.1)),
+            pieces=(Piece(-1.0, 0.0, 0.1), Piece(0.0, 1.0, 0.1), Piece(2.0, 3.0, 0.3)),
+        ),
+        "5000 atoms": make_discrete(
+            np.random.default_rng(5000).uniform(-5.0, 5.0, 5000),
+            np.random.default_rng(5001).dirichlet(np.ones(5000)),
+        ),
+    }
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000])
+    @pytest.mark.parametrize("law", sorted(EDGE_LAWS))
+    def test_merge_boundaries_match_the_sorted_reference(self, law, m):
+        d = self.EDGE_LAWS[law]
+        q = quantize(d, m)
+        support, mass = quantize_reference(d, m)
+        assert q.support.tobytes() == support.tobytes()
+        assert q.mass.tobytes() == mass.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 1000])
+    def test_merge_of_random_touching_laws(self, rng, m):
+        # Touching pieces with atoms on their ends, and atoms beyond them:
+        # the cases that random_mixed_distribution never draws.
+        for _ in range(30 if m < 1000 else 5):
+            n = int(rng.integers(1, 6))
+            ends = np.cumsum(rng.uniform(0.1, 1.0, n + 1))
+            gaps = rng.random(n) < 0.5
+            pieces = [(ends[i] + gaps[i] * 0.05, ends[i + 1]) for i in range(n)]
+            points = [x for x in ends if rng.random() < 0.5] + [ends[0] - 1.0, ends[-1] + 1.0]
+            w = rng.dirichlet(np.ones(n + len(points)))
+            d = Distribution(
+                atoms=tuple(zip(points, w[n:])),
+                pieces=tuple(Piece(lo, hi, wi) for (lo, hi), wi in zip(pieces, w[:n])),
+            )
+            q = quantize(d, m)
+            support, mass = quantize_reference(d, m)
+            assert q.support.tobytes() == support.tobytes()
+            assert q.mass.tobytes() == mass.tobytes()
+
     def test_atomic_pass_through(self, rng):
         d = make_discrete([1, 2, 3], [0.2, 0.3, 0.5])
         for m in (1, 7, 100):
@@ -363,12 +415,13 @@ class TestModelFaults:
         return rows
 
     def row_rounded_across_the_tolerance(self):
-        """Positive masses whose Neumaier sum and exact sum fall on either side of 1 - MASS_TOL.
+        """Positive masses whose rounded sums and exact sum fall on either side of 1 - MASS_TOL.
 
         `low` is the least double within MASS_TOL of 1 and `below` the one
         before it, whose last bit is even.  `below` plus half their gap ties
-        to `below`, and the tiny third mass is lost in the compensation, so
-        Neumaier gives `below` while the exact sum rounds up to `low`.
+        to `below`, and the tiny third mass is lost, in a plain sum as in
+        Neumaier's compensation, so both give `below` while the exact sum
+        rounds up to `low`.
         """
         low = 1.0 - MASS_TOL
         while 1.0 - low > MASS_TOL:
@@ -377,9 +430,11 @@ class TestModelFaults:
         half = (low - below) / 2
         return [float(below), float(half), float(half) * 2.0**-60]
 
-    def test_neumaier_and_exact_sums_differ_at_the_tolerance(self):
+    def test_cheap_sum_and_fsum_differ_and_the_code_follows_fsum(self):
         row = self.row_rounded_across_the_tolerance()
+        assert float(np.sum(row)) != math.fsum(row)
         assert comp_sum(np.array(row)) != math.fsum(row)
+        assert abs(float(np.sum(row)) - 1.0) > MASS_TOL
         assert not fsum_unnormalized(row)
         assert model_faults(np.array([[0.0, 1.0, 2.0]]), np.array([row])).tolist() == [0]
 
@@ -402,14 +457,46 @@ class TestModelFaults:
         edge = self.rows_at_the_tolerance()
         assert {fsum_unnormalized(row) for row in edge} == {True, False}
 
-    def test_long_rows_near_the_tolerance(self, rng):
-        for m in (1000, 8196):
-            mass = rng.uniform(0.5, 1.0, (6, m))
-            mass /= mass.sum(axis=1)[:, None]
-            mass *= 1.0 + MASS_TOL * np.array([-1.01, -0.99, 0.0, 0.99, 1.01, 1.0])[:, None]
-            support = np.tile(np.arange(m, dtype=float), (6, 1))
-            want = [4 if fsum_unnormalized(row) else 0 for row in mass.tolist()]
-            assert model_faults(support, mass).tolist() == want
+    @pytest.mark.parametrize("m", [1000, 8196, 8197, 65537])
+    def test_long_rows_near_the_tolerance(self, rng, m):
+        # 8197 and 65537 are one past a square, so the blocked sum pads them.
+        mass = rng.uniform(0.5, 1.0, (6, m))
+        mass /= mass.sum(axis=1)[:, None]
+        mass *= 1.0 + MASS_TOL * np.array([-1.01, -0.99, 0.0, 0.99, 1.01, 1.0])[:, None]
+        overflowing = np.full((2, m), 1e-9)
+        overflowing[0, :2] = 1e308
+        overflowing[1, -3:] = [1.7e308, 1e-300, 1.7e308]
+        mass = np.vstack([mass, overflowing])
+        support = np.tile(np.arange(m, dtype=float), (mass.shape[0], 1))
+        want = [4 if fsum_unnormalized(row) else 0 for row in mass.tolist()]
+        assert want[:5] + want[6:] == [4, 0, 0, 0, 4, 4, 4]
+        assert model_faults(support, mass).tolist() == want
+        # The same rows, ragged: each keeps its first `size` entries.
+        sizes = m - np.arange(mass.shape[0]) % 3
+        rows = [row[:size] for row, size in zip(mass.tolist(), sizes)]
+        want = [4 if fsum_unnormalized(row) else 0 for row in rows]
+        assert model_faults(support, np.where(np.arange(m) < sizes[:, None], mass, 7.0), sizes).tolist() == want
+
+    def test_one_wide_row(self, rng):
+        mass = rng.uniform(0.5, 1.0, 200_000)
+        mass /= mass.sum()
+        support = np.arange(mass.size, dtype=float)[None, :]
+        for scale in (-1.01, -0.99, 0.0, 0.99, 1.01):
+            row = mass * (1.0 + scale * MASS_TOL)
+            want = 4 if fsum_unnormalized(row.tolist()) else 0
+            assert model_faults(support, row[None, :]).tolist() == [want]
+
+    def test_rows_far_from_the_tolerance_skip_fsum(self, rng, monkeypatch):
+        import opial.distributions as distributions
+
+        summed = []
+        monkeypatch.setattr(distributions, "_mass_total", lambda row: summed.append(row) or math.fsum(row))
+        mass = rng.uniform(0.5, 1.0, (4, 8197))
+        mass /= mass.sum(axis=1)[:, None]
+        mass *= 1.0 + MASS_TOL * np.array([-10.0, 0.0, 0.5, 10.0])[:, None]
+        support = np.tile(np.arange(8197, dtype=float), (4, 1))
+        assert model_faults(support, mass).tolist() == [4, 0, 0, 4]
+        assert summed == []
 
 
 class TestNodeFunction:
