@@ -44,9 +44,6 @@ class Piece:
 
 def _is_number(value) -> bool:
     """Whether a spec value is a number, not a string, null, boolean or list."""
-    # Exact float and int, the types JSON decodes to, skip the ABC check.
-    if type(value) is float or type(value) is int:
-        return True
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
@@ -290,11 +287,7 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
         unnormalized = checked & (off > MASS_TOL)
         near = checked & ~(np.abs(off - MASS_TOL) > margin)
     unnormalized[near] = [abs(_mass_total(row) - 1.0) > MASS_TOL for row in masses[near].tolist()]
-    codes = np.zeros(rows, dtype=int)
-    # Written last to first, so the first failed check's code stands.
-    for code, failed in ((4, unnormalized), (3, nonpositive), (2, unordered), (1, nonfinite)):
-        codes[failed] = code
-    return codes
+    return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
 
 
 @dataclass(frozen=True)

@@ -233,9 +233,12 @@ def corollary_rows(p_low, vals_low, p_up, vals_up) -> dict:
 
     ``p_low, vals_low`` are the lower conditional model's masses and
     values, ``p_up, vals_up`` the upper one's; the two halves' lengths may
-    differ.  Zero masses with zero values leave every pass unchanged, so the
-    search's masked rows, which hold both halves on one shared node axis,
-    give the same terms as the halves alone.
+    differ.  The search's masked rows hold both halves on one shared node
+    axis, zero masses and values outside each half.  While each half's
+    running sums are finite, those zeros leave every pass unchanged and the
+    terms equal the halves' alone.  A half whose total overflows makes a
+    padded slot's term ``0 * inf``, so the shared axis can give NaN where
+    the halves alone give inf.
     """
     low = opial_rows(p_low, vals_low, "below")
     up = opial_rows(p_up, vals_up, "above")
