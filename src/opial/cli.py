@@ -262,6 +262,16 @@ def _params(args: argparse.Namespace, spec: fn.Functional, chi) -> dict:
     }
 
 
+def _require_finite(functional: str, terms: dict) -> None:
+    """Refuse a verdict on non-finite terms: the input overflows or is not finite."""
+    bad = sorted(k for k, v in terms.items() if not math.isfinite(v))
+    if bad:
+        raise CliError(
+            f"{functional}: non-finite terms {', '.join(bad)}; the input overflows "
+            "double precision or is not finite"
+        )
+
+
 def _evaluate_report(args: argparse.Namespace, dist, psi, chi, model=None):
     """Evaluate --functional on the loaded inputs: the one way from the flags
     to a report, for verify and oracle-diff.  `model` is --dist quantized at
@@ -303,12 +313,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"{report.functional} slack={report.slack:.6g} ratio={report.ratio:.12g} "
             f"equality={str(report.equality).lower()}"
         )
-    bad = sorted(k for k, v in terms.items() if not math.isfinite(v))
-    if bad:  # overflow or non-finite input: no verdict
-        raise CliError(
-            f"{args.functional}: non-finite terms {', '.join(bad)}; the input overflows "
-            "double precision or is not finite"
-        )
+    _require_finite(args.functional, terms)
     _emit(args, report.to_json_dict())
     print(summary)
     return EXIT_VIOLATION if fn.violates(slack, rhs, args.tol) else EXIT_OK
@@ -328,6 +333,7 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
         # different discretization than splitting the quantized model.
         raise CliError(f"oracle-diff for {functional} requires an atomic distribution")
     fast = _evaluate_report(args, dist, psi, chi, model).terms
+    _require_finite(functional, fast)
     # The oracle gets psi as the fast path resolved it: on an atomic law the
     # two sides of the split are the full model's nodes, in order.
     if spec.input == "distribution":

@@ -482,6 +482,7 @@ class NodeFunction:
         if self.kind == "values":
             if self.values is None:
                 raise ValueError("kind 'values' requires a value vector")
+            # The one conversion: from_spec and of_values pass the values as given.
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
             if not all(math.isfinite(v) for v in self.values):
                 raise ValueError("node-function values must be finite")
@@ -507,7 +508,7 @@ class NodeFunction:
 
     @classmethod
     def of_values(cls, values: Iterable[float]) -> "NodeFunction":
-        return cls(kind="values", values=tuple(float(v) for v in values))
+        return cls(kind="values", values=tuple(values))
 
     def resolve(self, model: QuantizedModel) -> np.ndarray:
         """Evaluate at the nodes of `model`."""
@@ -533,17 +534,14 @@ class NodeFunction:
             if name not in spec and default is None:
                 raise ValueError(f"{kind} spec missing field {name!r}")
             fields[name] = spec.get(name, default)
-        if "values" in fields:
-            values = fields["values"]
-            try:
-                if not (isinstance(values, list) and all(map(_is_number, values))):
-                    raise TypeError
-                fields["values"] = tuple(float(v) for v in values)
-            except (TypeError, OverflowError):
-                raise ValueError("node-function values must be a list of numbers") from None
-        else:
+        if "values" not in fields:
             fields = dict(zip(fields, _spec_numbers(fields, "node-function ", ValueError)))
-        return cls(kind=kind, **fields)
+        elif not (isinstance(fields["values"], list) and all(map(_is_number, fields["values"]))):
+            raise ValueError("node-function values must be a list of numbers")
+        try:
+            return cls(kind=kind, **fields)
+        except OverflowError:  # an int too large for a double, met by __post_init__
+            raise ValueError("node-function values must be a list of numbers") from None
 
     def to_spec(self) -> dict:
         spec = {"kind": self.kind}

@@ -57,18 +57,28 @@ class BestConstant:
     c_m is the maximum of psi^T K psi / E psi^2, over zero-mean psi where
     the functional requires it; psi_star is the maximizer normalized to
     E psi^2 = 1; residual is the symmetric-space eigen residual of
-    (c_m, psi_star); trace holds the quotient after each power step.  A
+    (c_m, psi_star); trace holds (step, quotient) after each power step
+    that raised the quotient, numbered from 1.  The trace is the solve's
+    only record: iterations and converged are derived from it.  A
     rank-one form's pair is stated in closed form, not iterated: its
-    iterations is 0, its trace is empty and psi_star is all ones.
+    trace is empty and psi_star is all ones.
     """
 
     functional: str
     c_m: float
     psi_star: np.ndarray
-    iterations: int
-    converged: bool
     residual: float
     trace: tuple[tuple[int, float], ...]
+
+    @property
+    def iterations(self) -> int:
+        """Power steps recorded: one per trace entry, 0 in closed form."""
+        return len(self.trace)
+
+    @property
+    def converged(self) -> bool:
+        """Always True: a solve that does not converge raises ConvergenceError."""
+        return True
 
     @property
     def ratio_star(self) -> float:
@@ -100,7 +110,7 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
     A rank-one form (thm1-*: K = p p^T / 2) is solved in closed form:
     B = c sqrt(p) sqrt(p)^T has the one nonzero eigenvalue c, its stated
     constant, at phi = sqrt(p), so c_m = c and psi_star = 1 on every law,
-    with ``iterations == 0`` and an empty trace.  Its residual is still a
+    with an empty trace (``iterations == 0``).  Its residual is still a
     certificate: one pass of the form at phi = sqrt(p), less c sqrt(p).
 
     Every other form is zero-mean (Wirtinger) and is solved by power
@@ -108,8 +118,10 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
     by orthogonal projection at every step, and the iteration starts from
     cos(pi F), which for m >= 2 is strictly decreasing, so it does not
     project to zero.  Where only one direction is admissible (two nodes)
-    the iteration converges at its first step.  It stops when the quotient
-    rises by at most EIGEN_TOL relative or no longer rises, and raises
+    the iteration converges at its first step.  The trace is the loop's
+    only state.  It stops when the quotient no longer rises (that step is
+    not recorded), the iterate maps to zero, or, after step 1, the quotient
+    rose by at most EIGEN_TOL relative; it raises
     :class:`ConvergenceError` after MAX_ITER steps.
     """
     spec = fn.FUNCTIONALS.get(functional)
@@ -125,17 +137,14 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
             functional=functional,
             c_m=form.bound,
             psi_star=psi_star,
-            iterations=0,
-            converged=True,
             residual=residual,
             trace=(),
         )
     if p.size < 2:
         raise ValueError("the zero-mean subspace is trivial for a single node")
-    s = sq  # unit vector: sum of masses is 1
 
     def project(v: np.ndarray) -> np.ndarray:
-        return v - (s @ v) * s
+        return v - (sq @ v) * sq  # sq is a unit vector: the masses sum to 1
 
     def apply(phi: np.ndarray) -> np.ndarray:
         return project(form.matvec(p, phi / sq) / sq)
@@ -144,28 +153,19 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
     phi /= np.linalg.norm(phi)
 
     trace: list[tuple[int, float]] = []
-    c_prev = -math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
+    for step in range(1, MAX_ITER + 1):
         w = apply(phi)
         c = float(phi @ w)
-        if c <= c_prev:
-            # No further float-representable improvement.
-            converged = True
-            iterations -= 1
-            break
-        trace.append((iterations, c))
+        if trace and c <= trace[-1][1]:
+            break  # No further float-representable improvement.
+        trace.append((step, c))
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
-            converged = True
             break
         phi = w / norm_w
-        if c - c_prev <= EIGEN_TOL * max(1.0, abs(c)) and iterations > 1:
-            converged = True
+        if step > 1 and c - trace[-2][1] <= EIGEN_TOL * max(1.0, abs(c)):
             break
-        c_prev = c
-    if not converged:
+    else:
         raise ConvergenceError(
             f"power iteration did not converge within {MAX_ITER} iterations"
         )
@@ -178,8 +178,6 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
         functional=functional,
         c_m=c_final,
         psi_star=psi_star,
-        iterations=iterations,
-        converged=True,
         residual=residual,
         trace=tuple(trace),
     )
@@ -206,7 +204,7 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceStudy:
     functional: str
-    n: int | None
+    n: int | None  # the order, for an id that takes one
     rows: tuple[ConvergenceRow, ...]
     fitted_order: float | None  # least-squares slope over all positive errors
 
@@ -253,7 +251,8 @@ def convergence_study(
     it is a bound for n = 1 only (see
     :func:`~opial.functionals.theorem2_terms`).  One with
     only a quadratic form gives its best constant c_m: wirtinger, which
-    approaches 1/pi^2.
+    approaches 1/pi^2.  The study records `n` only for an id that takes an
+    order (thm2); for the others it is None whatever was passed.
     """
     if not grids:
         raise ValueError("need at least one grid size")
@@ -266,8 +265,7 @@ def convergence_study(
     if params and n is None:
         raise ValueError(f"{functional_id} study requires the order n")
     base = make_uniform_interval(0.0, 1.0)
-    values: list[float] = []
-    errors: list[float] = []
+    rows: list[ConvergenceRow] = []
     for m in grids:
         model = quantize(base, m)
         if spec.study is not None:
@@ -276,25 +274,20 @@ def convergence_study(
         else:
             value = rayleigh_best_constant(model, functional_id).c_m
             limit = spec.form.bound
-        values.append(value)
-        errors.append(abs(value - limit))
-
-    rows: list[ConvergenceRow] = []
-    for k, m in enumerate(grids):
+        error = abs(value - limit)
         order = None
-        if k > 0 and errors[k] > 0.0 and errors[k - 1] > 0.0:
-            order = math.log(errors[k - 1] / errors[k]) / math.log(grids[k] / grids[k - 1])
-        rows.append(ConvergenceRow(m=m, value=values[k], error=errors[k], order=order))
+        if rows and error > 0.0 and rows[-1].error > 0.0:
+            order = math.log(rows[-1].error / error) / math.log(m / rows[-1].m)
+        rows.append(ConvergenceRow(m=m, value=value, error=error, order=order))
 
-    positive = [(math.log(m), math.log(e)) for m, e in zip(grids, errors) if e > 0.0]
+    positive = [row for row in rows if row.error > 0.0]
     fitted = None
     if len(positive) >= 2:
-        xs = np.array([q[0] for q in positive])
-        ys = np.array([q[1] for q in positive])
-        slope = np.polyfit(xs, ys, 1)[0]
-        fitted = -float(slope)
+        xs = np.array([math.log(row.m) for row in positive])
+        ys = np.array([math.log(row.error) for row in positive])
+        fitted = -float(np.polyfit(xs, ys, 1)[0])
     return ConvergenceStudy(
-        functional=functional_id, n=n, rows=tuple(rows), fitted_order=fitted
+        functional=functional_id, n=params.get("n"), rows=tuple(rows), fitted_order=fitted
     )
 
 

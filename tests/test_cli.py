@@ -313,6 +313,24 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert err.startswith("opial: error: thm1-lower: non-finite terms") and err.count("\n") == 1
 
+    def test_oracle_diff_refuses_overflowing_terms_before_the_oracle(self, tmp_path, capsys, monkeypatch):
+        psi = '{"kind": "values", "values": [1e200, -2e200, 3e200]}'
+        code, _ = self.verify(tmp_path, psi)
+        verify_err = capsys.readouterr().err
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran on non-finite terms")
+
+        monkeypatch.setattr(cli.oracle_mod, "enumerate_functional", no_oracle)
+        out = tmp_path / "diff.json"
+        argv = ["oracle-diff", "--dist", self.three_atoms(tmp_path), "--psi", psi]
+        assert main(argv + ["--functional", "thm1-lower", "--out", str(out)]) == code == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == verify_err == (
+            "opial: error: thm1-lower: non-finite terms lhs, middle, rhs; "
+            "the input overflows double precision or is not finite\n"
+        )
+
     def test_overflowing_masses(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"atoms": [[0, 1e308], [1, 1e308]], "pieces": []}), encoding="utf-8")
@@ -846,6 +864,15 @@ class TestConverge:
     def test_grids_required(self, capsys):
         assert main(["converge", "--functional", "thm2", "--n", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "functional, recorded", [("wirtinger", None), ("thm1-lower", None), ("thm2", 2)]
+    )
+    def test_order_recorded_only_where_read(self, tmp_path, functional, recorded):
+        out = tmp_path / "study.json"
+        argv = ["converge", "--functional", functional, "--grids", "4,8", "--n", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == recorded
+
 
 class TestSharpnessCommand:
     def test_wirtinger(self, tmp_path):
@@ -1011,6 +1038,10 @@ class TestUsage:
 
     def test_console_entry_point(self, tmp_path):
         dist = write_uniform_n(tmp_path / "d.json", 5)
+        # The child imports the package this test imported, installed or not.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
         proc = subprocess.run(
             [
                 sys.executable,
@@ -1026,6 +1057,7 @@ class TestUsage:
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "equality=true" in proc.stdout

@@ -583,6 +583,30 @@ class TestNodeFunction:
             NodeFunction.from_spec(spec)
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            (10**400, "node-function values must be a list of numbers"),
+            (float("nan"), "node-function values must be finite"),
+            (1e400, "node-function values must be finite"),
+            ("3", "node-function values must be a list of numbers"),
+            (True, "node-function values must be a list of numbers"),
+        ],
+    )
+    def test_values_messages(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NodeFunction.from_spec({"kind": "values", "values": [1.0, value, 2]})
+
+    def test_values_converted_to_floats(self):
+        from_spec = NodeFunction.from_spec({"kind": "values", "values": [1, 2.5, -3]})
+        from_generator = NodeFunction.of_values(v for v in (1, 2.5, -3))
+        for f in (from_spec, from_generator):
+            assert f.values == (1.0, 2.5, -3.0)
+            assert all(type(v) is float for v in f.values)
+        assert from_spec == from_generator
+        with pytest.raises(ValueError, match="^node-function values must be finite$"):
+            NodeFunction.of_values(v for v in (1.0, float("inf")))
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ({"kind": "constant", "level": "2.5", "bogus": 1}, "constant spec: unknown field 'bogus'"),

@@ -213,6 +213,49 @@ class TestOneAdmissibleDirection:
             assert abs(result.psi_star @ (p * psi)) == pytest.approx(math.sqrt(p @ (psi * psi)), rel=1e-13)
 
 
+class TestLoopExits:
+    """Every exit of the power loop, against the fields derived from its trace."""
+
+    def assert_steps(self, result, steps):
+        assert result.iterations == len(result.trace) == steps
+        assert [i for i, _ in result.trace] == list(range(1, steps + 1))
+        assert result.converged is True
+        doc = result.to_json_dict()
+        assert doc["iterations"] == steps and doc["converged"] is True
+
+    @pytest.mark.parametrize("functional", ["thm1-lower", "thm1-upper"])
+    def test_closed_form_takes_no_step(self, functional, rng):
+        for _ in range(20):
+            self.assert_steps(rayleigh_best_constant(random_atomic_model(rng, m_max=30), functional), 0)
+
+    @pytest.mark.parametrize("m", [1000, 8192])
+    def test_no_rise_exit(self, m):
+        # One recorded step with c_m > 0: the iterate did not map to zero and
+        # the tolerance rule waits for step 2, so step 2 did not rise.
+        result = wirtinger_best_constant(m)
+        self.assert_steps(result, 1)
+        assert result.c_m > 0.0
+
+    def test_tolerance_exit(self):
+        result = wirtinger_best_constant(16)
+        self.assert_steps(result, 2)
+        (_, first), (_, second) = result.trace
+        assert 0.0 < second - first <= sharpness.EIGEN_TOL * max(1.0, abs(second))
+
+    def test_exit_at_the_last_allowed_step(self, monkeypatch):
+        monkeypatch.setattr(sharpness, "MAX_ITER", 2)
+        self.assert_steps(wirtinger_best_constant(16), 2)
+
+    def test_random_laws(self, rng):
+        for _ in range(100):
+            result = rayleigh_best_constant(random_atomic_model(rng, m_max=40, m_min=2))
+            assert result.iterations >= 1
+            self.assert_steps(result, len(result.trace))
+            assert result.c_m == result.trace[-1][1]
+            values = [c for _, c in result.trace]
+            assert all(b > a for a, b in zip(values, values[1:]))
+
+
 class TestConvergenceStudy:
     def test_thm1_exact_at_every_resolution(self):
         study = convergence_study("thm1-lower", [4, 16, 64])
