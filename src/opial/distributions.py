@@ -483,7 +483,11 @@ class NodeFunction:
             if self.values is None:
                 raise ValueError("kind 'values' requires a value vector")
             # The one conversion: from_spec and of_values pass the values as given.
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            try:
+                values = tuple(float(v) for v in self.values)
+            except OverflowError:  # an int too large for a double
+                raise ValueError("node-function values must be a list of numbers") from None
+            object.__setattr__(self, "values", values)
             if not all(math.isfinite(v) for v in self.values):
                 raise ValueError("node-function values must be finite")
         for name in ("level", "threshold", "low", "high"):
@@ -538,10 +542,7 @@ class NodeFunction:
             fields = dict(zip(fields, _spec_numbers(fields, "node-function ", ValueError)))
         elif not (isinstance(fields["values"], list) and all(map(_is_number, fields["values"]))):
             raise ValueError("node-function values must be a list of numbers")
-        try:
-            return cls(kind=kind, **fields)
-        except OverflowError:  # an int too large for a double, met by __post_init__
-            raise ValueError("node-function values must be a list of numbers") from None
+        return cls(kind=kind, **fields)
 
     def to_spec(self) -> dict:
         spec = {"kind": self.kind}

@@ -15,11 +15,14 @@ in the n-th order bound.
 
 Each functional's arithmetic lives in one ``*_rows`` kernel that works row
 by row along the last axis: masses and node values of shape ``(..., m)``
-give terms of shape ``(...)``.  A batch of models of different sizes is
-zero-padded to a common length; a zero mass leaves every compensated pass
-and sum unchanged (see :mod:`opial.accumulate`), so each row's terms are
-bit-identical to evaluating that model alone.  The public evaluators are
-their kernel applied to one model, followed by the report.
+give terms of shape ``(...)``.  A kernel reads its sums through a
+``passes`` argument, compensated by default (:mod:`opial.accumulate`);
+only the search's filter passes the plain ones.  A batch of models of
+different sizes is zero-padded to a common length; a zero mass leaves
+every compensated pass and sum unchanged (see :mod:`opial.accumulate`), so
+each row's terms are bit-identical to evaluating that model alone.  The
+public evaluators are their kernel applied to one model, followed by the
+report.
 
 :data:`FUNCTIONALS` is the one table of the functional ids: each entry holds
 the evaluator, the row kernel, the tight term, the required parameters, the
@@ -36,7 +39,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .accumulate import comp_sum, prefix_exclusive, suffix_exclusive
+from .accumulate import COMPENSATED, Passes, comp_sum, prefix_exclusive, suffix_exclusive
 from .distributions import (
     Distribution,
     NodeFunction,
@@ -174,10 +177,10 @@ def _check_direction(direction: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _half_tie(weighted: np.ndarray, direction: Direction) -> np.ndarray:
+def _half_tie(weighted: np.ndarray, direction: Direction, passes: Passes = COMPENSATED) -> np.ndarray:
     if direction == "below":
-        return prefix_exclusive(weighted) + 0.5 * weighted
-    return suffix_exclusive(weighted) + 0.5 * weighted
+        return passes.prefix(weighted) + 0.5 * weighted
+    return passes.suffix(weighted) + 0.5 * weighted
 
 
 def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below") -> np.ndarray:
@@ -192,14 +195,14 @@ def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below
     return _half_tie(model.mass * _as_values(psi, model), direction)
 
 
-def opial_rows(p, vals, direction: Direction = "below") -> dict:
+def opial_rows(p, vals, direction: Direction = "below", passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, middle, rhs of :func:`opial_terms`, row by row."""
-    t_signed = _half_tie(p * vals, direction)
-    t_abs = _half_tie(p * np.abs(vals), direction)
+    t_signed = _half_tie(p * vals, direction, passes)
+    t_abs = _half_tie(p * np.abs(vals), direction, passes)
     return {
-        "lhs": comp_sum(p * np.abs(t_signed * vals)),
-        "middle": comp_sum(p * np.abs(vals) * t_abs),
-        "rhs": 0.5 * comp_sum(p * vals * vals),
+        "lhs": passes.total(p * np.abs(t_signed * vals)),
+        "middle": passes.total(p * np.abs(vals) * t_abs),
+        "rhs": 0.5 * passes.total(p * vals * vals),
     }
 
 
@@ -228,7 +231,7 @@ def opial_terms(
     )
 
 
-def corollary_rows(p_low, vals_low, p_up, vals_up) -> dict:
+def corollary_rows(p_low, vals_low, p_up, vals_up, passes: Passes = COMPENSATED) -> dict:
     """Terms of :func:`corollary_split`, row by row.
 
     ``p_low, vals_low`` are the lower conditional model's masses and
@@ -240,8 +243,8 @@ def corollary_rows(p_low, vals_low, p_up, vals_up) -> dict:
     padded slot's term ``0 * inf``, so the shared axis can give NaN where
     the halves alone give inf.
     """
-    low = opial_rows(p_low, vals_low, "below")
-    up = opial_rows(p_up, vals_up, "above")
+    low = opial_rows(p_low, vals_low, "below", passes)
+    up = opial_rows(p_up, vals_up, "above", passes)
     return {key: low[key] + up[key] for key in ("lhs", "middle", "rhs")}
 
 
@@ -303,7 +306,7 @@ def corollary_split(
 # ---------------------------------------------------------------------------
 
 
-def _nested_rows(p, vals, n) -> np.ndarray:
+def _nested_rows(p, vals, n, passes: Passes = COMPENSATED) -> np.ndarray:
     """I_n row by row, with the order n given per row (or once for all)."""
     n = np.asarray(n)
     low, high = int(n.min()), int(n.max())
@@ -313,7 +316,7 @@ def _nested_rows(p, vals, n) -> np.ndarray:
         raise ValueError(f"order n={high} exceeds the cap {ORDER_CAP}")
     cur = i_n = vals
     for k in range(1, high + 1):
-        cur = prefix_exclusive(p * cur)
+        cur = passes.prefix(p * cur)
         i_n = np.where(np.expand_dims(n >= k, -1), cur, i_n)
     return i_n
 
@@ -330,14 +333,14 @@ def nested_integral(model: QuantizedModel, psi, n: int) -> np.ndarray:
     return _nested_rows(model.mass, _as_values(psi, model), n)
 
 
-def theorem2_rows(p, vals, n) -> dict:
+def theorem2_rows(p, vals, n, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of :func:`theorem2_terms`, row by row; `n` per row or once."""
-    i_n = _nested_rows(p, vals, n)
+    i_n = _nested_rows(p, vals, n, passes)
     n = np.asarray(n)
     factorials = np.array([math.factorial(k + 1) for k in range(int(n.max()) + 1)], dtype=float)
     return {
-        "lhs": comp_sum(p * np.abs(i_n * vals)),
-        "rhs": comp_sum(p * vals * vals) / factorials[n],
+        "lhs": passes.total(p * np.abs(i_n * vals)),
+        "rhs": passes.total(p * vals * vals) / factorials[n],
     }
 
 
@@ -373,17 +376,17 @@ def theorem2_terms(
 # ---------------------------------------------------------------------------
 
 
-def theorem3_rows(p, vals) -> dict:
+def theorem3_rows(p, vals, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of :func:`theorem3_terms`, row by row."""
     a = np.abs(vals)
-    s1 = prefix_exclusive(p * a)
-    j = prefix_exclusive(p * s1)
-    jd = prefix_exclusive(p * p * a) + p * s1
-    lhs = 6.0 * comp_sum(p * j * a) + 3.0 * comp_sum(p * jd * a)
-    below = prefix_exclusive(p)
-    above = suffix_exclusive(p)
+    s1 = passes.prefix(p * a)
+    j = passes.prefix(p * s1)
+    jd = passes.prefix(p * p * a) + p * s1
+    lhs = 6.0 * passes.total(p * j * a) + 3.0 * passes.total(p * jd * a)
+    below = passes.prefix(p)
+    above = passes.suffix(p)
     kernel = below * below + above * above + p * (below + above)
-    return {"lhs": lhs, "rhs": 1.5 * comp_sum(p * vals * vals * kernel)}
+    return {"lhs": lhs, "rhs": 1.5 * passes.total(p * vals * vals * kernel)}
 
 
 def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -432,20 +435,20 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
 # ---------------------------------------------------------------------------
 
 
-def weighted_rows(p, vals, chi, direction: Direction = "below") -> dict:
+def weighted_rows(p, vals, chi, direction: Direction = "below", passes: Passes = COMPENSATED) -> dict:
     """Terms of :func:`weighted_opial_terms`, row by row."""
-    t_signed = _half_tie(p * vals, direction)
-    t_abs = _half_tie(p * np.abs(vals), direction)
-    lhs = comp_sum(p * np.abs(t_signed * vals) * chi)
-    middle = comp_sum(p * np.abs(vals) * chi * t_abs)
+    t_signed = _half_tie(p * vals, direction, passes)
+    t_abs = _half_tie(p * np.abs(vals), direction, passes)
+    lhs = passes.total(p * np.abs(t_signed * vals) * chi)
+    middle = passes.total(p * np.abs(vals) * chi * t_abs)
     if direction == "below":
-        near = prefix_exclusive(p)
-        far = suffix_exclusive(p * chi) + 0.5 * p * chi
+        near = passes.prefix(p)
+        far = passes.suffix(p * chi) + 0.5 * p * chi
     else:
-        near = suffix_exclusive(p)
-        far = prefix_exclusive(p * chi) + 0.5 * p * chi
-    rhs = 0.5 * comp_sum(p * vals * vals * (chi * (near + 0.5 * p) + far))
-    monotone_bound = 0.5 * comp_sum(p * vals * vals * chi)
+        near = passes.suffix(p)
+        far = passes.prefix(p * chi) + 0.5 * p * chi
+    rhs = 0.5 * passes.total(p * vals * vals * (chi * (near + 0.5 * p) + far))
+    monotone_bound = 0.5 * passes.total(p * vals * vals * chi)
     return {"lhs": lhs, "middle": middle, "rhs": rhs, "monotone_bound": monotone_bound}
 
 
@@ -536,10 +539,10 @@ def troy_comparison(p_exp: float, psi, m: int = DEFAULT_RESOLUTION) -> TroyCompa
 # ---------------------------------------------------------------------------
 
 
-def wirtinger_rows(p, vals) -> dict:
+def wirtinger_rows(p, vals, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of :func:`wirtinger_terms` for zero-mean rows."""
-    low = prefix_exclusive(p * vals)
-    return {"lhs": comp_sum(p * low * low), "rhs": INV_PI_SQ * comp_sum(p * vals * vals)}
+    low = passes.prefix(p * vals)
+    return {"lhs": passes.total(p * low * low), "rhs": INV_PI_SQ * passes.total(p * vals * vals)}
 
 
 def wirtinger_terms(
@@ -577,29 +580,33 @@ def wirtinger_terms(
 # ---------------------------------------------------------------------------
 
 
-def o9_1_rows(a, n) -> dict:
+def o9_1_rows(a, n, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of ``o9-1`` (:func:`discrete_identities`), row by row.
 
     `n` is each row's length N before its zero padding (or one length for
     all rows); the other three identity kernels take the same arguments.
     """
-    return {"lhs": comp_sum(np.abs(a * (prefix_exclusive(a) + a))), "rhs": 0.5 * (n + 1) * comp_sum(a * a)}
+    total = passes.total
+    return {"lhs": total(np.abs(a * (passes.prefix(a) + a))), "rhs": 0.5 * (n + 1) * total(a * a)}
 
 
-def o9_2_rows(a, n) -> dict:
+def o9_2_rows(a, n, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of ``o9-2``, row by row."""
     mags = np.abs(a)
-    return {"lhs": comp_sum(mags * (prefix_exclusive(mags) + mags)), "rhs": 0.5 * (n + 1) * comp_sum(a * a)}
+    total = passes.total
+    return {"lhs": total(mags * (passes.prefix(mags) + mags)), "rhs": 0.5 * (n + 1) * total(a * a)}
 
 
-def o15_rows(a, n) -> dict:
+def o15_rows(a, n, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of ``o15``, row by row."""
-    return {"lhs": comp_sum(np.abs(a * (prefix_exclusive(a) + 0.5 * a))), "rhs": 0.25 * n * comp_sum(a * a)}
+    total = passes.total
+    return {"lhs": total(np.abs(a * (passes.prefix(a) + 0.5 * a))), "rhs": 0.25 * n * total(a * a)}
 
 
-def o18_rows(a, n) -> dict:
+def o18_rows(a, n, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of ``o18``, row by row."""
-    return {"lhs": comp_sum(np.abs(a * prefix_exclusive(a))), "rhs": 0.5 * ((n + 1) // 2) * comp_sum(a * a)}
+    total = passes.total
+    return {"lhs": total(np.abs(a * passes.prefix(a))), "rhs": 0.5 * ((n + 1) // 2) * total(a * a)}
 
 
 def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -624,7 +631,7 @@ def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     return _build_report(which, spec.rows(arr, arr.size), m=arr.size, exact=True, tol=tol)
 
 
-def rtwo_rows(a, n) -> dict:
+def rtwo_rows(a, n, passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, rhs of :func:`rtwo_terms`, row by row.
 
     `n` is each row's length N before its zero padding (or one length for
@@ -642,7 +649,7 @@ def rtwo_rows(a, n) -> dict:
     last = np.expand_dims(np.asarray(n, dtype=float) - 1.0, -1)  # N - 1
     above = last - index  # N - i for i counted from 1
     weights = index * index + above * above + last
-    return {"lhs": lhs, "rhs": 1.5 * comp_sum(weights * a * a)}
+    return {"lhs": lhs, "rhs": 1.5 * passes.total(weights * a * a)}
 
 
 def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -768,7 +775,11 @@ class Functional:
     ``zero_mean`` requires psi (or the sequence) to have mean zero, ``form``
     is the tight term's quadratic form and ``study(terms, **params)`` the
     value a refinement study reads off the kernel's terms at constant psi,
-    whose limit is 1.
+    whose limit is 1.  ``sign_free`` marks a kernel whose tight term and
+    rhs read psi (or a) only through |psi| and psi^2 (chi and rtwo's
+    coefficients are nonnegative by contract), so that every summand in
+    them is nonnegative: the search's plain evaluation of such a kernel
+    bounds its own rounding error, with no second evaluation at |psi|.
     """
 
     input: str
@@ -781,6 +792,7 @@ class Functional:
     zero_mean: bool = False
     form: QuadraticForm | None = None
     study: Callable | None = None
+    sign_free: bool = False
 
     @property
     def oracle_backed(self) -> bool:
@@ -796,12 +808,15 @@ def _first_order(direction: Direction) -> Functional:
         "middle",
         form=QuadraticForm(first_order_form, 0.5, rank_one=True),
         study=lambda terms: terms["middle"] / terms["rhs"],
+        sign_free=True,
     )
 
 
 def _weighted(direction: Direction) -> Functional:
     evaluate = partial(weighted_opial_terms, direction=direction)
-    return Functional("model", evaluate, partial(weighted_rows, direction=direction), "middle", ("chi",), _draw_weight)
+    return Functional(
+        "model", evaluate, partial(weighted_rows, direction=direction), "middle", ("chi",), _draw_weight, sign_free=True
+    )
 
 
 def _identity(which: str, rows: Callable, **options) -> Functional:
@@ -812,11 +827,13 @@ def _identity(which: str, rows: Callable, **options) -> Functional:
 FUNCTIONALS = {
     "thm1-lower": _first_order("below"),
     "thm1-upper": _first_order("above"),
-    "corollary": Functional("distribution", corollary_split, corollary_rows, "middle", ("c",), _draw_cut),
+    "corollary": Functional(
+        "distribution", corollary_split, corollary_rows, "middle", ("c",), _draw_cut, sign_free=True
+    ),
     "thm2": Functional(
         "model", theorem2_terms, theorem2_rows, "lhs", ("n",), _draw_order, study=_nth_order_value
     ),
-    "thm3": Functional("model", theorem3_terms, theorem3_rows, "lhs"),
+    "thm3": Functional("model", theorem3_terms, theorem3_rows, "lhs", sign_free=True),
     "weighted-lower": _weighted("below"),
     "weighted-upper": _weighted("above"),
     "wirtinger": Functional(
@@ -830,10 +847,10 @@ FUNCTIONALS = {
         form=QuadraticForm(wirtinger_form, INV_PI_SQ),
     ),
     "o9-1": _identity("o9-1", o9_1_rows),
-    "o9-2": _identity("o9-2", o9_2_rows),
+    "o9-2": _identity("o9-2", o9_2_rows, sign_free=True),
     "o15": _identity("o15", o15_rows, zero_mean=True, draw=_draw_centred),
     "o18": _identity("o18", o18_rows, zero_mean=True, draw=_draw_centred),
-    "rtwo": Functional("sequence", rtwo_terms, rtwo_rows, "lhs", draw=_draw_magnitudes),
+    "rtwo": Functional("sequence", rtwo_terms, rtwo_rows, "lhs", draw=_draw_magnitudes, sign_free=True),
     "troy": Functional("exponent", troy_comparison, None, "our_lhs", ("p_exp",), theorem_backed=False),
 }
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals as fn
-from .accumulate import comp_sum
+from .accumulate import PLAIN, comp_sum
 from .distributions import (
     DEFAULT_MAX_NODES,
     MODEL_FAULTS,
@@ -381,17 +381,26 @@ def _row(block: dict, k: int) -> dict:
     }
 
 
+def _halves(block: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the corollary's conditional laws X <= c and X > c on a block's rows."""
+    active = np.arange(block["mass"].shape[-1]) < block["sizes"][:, None]
+    lower = active & (block["support"] <= block["c"][:, None])
+    return lower, active & ~lower
+
+
 def _screen(functional_id: str, block: dict):
     """Slack, rhs and model fault code of a block's rows, by one kernel call.
 
-    The rows are evaluated by the functional's row kernel, whose rows are
-    bit-identical to the public evaluators.  A nonzero fault code is the
-    first invariant the row's model fails
-    (:func:`~opial.distributions.model_faults`), on which the public path
-    raises.  The evaluators' other input checks cannot fail on the draws:
-    chi, the rtwo coefficients and both conditional masses are positive by
-    construction, and the centred rows meet the zero-sum and zero-mean
-    conditions to within a few ulp.
+    The search calls it only on the rows its plain-pass filter leaves (see
+    :func:`_cleared`); each row's result does not depend on the other rows.
+    The rows are evaluated by the functional's row kernel with its default
+    compensated passes, whose rows are bit-identical to the public
+    evaluators.  A nonzero fault code is the first invariant the row's
+    model fails (:func:`~opial.distributions.model_faults`), on which the
+    public path raises.  The evaluators' other input checks cannot fail on
+    the draws: chi, the rtwo coefficients and both conditional masses are
+    positive by construction, and the centred rows meet the zero-sum and
+    zero-mean conditions to within a few ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
     sizes = block["sizes"]
@@ -406,9 +415,7 @@ def _screen(functional_id: str, block: dict):
         # from the full model's.  Their masses are divided by the exact sums
         # the public path takes, listed row by row to keep few float objects
         # alive at once.
-        active = np.arange(p.shape[-1]) < sizes[:, None]
-        lower = active & (block["support"] <= block["c"][:, None])
-        upper = active & ~lower
+        lower, upper = _halves(block)
         shares = []
         for row, cut in zip(p, np.count_nonzero(lower, axis=1).tolist()):
             row = row.tolist()
@@ -423,6 +430,99 @@ def _screen(functional_id: str, block: dict):
     else:
         terms = spec.rows(p, psi, **{name: block[name] for name in spec.params})
     return terms["rhs"] - terms[spec.tight], terms["rhs"], faults
+
+
+def _plain_terms(spec: fn.Functional, block: dict, values: np.ndarray) -> dict:
+    """The row kernel's terms on a block by plain passes, with `values` as psi (or a).
+
+    The corollary's conditional masses are divided by plain sums here, not
+    by the exact sums of the screen.
+    """
+    if spec.input == "sequence":
+        return spec.rows(values, block["sizes"], passes=PLAIN)
+    p = block["mass"]
+    if spec.input == "distribution":
+        lower, upper = _halves(block)
+        p_low, p_up = np.where(lower, p, 0.0), np.where(upper, p, 0.0)
+        return spec.rows(
+            p_low / p_low.sum(axis=-1)[:, None],
+            np.where(lower, values, 0.0),
+            p_up / p_up.sum(axis=-1)[:, None],
+            np.where(upper, values, 0.0),
+            passes=PLAIN,
+        )
+    return spec.rows(p, values, **{name: block[name] for name in spec.params}, passes=PLAIN)
+
+
+def _margin(width: int) -> float:
+    """2 gamma_K, the factor of the filter's error bounds on rows of `width` entries.
+
+    gamma_K = K u / (1 - K u) for the unit roundoff u, and
+    K = (ORDER_CAP + 4)(width + 2) bounds the roundings of every kernel.
+    Counted along every path from an entry to a term, with one rounding per
+    product and width - 1 per plain pass, the deepest kernel is thm2: at
+    order n its lhs takes (n + 1)(width - 1) + 2 roundings.  The next
+    deepest is the corollary's middle term, 4 width + 2, because its masses
+    are divided by plain sums of width entries.  K exceeds every kernel's
+    depth at n <= ORDER_CAP by more than 2 width + 8.  That covers
+    Neumaier's passes, which are within a few roundings of exact at any
+    length, and the handful of roundings in the slack and in the filter's
+    own test.
+    """
+    ku = (fn.ORDER_CAP + 4) * (width + 2) * (np.finfo(float).eps / 2)
+    return 2.0 * ku / (1.0 - ku)
+
+
+def _plain_screen(functional_id: str, block: dict):
+    """Plain slack, plain rhs and their error bounds on a block's rows.
+
+    Returns ``(slack, rhs, slack_error, rhs_error)``: each row's compensated
+    slack and rhs, as :func:`_screen` gives them, lie within ``slack_error``
+    and ``rhs_error`` of the plain ones.  The bounds are
+    ``2 gamma_K (|tight~| + |rhs~|)`` and ``2 gamma_K |rhs~|``, where the
+    tilde terms are the kernel's plain terms at |psi| (or |a|) and
+    gamma_K is that of :func:`_margin`.  A ``sign_free`` kernel's plain
+    terms are their own magnitudes, so it is evaluated once.
+
+    Why: each tight or rhs term is a tree of sums and products of the
+    row's entries.  If every entry of it passes through at most d
+    roundings, the computed term lies within gamma_d T-bar of the exact
+    one, where T-bar is the same tree over the entries' magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3); the
+    plain and the compensated terms both do, and the plain term at |psi|
+    lies within gamma_d T-bar of T-bar, so the two terms differ by at most
+    2 gamma_d T-bar / (1 - gamma_d) <= 2 gamma_K T~.  The bound holds
+    without overflow or underflow.  The draws keep every term far from
+    both (masses of at least about 1e-9, node values from normal draws),
+    and a term that overflows makes its bound inf or NaN.  Warnings are
+    silenced here; a row the filter does not clear meets the screen's own.
+    """
+    spec = fn.FUNCTIONALS[functional_id]
+    values = block["a" if spec.input == "sequence" else "psi"]
+    factor = _margin(values.shape[-1])
+    with np.errstate(all="ignore"):
+        terms = _plain_terms(spec, block, values)
+        tight, rhs = terms[spec.tight], terms["rhs"]
+        if not spec.sign_free:
+            terms = _plain_terms(spec, block, np.abs(values))
+        rhs_error = factor * np.abs(terms["rhs"])
+        return rhs - tight, rhs, rhs_error + factor * np.abs(terms[spec.tight]), rhs_error
+
+
+def _cleared(functional_id: str, block: dict, rel_tol: float) -> np.ndarray:
+    """Rows that the screen provably does not find violating, from plain passes.
+
+    A row is cleared when its plain slack less its error bound
+    (:func:`_plain_screen`) exceeds the screen's threshold
+    ``-rel_tol * max(1, |rhs|)`` for every rhs within its bound of the
+    plain one: the bound is taken off |rhs| for rel_tol >= 0, where the
+    threshold falls as |rhs| rises, and added for rel_tol < 0.  The
+    comparison is ``>``, so a NaN row is never cleared.
+    """
+    slack, rhs, slack_error, rhs_error = _plain_screen(functional_id, block)
+    with np.errstate(all="ignore"):
+        worst_rhs = np.abs(rhs) - np.copysign(rhs_error, rel_tol)
+        return slack - slack_error > -rel_tol * np.fmax(1.0, worst_rhs)
 
 
 def search_counterexample(
@@ -447,18 +547,25 @@ def search_counterexample(
     [2, DEFAULT_MAX_NODES], trials < 1 or seed < 0.
 
     Every drawn row is a valid input of the functional's public evaluator
-    (the table's ``draw`` centres and splits it), and each block's
-    zero-padded (B, m_max) arrays are screened by one call of the
-    functional's row kernel in :mod:`opial.functionals`, whose rows are
-    bit-identical to the public evaluators, together with the model checks
-    those evaluators make (:func:`_screen`).  The screen is the only
-    evaluation: the lowest listed trial of a block raises the
+    (the table's ``draw`` centres and splits it).  Each block's zero-padded
+    (B, m_max) arrays first pass a filter: the functional's row kernel in
+    :mod:`opial.functionals`, run with plain passes, and the model checks
+    of every row (:func:`~opial.distributions.model_faults`).  A row whose
+    plain slack clears the threshold by more than a proved bound on its
+    rounding error (:func:`_cleared`) cannot be listed by the compensated
+    screen, and is dropped.  The faulty rows and the rows not cleared are
+    screened as before, by one call of the row kernel with its compensated
+    passes, whose rows are bit-identical to the public evaluators, together
+    with the model checks those evaluators make (:func:`_screen`).  The
+    lowest listed trial of a block raises the
     :class:`~opial.distributions.DistributionError` its model would raise,
     or is returned with its screened slack and its row as the instance.
     The result is the same as evaluating every trial through the public
-    evaluators in order; only the cost differs.  A trial costs a few
-    microseconds at m_max = 30, most of it in the screen's compensated
-    passes; a search shorter than one block still draws the whole block.
+    evaluators in order; only the cost differs.  At the default tolerance
+    the filter clears every row of a theorem-backed functional's draws, so
+    a trial costs one plain kernel row, a few microseconds at m_max = 30;
+    a search shorter than one block still draws and filters the whole
+    block.
 
     The Wirtinger bound is only a theorem for continuous distributions;
     searching it over atomic inputs is expected to surface (heuristic-class)
@@ -474,24 +581,32 @@ def search_counterexample(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    spec = fn.FUNCTIONALS[functional_id]
     rows = block_trials(m_max)
     for block_index, start in enumerate(range(0, trials, rows)):
         drawn = _draw_block(functional_id, seed, block_index, m_max)
         block = {name: value[: trials - start] for name, value in drawn.items()}
-        slack, rhs, faults = _screen(functional_id, block)
-        listed = (faults != 0) | fn.violates(slack, rhs, rel_tol)
+        refine = ~_cleared(functional_id, block, rel_tol)
+        if spec.input != "sequence":
+            refine |= model_faults(block["support"], block["mass"], block["sizes"]) != 0
         if "skip" in block:
-            listed &= ~block["skip"]
+            refine &= ~block["skip"]
+        kept = np.flatnonzero(refine)
+        if kept.size == 0:
+            continue
+        slack, rhs, faults = _screen(functional_id, {name: value[kept] for name, value in block.items()})
+        listed = (faults != 0) | fn.violates(slack, rhs, rel_tol)
         if listed.any():
-            k = int(listed.argmax())
-            if faults[k]:
-                raise DistributionError(MODEL_FAULTS[faults[k]])
+            j = int(listed.argmax())
+            if faults[j]:
+                raise DistributionError(MODEL_FAULTS[faults[j]])
+            k = int(kept[j])
             return Violation(
                 functional=functional_id,
                 trial=start + k,
                 seed=seed,
-                slack=float(slack[k]),
-                heuristic=not fn.FUNCTIONALS[functional_id].theorem_backed,
+                slack=float(slack[j]),
+                heuristic=not spec.theorem_backed,
                 instance={name: value.tolist() for name, value in _row(block, k).items()},
             )
     return None

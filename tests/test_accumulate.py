@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opial.accumulate import comp_sum, prefix_exclusive, suffix_exclusive
+from opial.accumulate import (
+    COMPENSATED,
+    PLAIN,
+    comp_sum,
+    plain_prefix,
+    plain_suffix,
+    plain_sum,
+    prefix_exclusive,
+    suffix_exclusive,
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,3 +152,55 @@ def test_empty_single_and_signed_zero_inputs():
         assert bits(prefix_exclusive(row)) == bits(want_prefix)
         assert bits([comp_sum(row)]) == bits([want_total])
     assert comp_sum(3.0) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# plain passes, within the a-priori bound of the compensated ones
+# ---------------------------------------------------------------------------
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * np.finfo(float).eps / 2
+    return ku / (1.0 - ku)
+
+
+#: Finite floats of either sign spanning 60 decades, zeros included.
+mixed_magnitudes = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0**exponent,
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.integers(min_value=-30, max_value=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(mixed_magnitudes, min_size=0, max_size=80))
+def test_plain_passes_within_gamma_n_of_compensated(values):
+    x = np.asarray(values, dtype=float)
+    bound = gamma(x.size) * math.fsum(np.abs(x).tolist())
+    assert np.all(np.abs(plain_prefix(x) - prefix_exclusive(x)) <= bound)
+    assert np.all(np.abs(plain_suffix(x) - suffix_exclusive(x)) <= bound)
+    assert abs(plain_sum(x) - comp_sum(x)) <= bound
+
+
+def test_plain_passes_shapes_and_exact_cases():
+    assert plain_prefix([1.0, 2.0, 3.0]).tolist() == [0.0, 1.0, 3.0]
+    assert plain_suffix([1.0, 2.0, 3.0]).tolist() == [5.0, 3.0, 0.0]
+    assert plain_prefix([]).shape == plain_suffix([]).shape == (0,)
+    assert plain_prefix(2.0).tolist() == plain_suffix(2.0).tolist() == [0.0]
+    assert type(plain_sum([1.0, 2.0])) is float and plain_sum(np.zeros((3, 0))).tolist() == [0.0] * 3
+    rows = spread_row(np.random.default_rng(407), 4 * 6).reshape(4, 6)
+    for index in range(4):
+        row = rows[index]
+        assert plain_prefix(rows)[index].tolist() == plain_prefix(row).tolist()
+        assert plain_suffix(rows)[index].tolist() == plain_suffix(row).tolist()
+    assert plain_sum(rows).shape == (4,)
+
+
+def test_pass_bundles():
+    assert (COMPENSATED.prefix, COMPENSATED.suffix, COMPENSATED.total) == (
+        prefix_exclusive,
+        suffix_exclusive,
+        comp_sum,
+    )
+    assert (PLAIN.prefix, PLAIN.suffix, PLAIN.total) == (plain_prefix, plain_suffix, plain_sum)

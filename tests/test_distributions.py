@@ -607,6 +607,20 @@ class TestNodeFunction:
             NodeFunction.of_values(v for v in (1.0, float("inf")))
 
     @pytest.mark.parametrize(
+        "make",
+        [
+            lambda values: NodeFunction.of_values(values),
+            lambda values: NodeFunction(kind="values", values=tuple(values)),
+            lambda values: NodeFunction.from_spec({"kind": "values", "values": list(values)}),
+        ],
+        ids=["of_values", "constructor", "from_spec"],
+    )
+    def test_int_too_large_for_a_double_is_the_spec_error(self, make):
+        # Every way in raises from_spec's ValueError, not float()'s OverflowError.
+        with pytest.raises(ValueError, match="^node-function values must be a list of numbers$"):
+            make([1, 10**400])
+
+    @pytest.mark.parametrize(
         "spec, message",
         [
             ({"kind": "constant", "level": "2.5", "bogus": 1}, "constant spec: unknown field 'bogus'"),

@@ -19,7 +19,7 @@ from opial import (
     wirtinger_best_constant,
 )
 from opial.functionals import INV_PI_SQ
-from opial.accumulate import comp_sum
+from opial.accumulate import PLAIN, comp_sum
 from opial.functionals import FUNCTIONALS, SEARCHABLE_IDS, THEOREM_BACKED_IDS
 from opial.distributions import MASS_TOL
 from opial.sharpness import (
@@ -433,12 +433,17 @@ def loop_trials(functional, trials, seed, m_max, change=None):
             yield (trial, *evaluate(functional, d))
 
 
-def loop_search(functional, trials, seed, m_max, change=None, rel_tol=fn.EQUALITY_TOL):
-    """The search's contract: the first violating trial, in trial order."""
-    for trial, report, instance in loop_trials(functional, trials, seed, m_max, change):
+def first_violation(functional, seed, evaluated, rel_tol):
+    """The first violating trial among `evaluated`, (trial, report, instance) in trial order."""
+    for trial, report, instance in evaluated:
         if report.slack < -rel_tol * max(1.0, abs(report.terms["rhs"])):
             return Violation(functional, trial, seed, report.slack, functional == "wirtinger", instance)
     return None
+
+
+def loop_search(functional, trials, seed, m_max, change=None, rel_tol=fn.EQUALITY_TOL):
+    """The search's contract: the first violating trial, in trial order."""
+    return first_violation(functional, seed, loop_trials(functional, trials, seed, m_max, change), rel_tol)
 
 
 def as_text(violation):
@@ -664,3 +669,133 @@ class TestBatchedSearchMatchesLoop:
             loop_search("corollary", bad + 1, 3, 30, repeat_a_node)
         with pytest.raises(DistributionError, match="strictly increasing"):
             search_counterexample("corollary", trials=bad + 1, seed=3, m_max=30)
+
+
+# ---------------------------------------------------------------------------
+# the plain-pass filter in front of the compensated screen
+# ---------------------------------------------------------------------------
+
+
+def values_name(functional):
+    return "a" if FUNCTIONALS[functional].input == "sequence" else "psi"
+
+
+def ulp_neighbours(value):
+    """`value` and the floats one and two steps either side of it."""
+    out = [value]
+    for direction in (math.inf, -math.inf):
+        step = value
+        for _ in range(2):
+            step = float(np.nextafter(step, direction))
+            out.append(step)
+    return out
+
+
+def kept_rows(block):
+    return ~block.get("skip", np.zeros(block["sizes"].size, dtype=bool))
+
+
+class TestPlainFilter:
+    """The filter clears only rows the compensated screen cannot list."""
+
+    @pytest.mark.parametrize("m_max", [2, 3, 30])
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_thresholds_on_a_trials_own_slack(self, functional, m_max):
+        # rel_tol at the relative slack of the trials that are lower than
+        # every trial before them, and one and two ulp either side: there
+        # the screen's comparison turns on the last bit, and the filter must
+        # leave the decision to it.
+        trials = 128
+        for seed in (1, 12):
+            evaluated = list(loop_trials(functional, trials, seed, m_max))
+            records = []
+            for _, report, _ in evaluated:
+                rel = report.slack / max(1.0, abs(report.terms["rhs"]))
+                if not records or rel < records[-1]:
+                    records.append(rel)
+            tolerances = [-1.0, 0.0, fn.EQUALITY_TOL]
+            for rel in records[-3:]:
+                tolerances += ulp_neighbours(-rel)
+            for rel_tol in tolerances:
+                got = search_counterexample(functional, trials, seed, m_max, rel_tol=rel_tol)
+                assert as_text(got) == as_text(first_violation(functional, seed, evaluated, rel_tol)), rel_tol
+
+    @pytest.mark.parametrize("m_max", [2, 3, 30, 1000])
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_plain_slacks_lie_within_the_stated_bound(self, functional, m_max):
+        spec = FUNCTIONALS[functional]
+        name = values_name(functional)
+        gamma = (fn.ORDER_CAP + 4) * (m_max + 2) * (np.finfo(float).eps / 2)
+        gamma /= 1.0 - gamma
+        orders = range(1, fn.ORDER_CAP + 1) if functional == "thm2" else [None]
+        for seed in range(2):
+            for order in orders:
+                block = sharpness._draw_block(functional, seed, 0, m_max)
+                if order is not None:
+                    block["n"][:] = order
+                slack, rhs, _ = sharpness._screen(functional, block)
+                plain, plain_rhs, slack_error, rhs_error = sharpness._plain_screen(functional, block)
+                magnitudes = sharpness._plain_terms(spec, block, np.abs(block[name]))
+                want_rhs_error = 2.0 * gamma * np.abs(magnitudes["rhs"])
+                want_error = want_rhs_error + 2.0 * gamma * np.abs(magnitudes[spec.tight])
+                assert np.allclose(slack_error, want_error, rtol=1e-14, atol=0.0)
+                assert np.allclose(rhs_error, want_rhs_error, rtol=1e-14, atol=0.0)
+                kept = kept_rows(block)
+                assert np.isfinite(plain[kept]).all()
+                assert (np.abs(plain - slack)[kept] <= slack_error[kept]).all()
+                assert (np.abs(plain_rhs - rhs)[kept] <= rhs_error[kept]).all()
+
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_cleared_rows_clear_every_rhs_in_their_interval(self, functional):
+        # Tolerances that put a row's bounded slack exactly on the threshold
+        # at one end of its rhs interval: a row cleared there must clear the
+        # threshold at both ends.
+        for m_max in (3, 30):
+            block = sharpness._draw_block(functional, 4, 0, m_max)
+            slack, rhs, slack_error, rhs_error = sharpness._plain_screen(functional, block)
+            low = slack - slack_error
+            ends = (np.abs(rhs) - rhs_error, np.abs(rhs) + rhs_error)
+            tolerances = [-1.0, 0.0, fn.EQUALITY_TOL]
+            for k in range(0, slack.size, 16):
+                for end in ends:
+                    tolerances += ulp_neighbours(-low[k] / max(1.0, end[k]))
+            for rel_tol in tolerances:
+                cleared = sharpness._cleared(functional, block, rel_tol)
+                for end in ends:
+                    assert not (cleared & fn.violates(low, end, rel_tol)).any(), rel_tol
+
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_sign_free_kernels_read_only_magnitudes(self, functional):
+        # The flag's promise: the plain kernel gives the same tight and rhs
+        # bits at psi (or a) and at its magnitudes.  An unflagged kernel's
+        # tight term reads the signs.
+        spec = FUNCTIONALS[functional]
+        name = values_name(functional)
+        tight_differs = False
+        for m_max in (3, 30):
+            for seed in range(3):
+                block = sharpness._draw_block(functional, seed, 0, m_max)
+                kept = kept_rows(block)
+                signed = sharpness._plain_terms(spec, block, block[name])
+                magnitudes = sharpness._plain_terms(spec, block, np.abs(block[name]))
+                assert bits(signed["rhs"][kept]) == bits(magnitudes["rhs"][kept])
+                same = bits(signed[spec.tight][kept]) == bits(magnitudes[spec.tight][kept])
+                assert same or not spec.sign_free
+                tight_differs |= not same
+        assert tight_differs != spec.sign_free
+
+    @pytest.mark.parametrize("functional", THEOREM_BACKED_IDS)
+    def test_default_search_of_a_proved_bound_skips_the_screen(self, functional, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the filter left a row to the screen")
+
+        monkeypatch.setattr(sharpness, "_screen", refuse)
+        for m_max in (2, 30):
+            assert search_counterexample(functional, 3 * sharpness.block_trials(m_max), 21, m_max) is None
+
+    def test_plain_terms_are_the_kernel_with_plain_passes(self):
+        block = sharpness._draw_block("thm2", 2, 0, 12)
+        spec = FUNCTIONALS["thm2"]
+        want = fn.theorem2_rows(block["mass"], block["psi"], block["n"], passes=PLAIN)
+        got = sharpness._plain_terms(spec, block, block["psi"])
+        assert bits(got["lhs"]) == bits(want["lhs"]) and bits(got["rhs"]) == bits(want["rhs"])
