@@ -204,18 +204,24 @@ def _write_atomic(path: str, text: str) -> None:
     """Write `text` to a new file beside `path`, then rename it over `path`.
 
     The file is created as ``open(path, "w")`` would create it, with mode
-    0666 less the umask.  Its data is flushed to disk (fsync) before the
-    rename, so a crash after the rename cannot leave an empty or partial
-    report at `path`: a reader finds the old report or the whole new one.
+    0666 less the umask.  The UTF-8 bytes of `text` go to its descriptor
+    by ``os.write``, with no Python buffer between, repeated until every
+    byte is written.  They are flushed to disk (fsync) and the descriptor
+    is closed before the rename, so a crash after the rename cannot leave
+    an empty or partial report at `path`: a reader finds the old report or
+    the whole new one.  On any exception the temp file is removed.
     """
+    data = memoryview(text.encode("utf-8"))
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

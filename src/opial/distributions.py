@@ -253,20 +253,28 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
     increasing, positive masses, masses summing to 1 within
     :data:`MASS_TOL` (decided as by the exact sum ``math.fsum``).
 
-    The masses are summed plainly, in blocks of about sqrt(width) entries;
-    only the rows whose sum lies within that sum's error bound of the
-    tolerance, and the rows whose sum overflows, are summed by
-    ``math.fsum``.
+    Each check is a plain reduction over a boolean array, with the entries
+    past each row's size masked off by one row mask (no mask when ``sizes``
+    is None).  The codes are written in reverse order into a zero array, so
+    a row gets the code of its first failed check.  The masses are summed
+    plainly, in blocks of about sqrt(width) entries; only the rows whose
+    sum lies within that sum's error bound of the tolerance, and the rows
+    whose sum overflows, are summed by ``math.fsum``.
     """
     rows, width = mass.shape
+    nonfinite = ~(np.isfinite(support) & np.isfinite(mass))
+    unordered = support[:, 1:] <= support[:, :-1]
+    nonpositive = mass <= 0.0
     if sizes is None:
-        active = after_first = True
+        active = True
     else:
         active = np.arange(width) < np.asarray(sizes)[:, None]
-        after_first = active[:, 1:]
-    nonfinite = np.any(~(np.isfinite(support) & np.isfinite(mass)), axis=-1, where=active)
-    unordered = np.any(support[:, 1:] <= support[:, :-1], axis=-1, where=after_first)
-    nonpositive = np.any(mass <= 0.0, axis=-1, where=active)
+        nonfinite &= active
+        unordered &= active[:, 1:]
+        nonpositive &= active
+    nonfinite = nonfinite.any(axis=-1)
+    unordered = unordered.any(axis=-1)
+    nonpositive = nonpositive.any(axis=-1)
     checked = ~(nonfinite | unordered | nonpositive)
     # Each row, zero-padded, as k blocks of c entries (k, c about
     # sqrt(width)), summed within the blocks and then across them.  On the
@@ -287,7 +295,13 @@ def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarra
         unnormalized = checked & (off > MASS_TOL)
         near = checked & ~(np.abs(off - MASS_TOL) > margin)
     unnormalized[near] = [abs(_mass_total(row) - 1.0) > MASS_TOL for row in masses[near].tolist()]
-    return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
+    # Later assignments overwrite earlier ones: the first failed check wins.
+    codes = np.zeros(rows, dtype=np.int64)
+    codes[unnormalized] = 4
+    codes[nonpositive] = 3
+    codes[unordered] = 2
+    codes[nonfinite] = 1
+    return codes
 
 
 @dataclass(frozen=True)
@@ -482,10 +496,14 @@ class NodeFunction:
         if self.kind == "values":
             if self.values is None:
                 raise ValueError("kind 'values' requires a value vector")
-            # The one conversion: from_spec and of_values pass the values as given.
+            # The one check and conversion: from_spec and of_values pass the
+            # values as given.  A string or a boolean is not a number, and
+            # neither is an int too large for a double (float() overflows).
             try:
+                if not all(map(_is_number, self.values)):
+                    raise TypeError
                 values = tuple(float(v) for v in self.values)
-            except OverflowError:  # an int too large for a double
+            except (TypeError, OverflowError):
                 raise ValueError("node-function values must be a list of numbers") from None
             object.__setattr__(self, "values", values)
             if not all(math.isfinite(v) for v in self.values):
@@ -540,7 +558,7 @@ class NodeFunction:
             fields[name] = spec.get(name, default)
         if "values" not in fields:
             fields = dict(zip(fields, _spec_numbers(fields, "node-function ", ValueError)))
-        elif not (isinstance(fields["values"], list) and all(map(_is_number, fields["values"]))):
+        elif not isinstance(fields["values"], list):
             raise ValueError("node-function values must be a list of numbers")
         return cls(kind=kind, **fields)
 

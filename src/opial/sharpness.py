@@ -345,11 +345,11 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     standard exponentials, floored at 1e-9 and normalized again) and N(0,1)
     node values ``psi``.  Every draw is one call for the whole block, in
     that order, of shape (rows, m_max) or (rows,); entries past a row's
-    size are 0.  The table's ``draw`` then adds the functional's parameter
-    (``n``, ``chi``, or the split point ``c``: the support point of a
-    uniform index from 1 to size - 1) or transforms ``a`` or ``psi`` (psi
-    less its compensated mean for wirtinger), and marks the size-1 rows
-    that o15 and o18 ``skip``.
+    size are 0, set by one row mask built once per block.  The table's
+    ``draw`` then adds the functional's parameter (``n``, ``chi``, or the
+    split point ``c``: the support point of a uniform index from 1 to
+    size - 1) or transforms ``a`` or ``psi`` (psi less its compensated mean
+    for wirtinger), and marks the size-1 rows that o15 and o18 ``skip``.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
@@ -360,14 +360,15 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
         a = fn.pad_rows(rng.standard_normal(shape), sizes)
         return spec.draw(rng, sizes, {"sizes": sizes, "a": a})
     sizes = rng.integers(2, m_max + 1, size=rows)
+    active = np.arange(m_max) < sizes[:, None]
     gaps = rng.uniform(0.1, 1.0, shape)
-    support = fn.pad_rows(np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], sizes)
-    mass = fn.pad_rows(rng.standard_exponential(shape), sizes)
+    support = np.where(active, np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], 0.0)
+    mass = np.where(active, rng.standard_exponential(shape), 0.0)
     # Floor the masses: Dirichlet draws can come out small enough to trip
     # the positive-mass and conditioning guards downstream.
-    mass = fn.pad_rows(np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), sizes)
+    mass = np.where(active, np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), 0.0)
     mass /= mass.sum(axis=1)[:, None]
-    psi = fn.pad_rows(rng.standard_normal(shape), sizes)
+    psi = np.where(active, rng.standard_normal(shape), 0.0)
     return spec.draw(rng, sizes, {"sizes": sizes, "support": support, "mass": mass, "psi": psi})
 
 
@@ -563,9 +564,9 @@ def search_counterexample(
     The result is the same as evaluating every trial through the public
     evaluators in order; only the cost differs.  At the default tolerance
     the filter clears every row of a theorem-backed functional's draws, so
-    a trial costs one plain kernel row, a few microseconds at m_max = 30;
-    a search shorter than one block still draws and filters the whole
-    block.
+    a trial costs one plain kernel row, a few microseconds at m_max = 30.
+    A search of T trials, fewer than one block, still draws the whole
+    block, but filters and screens only its first T rows.
 
     The Wirtinger bound is only a theorem for continuous distributions;
     searching it over atomic inputs is expected to surface (heuristic-class)

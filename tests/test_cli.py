@@ -943,6 +943,73 @@ class TestSharpnessCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["sharp.json"]
 
 
+class TestReportWrite:
+    ARGV = ["sharpness", "--functional", "wirtinger", "--m", "16", "--out"]
+
+    def reference_bytes(self, tmp_path):
+        ref = tmp_path / "ref" / "sharp.json"
+        ref.parent.mkdir()
+        assert main(self.ARGV + [str(ref)]) == 0
+        return ref.read_bytes()
+
+    def test_failed_fsync_keeps_the_old_report(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "sharp.json"
+        out.write_bytes(b'{"old": "report"}\n')
+
+        def fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        assert main(self.ARGV + [str(out)]) == 1
+        assert capsys.readouterr().err == f"opial: error: cannot write {out}: Input/output error\n"
+        assert out.read_bytes() == b'{"old": "report"}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["sharp.json"]
+
+    def test_write_fsync_close_replace_in_order(self, tmp_path, monkeypatch):
+        out = tmp_path / "sharp.json"
+        calls, temps = [], {}
+        real = {name: getattr(os, name) for name in ("open", "write", "fsync", "close", "replace")}
+
+        def spy_open(path, *args):
+            fd = real["open"](path, *args)
+            if str(path).endswith(".tmp"):
+                temps[fd] = str(path)
+            return fd
+
+        def spy(name):
+            def call(target, *args):
+                if name == "replace" or target in temps:
+                    calls.append((name, temps.get(target, target)))
+                return real[name](target, *args)
+
+            return call
+
+        monkeypatch.setattr(os, "open", spy_open)
+        for name in ("write", "fsync", "close", "replace"):
+            monkeypatch.setattr(os, name, spy(name))
+        assert main(self.ARGV + [str(out)]) == 0
+        monkeypatch.undo()
+        [tmp] = temps.values()
+        assert os.path.dirname(tmp) == str(tmp_path)
+        assert calls == [("write", tmp), ("fsync", tmp), ("close", tmp), ("replace", tmp)]
+        assert [p.name for p in tmp_path.iterdir()] == ["sharp.json"]
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        want = self.reference_bytes(tmp_path)
+        out = tmp_path / "sharp.json"
+        real_write, sizes = os.write, []
+
+        def one_byte(fd, data):
+            sizes.append(len(data))
+            return real_write(fd, bytes(data[:1]))
+
+        monkeypatch.setattr(os, "write", one_byte)
+        assert main(self.ARGV + [str(out)]) == 0
+        monkeypatch.undo()
+        assert out.read_bytes() == want
+        assert sizes == list(range(len(want), 0, -1))
+
+
 class TestSearchCommand:
     def test_sound_functional_exits_zero(self, tmp_path):
         out = tmp_path / "search.json"
@@ -1061,3 +1128,26 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "equality=true" in proc.stdout
+
+    def test_import_adds_only_the_known_modules(self):
+        # Importing opial.cli is the benchmark's set-up time; a new import
+        # (such as one of secrets, random or hashlib) would add to it unseen.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        script = (
+            "import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import opial.cli\n"
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        added = set(proc.stdout.split())
+        known = {
+            "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses", "gettext",
+            "json", "json.decoder", "json.encoder", "json.scanner",
+        }
+        assert "opial.cli" in added
+        assert {name for name in added if name != "opial" and not name.startswith("opial.")} <= known

@@ -398,7 +398,87 @@ def fsum_unnormalized(row) -> bool:
     return abs(total - 1.0) > MASS_TOL
 
 
+def model_faults_reference(support, mass, sizes=None):
+    """`model_faults` as it was written with masked ``np.any(..., where=)``
+    reductions and ``np.select``: the reference for the codes."""
+    rows, width = mass.shape
+    if sizes is None:
+        active = after_first = True
+    else:
+        active = np.arange(width) < np.asarray(sizes)[:, None]
+        after_first = active[:, 1:]
+    nonfinite = np.any(~(np.isfinite(support) & np.isfinite(mass)), axis=-1, where=active)
+    unordered = np.any(support[:, 1:] <= support[:, :-1], axis=-1, where=after_first)
+    nonpositive = np.any(mass <= 0.0, axis=-1, where=active)
+    checked = ~(nonfinite | unordered | nonpositive)
+    c = math.isqrt(max(width - 1, 0)) + 1
+    k = -(-width // c)
+    masses = np.zeros((rows, k * c))
+    np.copyto(masses[:, :width], mass, where=active)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = masses.reshape(rows, k, c).sum(axis=-1).sum(axis=-1)
+        margin = 2.0 * (k + c) * (np.finfo(float).eps / 2) * total
+        off = np.abs(total - 1.0)
+        unnormalized = checked & (off > MASS_TOL)
+        near = checked & ~(np.abs(off - MASS_TOL) > margin)
+    unnormalized[near] = [fsum_unnormalized(row) for row in masses[near].tolist()]
+    return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
+
+
+def mixed_fault_batch(rng, rows, width):
+    """Support, mass and sizes of `rows` models of up to `width` nodes, each
+    row valid or broken in up to two ways at a random entry (which may lie
+    past the row's size): NaN or +-inf, a tie, descending neighbours, a zero
+    or negative mass, a sum exactly 1 or 0.5, 1 or 2 MASS_TOL off it, or an
+    overflowing sum."""
+    sizes = rng.integers(1, width + 1, size=rows)
+    support = np.cumsum(rng.uniform(0.1, 1.0, (rows, width)), axis=1)
+    mass = rng.uniform(0.5, 1.0, (rows, width))
+    mass /= mass.sum(axis=1)[:, None]
+    sums = [0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0]
+    for r in range(rows):
+        j = int(rng.integers(0, width))
+        for kind in (r % 10, int(rng.integers(0, 30))):
+            if kind == 0:
+                (support if j % 2 else mass)[r, j] = [np.nan, np.inf, -np.inf][r % 3]
+            elif kind == 1 and j:
+                support[r, j] = support[r, j - 1]
+            elif kind == 2 and j:
+                support[r, j - 1], support[r, j] = support[r, j], support[r, j - 1]
+            elif kind == 3:
+                mass[r, j] = 0.0 if r % 2 else -mass[r, j]
+            elif kind in (4, 5, 6, 7):
+                # An exact sum of 1 over either the row's size or the whole
+                # width, then moved by s MASS_TOL.
+                size = int(sizes[r]) if kind % 2 else width
+                mass[r] = 0.0
+                mass[r, :size] = 2.0**-14
+                mass[r, 0] = 1.0 - (size - 1) * 2.0**-14
+                mass[r, 0] += sums[r % len(sums)] * MASS_TOL
+            elif kind == 8:
+                mass[r, j] = 1.7e308
+                mass[r, (j + 1) % width] = 1.7e308
+    return support, mass, sizes
+
+
 class TestModelFaults:
+    @pytest.mark.parametrize("width, rows", [(1, 1000), (2, 1000), (30, 1000), (8197, 60)])
+    def test_codes_match_the_masked_reference(self, rng, width, rows):
+        support, mass, sizes = mixed_fault_batch(rng, rows, width)
+        with np.errstate(all="ignore"):
+            whole = model_faults_reference(support, mass)
+            assert np.array_equal(model_faults(support, mass), whole)
+            # Entries past a row's size are masked off: fill them with faults.
+            past = np.arange(width) >= sizes[:, None]
+            support = np.where(past & (np.arange(rows) % 2 == 0)[:, None], np.nan, support)
+            mass = np.where(past, -1.0, mass)
+            ragged = model_faults_reference(support, mass, sizes)
+            codes = model_faults(support, mass, sizes)
+        assert codes.dtype == ragged.dtype == np.int64
+        assert np.array_equal(codes, ragged)
+        for want in (whole, ragged):
+            assert set(want.tolist()) == ({0, 1, 3, 4} if width == 1 else {0, 1, 2, 3, 4})
+
     def rows_at_the_tolerance(self):
         """Rows whose exact totals lie on, and 1 and 2 ulp around, 1 +- MASS_TOL."""
         rows = []
@@ -606,7 +686,7 @@ class TestNodeFunction:
         with pytest.raises(ValueError, match="^node-function values must be finite$"):
             NodeFunction.of_values(v for v in (1.0, float("inf")))
 
-    @pytest.mark.parametrize(
+    WAYS_IN = pytest.mark.parametrize(
         "make",
         [
             lambda values: NodeFunction.of_values(values),
@@ -615,10 +695,21 @@ class TestNodeFunction:
         ],
         ids=["of_values", "constructor", "from_spec"],
     )
+
+    @WAYS_IN
     def test_int_too_large_for_a_double_is_the_spec_error(self, make):
         # Every way in raises from_spec's ValueError, not float()'s OverflowError.
         with pytest.raises(ValueError, match="^node-function values must be a list of numbers$"):
             make([1, 10**400])
+
+    @WAYS_IN
+    @pytest.mark.parametrize(
+        "values", [["1", "2"], [True, 2], [1.0, False], [None], [[1.0]], [1.0, "nan"]]
+    )
+    def test_non_numbers_are_the_spec_error(self, make, values):
+        # float() would take a numeric string or a boolean; no way in does.
+        with pytest.raises(ValueError, match="^node-function values must be a list of numbers$"):
+            make(values)
 
     @pytest.mark.parametrize(
         "spec, message",
