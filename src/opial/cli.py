@@ -360,6 +360,7 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
         )
     except oracle_mod.BudgetExceededError as exc:
         raise CliError(str(exc)) from None
+    _require_finite(f"{functional} oracle", slow)
     shared = sorted(set(fast) & set(slow))
     rel_err = 0.0
     for key in shared:

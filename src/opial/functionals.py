@@ -716,42 +716,38 @@ class QuadraticForm:
     rank_one: bool = False
 
 
-def pad_rows(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """`values` of shape (rows, width) with each row's entries past its size set to 0."""
-    return np.where(np.arange(values.shape[-1]) < sizes[:, None], values, 0.0)
-
-
-def _draw_nothing(rng, sizes, block):
+def _draw_nothing(rng, block):
     return block
 
 
-def _draw_order(rng, sizes, block):
-    return {**block, "n": rng.integers(1, 4, size=sizes.size)}
+def _draw_order(rng, block):
+    return {**block, "n": rng.integers(1, 4, size=block["sizes"].size)}
 
 
-def _draw_weight(rng, sizes, block):
-    return {**block, "chi": pad_rows(rng.uniform(0.0, 3.0, block["psi"].shape), sizes)}
+def _draw_weight(rng, block):
+    return {**block, "chi": np.where(block["active"], rng.uniform(0.0, 3.0, block["psi"].shape), 0.0)}
 
 
-def _draw_cut(rng, sizes, block):
+def _draw_cut(rng, block):
     # The split point c is the support point `cut`, counted from 1.
+    sizes = block["sizes"]
     cut = rng.integers(1, sizes)
     return {**block, "c": block["support"][np.arange(sizes.size), cut - 1]}
 
 
-def _draw_projected(rng, sizes, block):
+def _draw_projected(rng, block):
     # psi less its compensated mean: E psi = 0 to a few ulp, as wirtinger requires.
     p, psi = block["mass"], block["psi"]
-    return {**block, "psi": pad_rows(psi - comp_sum(p * psi)[:, None], sizes)}
+    return {**block, "psi": np.where(block["active"], psi - comp_sum(p * psi)[:, None], 0.0)}
 
 
-def _draw_centred(rng, sizes, block):
+def _draw_centred(rng, block):
     # One coefficient centres to 0: the size-1 rows are skipped.
-    a = block["a"]
-    return {**block, "a": pad_rows(a - (a.sum(axis=-1) / sizes)[:, None], sizes), "skip": sizes == 1}
+    a, sizes = block["a"], block["sizes"]
+    return {**block, "a": np.where(block["active"], a - (a.sum(axis=-1) / sizes)[:, None], 0.0), "skip": sizes == 1}
 
 
-def _draw_magnitudes(rng, sizes, block):
+def _draw_magnitudes(rng, block):
     return {**block, "a": np.abs(block["a"])}
 
 
@@ -768,9 +764,10 @@ class Functional:
     splits at c, a coefficient "sequence" (called as ``evaluate(a)``) or the
     troy weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
     search), ``tight`` the term compared with rhs, ``params`` the required
-    ones among n, c, chi and p_exp, and ``draw(rng, sizes, block)`` the
-    search's draw of them for a block of zero-padded rows of the given
-    sizes.  It may also centre ``a`` or ``psi`` and mark rows to ``skip``:
+    ones among n, c, chi and p_exp, and ``draw(rng, block)`` the search's
+    draw of them for a block of zero-padded rows: it reads the rows'
+    ``sizes`` and zeroes what it draws outside the block's row mask
+    ``active``.  It may also centre ``a`` or ``psi`` and mark rows to ``skip``:
     every row it leaves is a valid input of the evaluator.
     ``zero_mean`` requires psi (or the sequence) to have mean zero, ``form``
     is the tight term's quadratic form and ``study(terms, **params)`` the

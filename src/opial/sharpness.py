@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import functionals as fn
-from .accumulate import PLAIN, comp_sum
+from .accumulate import COMPENSATED, PLAIN, comp_sum
 from .distributions import (
     DEFAULT_MAX_NODES,
     MODEL_FAULTS,
@@ -344,23 +344,25 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     uniform(-3, 3) offset, Dirichlet(1, ..., 1) ``mass`` (row-normalized
     standard exponentials, floored at 1e-9 and normalized again) and N(0,1)
     node values ``psi``.  Every draw is one call for the whole block, in
-    that order, of shape (rows, m_max) or (rows,); entries past a row's
-    size are 0, set by one row mask built once per block.  The table's
-    ``draw`` then adds the functional's parameter (``n``, ``chi``, or the
-    split point ``c``: the support point of a uniform index from 1 to
-    size - 1) or transforms ``a`` or ``psi`` (psi less its compensated mean
-    for wirtinger), and marks the size-1 rows that o15 and o18 ``skip``.
+    that order, of shape (rows, m_max) or (rows,).  Entries past a row's
+    size are 0, set by the row mask ``active``, which is built once per
+    block and kept in it for the table's hook and for :func:`_terms`.  The
+    table's ``draw(rng, block)`` then adds the functional's parameter
+    (``n``, ``chi``, or the split point ``c``: the support point of a
+    uniform index from 1 to size - 1) or transforms ``a`` or ``psi`` (psi
+    less its compensated mean for wirtinger), and marks the size-1 rows
+    that o15 and o18 ``skip``.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
     rows = block_trials(m_max)
     shape = (rows, m_max)
-    if spec.input == "sequence":
-        sizes = rng.integers(1, m_max + 1, size=rows)
-        a = fn.pad_rows(rng.standard_normal(shape), sizes)
-        return spec.draw(rng, sizes, {"sizes": sizes, "a": a})
-    sizes = rng.integers(2, m_max + 1, size=rows)
+    sequence = spec.input == "sequence"
+    sizes = rng.integers(1 if sequence else 2, m_max + 1, size=rows)
     active = np.arange(m_max) < sizes[:, None]
+    if sequence:
+        a = np.where(active, rng.standard_normal(shape), 0.0)
+        return spec.draw(rng, {"sizes": sizes, "active": active, "a": a})
     gaps = rng.uniform(0.1, 1.0, shape)
     support = np.where(active, np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], 0.0)
     mass = np.where(active, rng.standard_exponential(shape), 0.0)
@@ -369,7 +371,7 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     mass = np.where(active, np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), 0.0)
     mass /= mass.sum(axis=1)[:, None]
     psi = np.where(active, rng.standard_normal(shape), 0.0)
-    return spec.draw(rng, sizes, {"sizes": sizes, "support": support, "mass": mass, "psi": psi})
+    return spec.draw(rng, {"sizes": sizes, "active": active, "support": support, "mass": mass, "psi": psi})
 
 
 def _row(block: dict, k: int) -> dict:
@@ -378,81 +380,53 @@ def _row(block: dict, k: int) -> dict:
     return {
         name: value[k, :size] if value.ndim == 2 else value[k]
         for name, value in block.items()
-        if name not in ("sizes", "skip")
+        if name not in ("sizes", "active", "skip")
     }
 
 
-def _halves(block: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the corollary's conditional laws X <= c and X > c on a block's rows."""
-    active = np.arange(block["mass"].shape[-1]) < block["sizes"][:, None]
-    lower = active & (block["support"] <= block["c"][:, None])
-    return lower, active & ~lower
+def _exact_share(masses: np.ndarray) -> np.ndarray:
+    """Each row's sum by ``math.fsum``: exact, so the zeros outside a half add nothing."""
+    return np.array([math.fsum(row) for row in masses.tolist()])
+
+
+def _terms(spec: fn.Functional, block: dict, values: np.ndarray, passes, share) -> dict:
+    """The row kernel's terms on a block by `passes`, with `values` as psi (or a).
+
+    The corollary's conditional laws, X <= c and X > c, are masked rows of
+    the block's nodes, their masses divided by `share` of each half's
+    masked masses.  Their models' invariants follow from the full model's.
+    """
+    if spec.input == "sequence":
+        return spec.rows(values, block["sizes"], passes=passes)
+    p = block["mass"]
+    if spec.input == "distribution":
+        lower = block["support"] <= block["c"][:, None]
+        args = []
+        for half in (block["active"] & lower, block["active"] & ~lower):
+            masses = np.where(half, p, 0.0)
+            args += [masses / share(masses)[:, None], np.where(half, values, 0.0)]
+        return spec.rows(*args, passes=passes)
+    return spec.rows(p, values, **{name: block[name] for name in spec.params}, passes=passes)
 
 
 def _screen(functional_id: str, block: dict):
-    """Slack, rhs and model fault code of a block's rows, by one kernel call.
+    """Slack and rhs of a block's rows, by one kernel call.
 
     The search calls it only on the rows its plain-pass filter leaves (see
     :func:`_cleared`); each row's result does not depend on the other rows.
-    The rows are evaluated by the functional's row kernel with its default
-    compensated passes, whose rows are bit-identical to the public
-    evaluators.  A nonzero fault code is the first invariant the row's
-    model fails (:func:`~opial.distributions.model_faults`), on which the
-    public path raises.  The evaluators' other input checks cannot fail on
-    the draws: chi, the rtwo coefficients and both conditional masses are
-    positive by construction, and the centred rows meet the zero-sum and
-    zero-mean conditions to within a few ulp.
+    The rows are evaluated by :func:`_terms` with the kernels' default
+    compensated passes, and the corollary's conditional masses are divided
+    by their exact sums, as the public path divides them: each row is
+    bit-identical to the public evaluators.  The rows' model checks are
+    made once per block, by the search.  The evaluators' other input
+    checks cannot fail on the draws: chi, the rtwo coefficients and both
+    conditional masses are positive by construction, and the centred rows
+    meet the zero-sum and zero-mean conditions to within a few ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
-    sizes = block["sizes"]
-    if spec.input == "sequence":
-        terms = spec.rows(block["a"], sizes)
-        return terms["rhs"] - terms[spec.tight], terms["rhs"], np.zeros(sizes.size, dtype=int)
-    p, psi = block["mass"], block["psi"]
-    faults = model_faults(block["support"], p, sizes)
-    if spec.input == "distribution":
-        # The conditional laws of the public path, X <= c and X > c, as
-        # masked rows of the same nodes; their models' invariants follow
-        # from the full model's.  Their masses are divided by the exact sums
-        # the public path takes, listed row by row to keep few float objects
-        # alive at once.
-        lower, upper = _halves(block)
-        shares = []
-        for row, cut in zip(p, np.count_nonzero(lower, axis=1).tolist()):
-            row = row.tolist()
-            shares.append((math.fsum(row[:cut]), math.fsum(row[cut:])))
-        p_low, p_up = np.array(shares).T
-        terms = spec.rows(
-            np.where(lower, p / p_low[:, None], 0.0),
-            np.where(lower, psi, 0.0),
-            np.where(upper, p / p_up[:, None], 0.0),
-            np.where(upper, psi, 0.0),
-        )
-    else:
-        terms = spec.rows(p, psi, **{name: block[name] for name in spec.params})
-    return terms["rhs"] - terms[spec.tight], terms["rhs"], faults
-
-
-def _plain_terms(spec: fn.Functional, block: dict, values: np.ndarray) -> dict:
-    """The row kernel's terms on a block by plain passes, with `values` as psi (or a).
-
-    The corollary's conditional masses are divided by plain sums here, not
-    by the exact sums of the screen.
-    """
-    if spec.input == "sequence":
-        return spec.rows(values, block["sizes"], passes=PLAIN)
-    p = block["mass"]
-    if spec.input == "distribution":
-        lower, upper = _halves(block)
-        p_low, p_up = np.where(lower, p, 0.0), np.where(upper, p, 0.0)
-        return spec.rows(
-            p_low / p_low.sum(axis=-1)[:, None],
-            np.where(lower, values, 0.0),
-            p_up / p_up.sum(axis=-1)[:, None],
-            np.where(upper, values, 0.0),
-            passes=PLAIN,
-        )
-    return spec.rows(p, values, **{name: block[name] for name in spec.params}, passes=PLAIN)
+    values = block["a" if spec.input == "sequence" else "psi"]
+    terms = _terms(spec, block, values, COMPENSATED, _exact_share)
+    return terms["rhs"] - terms[spec.tight], terms["rhs"]
 
 
 def _margin(width: int) -> float:
@@ -478,12 +452,14 @@ def _plain_screen(functional_id: str, block: dict):
     """Plain slack, plain rhs and their error bounds on a block's rows.
 
     Returns ``(slack, rhs, slack_error, rhs_error)``: each row's compensated
-    slack and rhs, as :func:`_screen` gives them, lie within ``slack_error``
+    slack and rhs, the pair :func:`_screen` gives, lie within ``slack_error``
     and ``rhs_error`` of the plain ones.  The bounds are
     ``2 gamma_K (|tight~| + |rhs~|)`` and ``2 gamma_K |rhs~|``, where the
     tilde terms are the kernel's plain terms at |psi| (or |a|) and
     gamma_K is that of :func:`_margin`.  A ``sign_free`` kernel's plain
-    terms are their own magnitudes, so it is evaluated once.
+    terms are their own magnitudes, so it is evaluated once.  Both
+    evaluations are :func:`_terms` with plain passes, which divides the
+    corollary's conditional masses by plain sums.
 
     Why: each tight or rhs term is a tree of sums and products of the
     row's entries.  If every entry of it passes through at most d
@@ -502,10 +478,10 @@ def _plain_screen(functional_id: str, block: dict):
     values = block["a" if spec.input == "sequence" else "psi"]
     factor = _margin(values.shape[-1])
     with np.errstate(all="ignore"):
-        terms = _plain_terms(spec, block, values)
+        terms = _terms(spec, block, values, PLAIN, PLAIN.total)
         tight, rhs = terms[spec.tight], terms["rhs"]
         if not spec.sign_free:
-            terms = _plain_terms(spec, block, np.abs(values))
+            terms = _terms(spec, block, np.abs(values), PLAIN, PLAIN.total)
         rhs_error = factor * np.abs(terms["rhs"])
         return rhs - tight, rhs, rhs_error + factor * np.abs(terms[spec.tight]), rhs_error
 
@@ -545,20 +521,23 @@ def search_counterexample(
     functional, the seed, the trial index and m_max, not on `trials`.
     Returns the violation of the lowest violating trial, or None.  Raises
     ValueError for an id without a search, m_max outside
-    [2, DEFAULT_MAX_NODES], trials < 1 or seed < 0.
+    [2, DEFAULT_MAX_NODES], trials < 1, seed < 0 or a NaN rel_tol (an
+    infinite one is allowed).
 
     Every drawn row is a valid input of the functional's public evaluator
     (the table's ``draw`` centres and splits it).  Each block's zero-padded
     (B, m_max) arrays first pass a filter: the functional's row kernel in
     :mod:`opial.functionals`, run with plain passes, and the model checks
-    of every row (:func:`~opial.distributions.model_faults`).  A row whose
-    plain slack clears the threshold by more than a proved bound on its
-    rounding error (:func:`_cleared`) cannot be listed by the compensated
-    screen, and is dropped.  The faulty rows and the rows not cleared are
-    screened as before, by one call of the row kernel with its compensated
-    passes, whose rows are bit-identical to the public evaluators, together
-    with the model checks those evaluators make (:func:`_screen`).  The
-    lowest listed trial of a block raises the
+    of every row (:func:`~opial.distributions.model_faults`), made once per
+    block.  A row whose plain slack clears the threshold by more than a
+    proved bound on its rounding error (:func:`_cleared`) cannot be listed
+    by the compensated screen, and is dropped.  The faulty rows and the
+    rows not cleared are screened as before (:func:`_screen`): the same
+    kernel arguments, built by :func:`_terms`, with the compensated passes
+    and exact conditional sums, whose rows are bit-identical to the public
+    evaluators.  A listed row is one whose model check failed or whose
+    screened slack violates the threshold.  The lowest listed trial of a
+    block raises the
     :class:`~opial.distributions.DistributionError` its model would raise,
     or is returned with its screened slack and its row as the instance.
     The result is the same as evaluating every trial through the public
@@ -582,20 +561,25 @@ def search_counterexample(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if math.isnan(rel_tol):
+        raise ValueError("rel_tol must not be NaN")
     spec = fn.FUNCTIONALS[functional_id]
     rows = block_trials(m_max)
     for block_index, start in enumerate(range(0, trials, rows)):
         drawn = _draw_block(functional_id, seed, block_index, m_max)
         block = {name: value[: trials - start] for name, value in drawn.items()}
-        refine = ~_cleared(functional_id, block, rel_tol)
-        if spec.input != "sequence":
-            refine |= model_faults(block["support"], block["mass"], block["sizes"]) != 0
+        if spec.input == "sequence":
+            faults = np.zeros(block["sizes"].size, dtype=np.int64)
+        else:
+            faults = model_faults(block["support"], block["mass"], block["sizes"])
+        refine = ~_cleared(functional_id, block, rel_tol) | (faults != 0)
         if "skip" in block:
             refine &= ~block["skip"]
         kept = np.flatnonzero(refine)
         if kept.size == 0:
             continue
-        slack, rhs, faults = _screen(functional_id, {name: value[kept] for name, value in block.items()})
+        slack, rhs = _screen(functional_id, {name: value[kept] for name, value in block.items()})
+        faults = faults[kept]
         listed = (faults != 0) | fn.violates(slack, rhs, rel_tol)
         if listed.any():
             j = int(listed.argmax())

@@ -331,6 +331,20 @@ class TestHostileInput:
             "the input overflows double precision or is not finite\n"
         )
 
+    def test_oracle_diff_refuses_non_finite_oracle_terms(self, tmp_path, capsys):
+        # The fast terms are finite; the oracle's middle term is inf - inf.
+        path = tmp_path / "light.json"
+        spec = {"atoms": [[0, 1e-10], [1, 1e-10], [2, 1 - 2e-10]], "pieces": []}
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "diff.json"
+        argv = ["oracle-diff", "--dist", str(path), "--psi", '{"kind": "values", "values": [1e155, 1e155, 1]}']
+        assert main(argv + ["--functional", "thm1-lower", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "opial: error: thm1-lower oracle: non-finite terms middle; "
+            "the input overflows double precision or is not finite\n"
+        )
+
     def test_overflowing_masses(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"atoms": [[0, 1e308], [1, 1e308]], "pieces": []}), encoding="utf-8")

@@ -748,7 +748,7 @@ class TestRowKernels:
         models, psis, pad, active, sizes = self.batch(rng)
         if spec.input == "sequence":
             # The search's draw centres (o15, o18) or takes magnitudes (rtwo).
-            drawn = spec.draw(rng, sizes, {"sizes": sizes, "a": pad(psis)})["a"]
+            drawn = spec.draw(rng, {"sizes": sizes, "active": active, "a": pad(psis)})["a"]
             seqs = [row[:size] for row, size in zip(drawn, sizes)]
             self.assert_rows(spec.rows(drawn, sizes), [spec.evaluate(v) for v in seqs])
             return

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from opial import (
 from opial.functionals import INV_PI_SQ
 from opial.accumulate import PLAIN, comp_sum
 from opial.functionals import FUNCTIONALS, SEARCHABLE_IDS, THEOREM_BACKED_IDS
-from opial.distributions import MASS_TOL
+from opial.distributions import MASS_TOL, model_faults
 from opial.sharpness import (
     BLOCK_TRIALS,
     CHUNK_ELEMENTS,
@@ -320,6 +322,14 @@ class TestSearchCounterexample:
             with pytest.raises(ValueError, match="trials"):
                 search_counterexample("thm1-lower", trials=trials, seed=0)
 
+    def test_nan_tolerance_is_rejected(self):
+        # Every comparison with NaN is false: the search would report nothing.
+        with pytest.raises(ValueError, match="rel_tol"):
+            search_counterexample("wirtinger", 2000, 0, 30, math.nan)
+        assert search_counterexample("wirtinger", 2000, 0, 30).trial == 34
+        assert search_counterexample("wirtinger", 2000, 0, 30, math.inf) is None
+        assert search_counterexample("wirtinger", 200, 0, 30, -math.inf).trial == 0
+
 
 # ---------------------------------------------------------------------------
 # the block stream against a trial-by-trial loop over the public evaluators
@@ -337,11 +347,13 @@ def draw_block(functional, seed, block, m_max):
     shape = (rows, m_max)
     if functional in fn.DISCRETE_IDENTITY_IDS or functional == "rtwo":
         sizes = rng.integers(1, m_max + 1, size=rows)
+        active = np.arange(m_max) < sizes[:, None]
         a = pad(rng.standard_normal(shape), sizes)
         if functional in ("o15", "o18"):
             # centred by the mean over the zero-padded row; size-1 rows skipped
-            return {"sizes": sizes, "a": pad(a - (a.sum(axis=1) / sizes)[:, None], sizes), "skip": sizes == 1}
-        return {"sizes": sizes, "a": np.abs(a) if functional == "rtwo" else a}
+            a = pad(a - (a.sum(axis=1) / sizes)[:, None], sizes)
+            return {"sizes": sizes, "active": active, "a": a, "skip": sizes == 1}
+        return {"sizes": sizes, "active": active, "a": np.abs(a) if functional == "rtwo" else a}
     sizes = rng.integers(2, m_max + 1, size=rows)
     gaps = rng.uniform(0.1, 1.0, shape)
     support = pad(np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], sizes)
@@ -349,7 +361,8 @@ def draw_block(functional, seed, block, m_max):
     mass = pad(np.maximum(exponentials / exponentials.sum(axis=1)[:, None], 1e-9), sizes)
     mass /= mass.sum(axis=1)[:, None]
     psi = pad(rng.standard_normal(shape), sizes)
-    block = {"sizes": sizes, "support": support, "mass": mass, "psi": psi}
+    active = np.arange(m_max) < sizes[:, None]
+    block = {"sizes": sizes, "active": active, "support": support, "mass": mass, "psi": psi}
     if functional == "thm2":
         block["n"] = rng.integers(1, 4, size=rows)
     elif functional in ("weighted-lower", "weighted-upper"):
@@ -375,7 +388,7 @@ def block_rows(block):
         out.append({
             name: value[k, :size] if value.ndim == 2 else value[k].item()
             for name, value in block.items()
-            if name not in ("sizes", "skip")
+            if name not in ("sizes", "active", "skip")
         })
     return out
 
@@ -496,6 +509,45 @@ class TestBlockStream:
                 assert got[name].dtype == want[name].dtype, name
                 assert got[name].tolist() == want[name].tolist(), name
 
+    def test_row_mask_is_built_by_the_draw_and_the_model_check_only(self):
+        # Every later stage of a search block reads the draw's ``active``.
+        builders = []
+        for path in sorted(Path(sharpness.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Compare)
+                        and isinstance(node.ops[0], ast.Lt)
+                        and isinstance(node.left, ast.Call)
+                        and ast.unparse(node.left.func) == "np.arange"
+                    ):
+                        builders.append(f"{path.stem}.{function.name}")
+        assert sorted(builders) == ["distributions.model_faults", "sharpness._draw_block"]
+
+    @pytest.mark.parametrize("functional, rel_tol", [("corollary", 0.0), ("wirtinger", -1.0)])
+    def test_model_checks_run_once_per_block(self, monkeypatch, functional, rel_tol):
+        # At rel_tol 0 the corollary's splits with one atom on each side are
+        # equalities, so rows of every block reach the screen.
+        calls = {"_draw_block": 0, "model_faults": 0, "_screen": 0}
+
+        def count(name):
+            original = getattr(sharpness, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(sharpness, name, counted)
+
+        for name in calls:
+            count(name)
+        search_counterexample(functional, 3 * BLOCK_TRIALS, 0, 30, rel_tol=rel_tol)
+        assert calls["_draw_block"] >= 1
+        assert calls["model_faults"] == calls["_screen"] == calls["_draw_block"]
+
     def test_block_size_is_cut_to_the_element_cap(self):
         assert sharpness.block_trials(2) == BLOCK_TRIALS
         assert sharpness.block_trials(30) == BLOCK_TRIALS
@@ -587,8 +639,9 @@ class TestBatchedSearchMatchesLoop:
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_screen_slacks_are_the_evaluators_bit_for_bit(self, functional, m_max):
         drawn = sharpness._draw_block(functional, 8, 0, m_max)
-        slack, rhs, flagged = sharpness._screen(functional, drawn)
-        assert not flagged.any()
+        if "mass" in drawn:
+            assert not model_faults(drawn["support"], drawn["mass"], drawn["sizes"]).any()
+        slack, rhs = sharpness._screen(functional, drawn)
         skip = drawn.get("skip", np.zeros(slack.size, dtype=bool))
         kept = np.flatnonzero(~skip)
         assert kept.size > 0
@@ -733,9 +786,9 @@ class TestPlainFilter:
                 block = sharpness._draw_block(functional, seed, 0, m_max)
                 if order is not None:
                     block["n"][:] = order
-                slack, rhs, _ = sharpness._screen(functional, block)
+                slack, rhs = sharpness._screen(functional, block)
                 plain, plain_rhs, slack_error, rhs_error = sharpness._plain_screen(functional, block)
-                magnitudes = sharpness._plain_terms(spec, block, np.abs(block[name]))
+                magnitudes = sharpness._terms(spec, block, np.abs(block[name]), PLAIN, PLAIN.total)
                 want_rhs_error = 2.0 * gamma * np.abs(magnitudes["rhs"])
                 want_error = want_rhs_error + 2.0 * gamma * np.abs(magnitudes[spec.tight])
                 assert np.allclose(slack_error, want_error, rtol=1e-14, atol=0.0)
@@ -776,8 +829,8 @@ class TestPlainFilter:
             for seed in range(3):
                 block = sharpness._draw_block(functional, seed, 0, m_max)
                 kept = kept_rows(block)
-                signed = sharpness._plain_terms(spec, block, block[name])
-                magnitudes = sharpness._plain_terms(spec, block, np.abs(block[name]))
+                signed = sharpness._terms(spec, block, block[name], PLAIN, PLAIN.total)
+                magnitudes = sharpness._terms(spec, block, np.abs(block[name]), PLAIN, PLAIN.total)
                 assert bits(signed["rhs"][kept]) == bits(magnitudes["rhs"][kept])
                 same = bits(signed[spec.tight][kept]) == bits(magnitudes[spec.tight][kept])
                 assert same or not spec.sign_free
@@ -797,5 +850,5 @@ class TestPlainFilter:
         block = sharpness._draw_block("thm2", 2, 0, 12)
         spec = FUNCTIONALS["thm2"]
         want = fn.theorem2_rows(block["mass"], block["psi"], block["n"], passes=PLAIN)
-        got = sharpness._plain_terms(spec, block, block["psi"])
+        got = sharpness._terms(spec, block, block["psi"], PLAIN, PLAIN.total)
         assert bits(got["lhs"]) == bits(want["lhs"]) and bits(got["rhs"]) == bits(want["rhs"])
