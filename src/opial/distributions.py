@@ -87,6 +87,13 @@ class Distribution:
     validates that the total mass is 1 (within :data:`MASS_TOL`), that piece
     interiors are pairwise disjoint and that no atom sits strictly inside a
     piece.
+
+    A cut at x splits the law in two sides: the lower side holds the atoms
+    at or below x, the upper side those above it, and a piece that
+    straddles x is split at x, each part keeping the mass of its share of
+    the length.  ``cdf(x)`` is the mass of the lower side, ``left_cdf(x)``
+    that mass without an atom at x, and :func:`conditional_truncate` the
+    law of either side.  A NaN x cuts nothing into either side.
     """
 
     atoms: tuple[tuple[float, float], ...] = ()
@@ -147,23 +154,13 @@ class Distribution:
 
     def cdf(self, x: float) -> float:
         """P(X <= x)."""
-        parts = [p for loc, p in self.atoms if loc <= x]
-        for pc in self.pieces:
-            if x >= pc.hi:
-                parts.append(pc.mass)
-            elif x > pc.lo:
-                parts.append(pc.mass * (x - pc.lo) / (pc.hi - pc.lo))
-        return math.fsum(parts)
+        atoms, pieces = _cut(self, x, upper=False)
+        return math.fsum([p for _, p in atoms] + [pc.mass for pc in pieces])
 
     def left_cdf(self, x: float) -> float:
         """P(X < x)."""
-        parts = [p for loc, p in self.atoms if loc < x]
-        for pc in self.pieces:
-            if x >= pc.hi:
-                parts.append(pc.mass)
-            elif x > pc.lo:
-                parts.append(pc.mass * (x - pc.lo) / (pc.hi - pc.lo))
-        return math.fsum(parts)
+        atoms, pieces = _cut(self, x, upper=False)
+        return math.fsum([p for loc, p in atoms if loc < x] + [pc.mass for pc in pieces])
 
     def point_mass(self, x: float) -> float:
         """P(X = x); nonzero only at atom locations."""
@@ -213,6 +210,21 @@ class Distribution:
         }
 
 
+def _cut(dist: Distribution, x: float, upper: bool) -> tuple[list, list[Piece]]:
+    """The atoms and pieces of `dist` on the lower (or `upper`) side of the
+    cut at x, each straddling piece split at x.  Every comparison is one a
+    NaN x fails."""
+    atoms = [(loc, p) for loc, p in dist.atoms if (loc > x if upper else loc <= x)]
+    pieces = []
+    for pc in dist.pieces:
+        if (pc.lo >= x if upper else pc.hi <= x):
+            pieces.append(pc)
+        elif (pc.hi > x if upper else pc.lo < x):
+            lo, hi = (x, pc.hi) if upper else (pc.lo, x)
+            pieces.append(Piece(lo, hi, pc.mass * (hi - lo) / (pc.hi - pc.lo)))
+    return atoms, pieces
+
+
 def make_discrete(points: Sequence[float], probs: Sequence[float]) -> Distribution:
     """Atomic distribution on `points` with masses `probs`.
 
@@ -243,32 +255,32 @@ MODEL_FAULTS = (
 )
 
 
-def model_faults(support: np.ndarray, mass: np.ndarray, sizes=None) -> np.ndarray:
+def model_faults(support: np.ndarray, mass: np.ndarray, active=None) -> np.ndarray:
     """First failed :class:`QuantizedModel` invariant of each row, as a code.
 
     ``support`` and ``mass`` have shape (rows, width); row r holds a model
-    in its first ``sizes[r]`` entries (all of them when ``sizes`` is None)
-    and anything after them.  Returns one code per row, indexing
-    :data:`MODEL_FAULTS` in the order the checks are made: finite, strictly
-    increasing, positive masses, masses summing to 1 within
-    :data:`MASS_TOL` (decided as by the exact sum ``math.fsum``).
+    in the entries where the row mask ``active[r]`` is True, which are its
+    first ones (all of them when ``active`` is None), and anything after
+    them.  Returns one code per row, indexing :data:`MODEL_FAULTS` in the
+    order the checks are made: finite, strictly increasing, positive
+    masses, masses summing to 1 within :data:`MASS_TOL` (decided as by the
+    exact sum ``math.fsum``).
 
     Each check is a plain reduction over a boolean array, with the entries
-    past each row's size masked off by one row mask (no mask when ``sizes``
-    is None).  The codes are written in reverse order into a zero array, so
-    a row gets the code of its first failed check.  The masses are summed
-    plainly, in blocks of about sqrt(width) entries; only the rows whose
-    sum lies within that sum's error bound of the tolerance, and the rows
-    whose sum overflows, are summed by ``math.fsum``.
+    past each row's size masked off by ``active``.  The codes are written
+    in reverse order into a zero array, so a row gets the code of its first
+    failed check.  The masses are summed plainly, in blocks of about
+    sqrt(width) entries; only the rows whose sum lies within that sum's
+    error bound of the tolerance, and the rows whose sum overflows, are
+    summed by ``math.fsum``.
     """
     rows, width = mass.shape
     nonfinite = ~(np.isfinite(support) & np.isfinite(mass))
     unordered = support[:, 1:] <= support[:, :-1]
     nonpositive = mass <= 0.0
-    if sizes is None:
+    if active is None:
         active = True
     else:
-        active = np.arange(width) < np.asarray(sizes)[:, None]
         nonfinite &= active
         unordered &= active[:, 1:]
         nonpositive &= active
@@ -344,17 +356,9 @@ class QuantizedModel:
     def node_count(self) -> int:
         return int(self.support.size)
 
-    def left_cum(self) -> np.ndarray:
-        """Cumulative mass strictly below each node."""
-        return prefix_exclusive(self.mass)
-
     def midpoint_cdf(self) -> np.ndarray:
         """Half-tie CDF at the nodes: F(x-) + p/2."""
-        return self.left_cum() + 0.5 * self.mass
-
-    def cdf_at(self, x: float) -> float:
-        """Cumulative mass of nodes <= x."""
-        return math.fsum(self.mass[self.support <= x].tolist())
+        return prefix_exclusive(self.mass) + 0.5 * self.mass
 
 
 def quantize(dist: Distribution, m: int) -> QuantizedModel:
@@ -400,28 +404,13 @@ def conditional_truncate(
 ) -> tuple[Distribution, float]:
     """Conditional law of X given X <= c (lower) or X > c (upper).
 
-    Returns the conditional distribution together with the probability of the
-    conditioning event.  An atom located exactly at `c` belongs to the lower
-    side; a piece containing `c` is split exactly at `c`.
+    Returns the conditional distribution of that side of the cut at `c`
+    (see :class:`Distribution`) together with the probability of the
+    conditioning event.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    atoms: list[tuple[float, float]] = []
-    pieces: list[Piece] = []
-    if side == "lower":
-        atoms = [(x, p) for x, p in dist.atoms if x <= c]
-        for pc in dist.pieces:
-            if pc.hi <= c:
-                pieces.append(pc)
-            elif pc.lo < c:
-                pieces.append(Piece(pc.lo, c, pc.mass * (c - pc.lo) / (pc.hi - pc.lo)))
-    else:
-        atoms = [(x, p) for x, p in dist.atoms if x > c]
-        for pc in dist.pieces:
-            if pc.lo >= c:
-                pieces.append(pc)
-            elif pc.hi > c:
-                pieces.append(Piece(c, pc.hi, pc.mass * (pc.hi - c) / (pc.hi - pc.lo)))
+    atoms, pieces = _cut(dist, c, side == "upper")
     # Summing the selected components directly keeps the conditional law's
     # total at 1 to the ulp; computing the upper mass as 1 - cdf(c) would
     # cancel catastrophically when the retained side is small.

@@ -78,8 +78,9 @@ class IneqReport:
     ``terms`` holds the named sides (lhs, middle where defined, rhs, ...).
     ``slack`` is rhs minus the tightest left-hand term, ``ratio`` that term
     over rhs (0 when rhs is 0), and ``equality`` tests
-    ``slack <= tol * max(1, |rhs|)``.  ``m`` is the quantization resolution
-    and ``exact`` whether the model evaluated had no discretization error.
+    ``slack <= tol * max(1, |rhs|)`` (the evaluators refuse a NaN tol).
+    ``m`` is the quantization resolution and ``exact`` whether the model
+    evaluated had no discretization error.
     """
 
     functional: str
@@ -115,6 +116,8 @@ def _build_report(
     extras: dict | None = None,
 ) -> IneqReport:
     """Report of one instance, comparing the functional's tight term with rhs."""
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     terms = {k: float(v) for k, v in terms.items()}
     tight = terms[FUNCTIONALS[functional].tight]
     rhs = terms["rhs"]
@@ -131,6 +134,14 @@ def _build_report(
         exact=exact,
         extras=extras or {},
     )
+
+
+def _model_report(
+    functional: str, model: QuantizedModel, vals, tol: float, extras: dict | None = None, **params
+) -> IneqReport:
+    """Report of the table's row kernel of `functional` on `model` at node values `vals`."""
+    terms = FUNCTIONALS[functional].rows(model.mass, vals, **params)
+    return _build_report(functional, terms, m=model.source_m, exact=model.is_exact, tol=tol, extras=extras)
 
 
 def _as_values(psi, model: QuantizedModel) -> np.ndarray:
@@ -221,14 +232,8 @@ def opial_terms(
     Equality throughout iff psi is constant on the support.
     """
     _check_direction(direction)
-    terms = opial_rows(model.mass, _as_values(psi, model), direction)
-    return _build_report(
-        "thm1-lower" if direction == "below" else "thm1-upper",
-        terms,
-        m=model.source_m,
-        exact=model.is_exact,
-        tol=tol,
-    )
+    functional = "thm1-lower" if direction == "below" else "thm1-upper"
+    return _model_report(functional, model, _as_values(psi, model), tol)
 
 
 def corollary_rows(p_low, vals_low, p_up, vals_up, passes: Passes = COMPENSATED) -> dict:
@@ -364,11 +369,10 @@ def theorem2_terms(
     carry ``strict_for_atoms``: whether the model is atomic, in which case
     the strict-order argument makes the inequality strict.
     """
-    terms = theorem2_rows(model.mass, _as_values(psi, model), n)
     extras = {"n": int(n)}
     if n == 1:
         extras["strict_for_atoms"] = bool(model.is_exact)
-    return _build_report("thm2", terms, m=model.source_m, exact=model.is_exact, tol=tol, extras=extras)
+    return _model_report("thm2", model, _as_values(psi, model), tol, extras, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +424,7 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
     repository, so whether this is the paper's own form of the bound is not
     settled here.
     """
-    terms = theorem3_rows(model.mass, _as_values(psi, model))
-    return _build_report(
-        "thm3",
-        terms,
-        m=model.source_m,
-        exact=model.is_exact,
-        tol=tol,
-    )
+    return _model_report("thm3", model, _as_values(psi, model), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +473,12 @@ def weighted_opial_terms(
     _check_direction(direction)
     vals = _as_values(psi, model)
     weights = _as_values(chi, model)
-    if np.any(weights < 0.0):
+    if not np.all(weights >= 0.0):
         raise ValueError("weight chi must be nonnegative at all nodes")
     steps = np.diff(weights)
     monotone_ok = bool(np.all(steps <= 0.0) if direction == "below" else np.all(steps >= 0.0))
-    return _build_report(
-        "weighted-lower" if direction == "below" else "weighted-upper",
-        weighted_rows(model.mass, vals, weights, direction),
-        m=model.source_m,
-        exact=model.is_exact,
-        tol=tol,
-        extras={"monotone_applicable": monotone_ok},
-    )
+    functional = "weighted-lower" if direction == "below" else "weighted-upper"
+    return _model_report(functional, model, vals, tol, {"monotone_applicable": monotone_ok}, chi=weights)
 
 
 @dataclass(frozen=True)
@@ -518,7 +509,7 @@ class TroyComparison:
 
 def troy_comparison(p_exp: float, psi, m: int = DEFAULT_RESOLUTION) -> TroyComparison:
     """Evaluate both weighted bounds for chi(x) = x^p on uniform (0, 1)."""
-    if p_exp <= -1.0:
+    if not p_exp > -1.0:
         raise ValueError(f"weight exponent must exceed -1, got {p_exp}")
     model = quantize(make_uniform_interval(0.0, 1.0), m)
     chi = model.support ** p_exp
@@ -565,14 +556,7 @@ def wirtinger_terms(
     flagged ``heuristic``, and the bound may fail by far more.
     """
     vals = zero_mean_values(model.mass, _as_values(psi, model), project)
-    return _build_report(
-        "wirtinger",
-        wirtinger_rows(model.mass, vals),
-        m=model.source_m,
-        exact=model.is_exact,
-        tol=tol,
-        extras={"heuristic": bool(model.is_exact)},
-    )
+    return _model_report("wirtinger", model, vals, tol, {"heuristic": bool(model.is_exact)})
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +654,7 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("rtwo expects nonnegative coefficients")
     return _build_report(
         "rtwo",

@@ -264,9 +264,6 @@ class PartitionMasses:
     def total(self) -> float:
         return self.u + self.v1 + self.v2 + self.w
 
-    def to_json_dict(self) -> dict:
-        return {"u": self.u, "v1": self.v1, "v2": self.v2, "w": self.w, "total": self.total}
-
 
 def _region_sums(x: list[float], p: list[float], f: list[float]) -> tuple[float, float, float, float]:
     """Sums of p_i p_j p_k |f_i f_k| over the triples (i, j, k) of each order
@@ -324,17 +321,6 @@ class Two3Decomposition:
     @property
     def rel_err(self) -> float:
         return abs(self.total - self.expected) / max(1.0, abs(self.expected))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "u_term": self.u_term,
-            "v1_term": self.v1_term,
-            "v2_term": self.v2_term,
-            "w_term": self.w_term,
-            "total": self.total,
-            "expected": self.expected,
-            "rel_err": self.rel_err,
-        }
 
 
 def check_two3_decomposition(

@@ -346,12 +346,12 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     node values ``psi``.  Every draw is one call for the whole block, in
     that order, of shape (rows, m_max) or (rows,).  Entries past a row's
     size are 0, set by the row mask ``active``, which is built once per
-    block and kept in it for the table's hook and for :func:`_terms`.  The
-    table's ``draw(rng, block)`` then adds the functional's parameter
-    (``n``, ``chi``, or the split point ``c``: the support point of a
-    uniform index from 1 to size - 1) or transforms ``a`` or ``psi`` (psi
-    less its compensated mean for wirtinger), and marks the size-1 rows
-    that o15 and o18 ``skip``.
+    block and kept in it for the model check, the table's hook and
+    :func:`_terms`.  The table's ``draw(rng, block)`` then adds the
+    functional's parameter (``n``, ``chi``, or the split point ``c``: the
+    support point of a uniform index from 1 to size - 1) or transforms
+    ``a`` or ``psi`` (psi less its compensated mean for wirtinger), and
+    marks the size-1 rows that o15 and o18 ``skip``.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
@@ -571,7 +571,7 @@ def search_counterexample(
         if spec.input == "sequence":
             faults = np.zeros(block["sizes"].size, dtype=np.int64)
         else:
-            faults = model_faults(block["support"], block["mass"], block["sizes"])
+            faults = model_faults(block["support"], block["mass"], block["active"])
         refine = ~_cleared(functional_id, block, rel_tol) | (faults != 0)
         if "skip" in block:
             refine &= ~block["skip"]

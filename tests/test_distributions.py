@@ -232,9 +232,9 @@ class TestQuantize:
             d = random_atomic_distribution(rng, m_max=20)
             q = quantize(d, 5)
             for x in rng.uniform(-5, 5, 5):
-                assert abs(d.cdf(x) - q.cdf_at(x)) <= 1e-15
+                assert abs(d.cdf(x) - math.fsum(q.mass[q.support <= x].tolist())) <= 1e-15
             for x, _ in d.atoms:
-                assert abs(d.cdf(x) - q.cdf_at(x)) <= 1e-15
+                assert abs(d.cdf(x) - math.fsum(q.mass[q.support <= x].tolist())) <= 1e-15
 
     def test_refinement_sup_distance(self):
         # sup_x |cdf(x) - empirical cdf| is exactly 1/(2m) for uniform (0, 1)
@@ -300,6 +300,48 @@ class TestConditionalTruncate:
             assert q == pytest.approx(1 - p_low, abs=1e-13)
             assert low.cdf(1e9) == pytest.approx(1.0, abs=1e-10)
             assert up.cdf(1e9) == pytest.approx(1.0, abs=1e-10)
+
+    def test_one_cut_rule(self, rng):
+        # cdf and both conditional laws cut the law the same way: at its
+        # atoms, at piece ends, inside pieces, in gaps, outside the support
+        # and at NaN, with atoms also sitting at piece ends.
+        straddled = 0
+        for _ in range(300):
+            d = random_mixed_distribution(rng, max_parts=6)
+            extra = [end for pc in d.pieces for end in (pc.lo, pc.hi) if rng.random() < 0.3]
+            share = 0.2 if extra else 0.0
+            d = Distribution(
+                atoms=tuple((x, p * (1 - share)) for x, p in d.atoms) + tuple((x, share / len(extra)) for x in extra),
+                pieces=tuple(Piece(pc.lo, pc.hi, pc.mass * (1 - share)) for pc in d.pieces),
+            )
+            spans = sorted([(x, x) for x, _ in d.atoms] + [(pc.lo, pc.hi) for pc in d.pieces])
+            points = [x for x, _ in d.atoms] + [end for pc in d.pieces for end in (pc.lo, pc.hi)]
+            points += [pc.lo + (pc.hi - pc.lo) * u for pc in d.pieces for u in rng.uniform(0, 1, 2)]
+            points += [(a[1] + b[0]) / 2 for a, b in zip(spans, spans[1:])]
+            points += [spans[0][0] - 1.0, spans[-1][1] + 1.0, math.nan]
+            for c in points:
+                try:
+                    low, p = conditional_truncate(d, c, "lower")
+                except DistributionError as err:
+                    # The refusal names the side's mass, which is cdf(c).
+                    assert str(err).endswith(f"leaves probability {d.cdf(c)!r}")
+                    if math.isnan(c):
+                        with pytest.raises(DistributionError, match="probability 0.0$"):
+                            conditional_truncate(d, c, "upper")
+                    continue
+                assert p == d.cdf(c)
+                up, q = conditional_truncate(d, c, "upper")
+                assert [x for x, _ in low.atoms] == [x for x, _ in d.atoms if x <= c]
+                assert [x for x, _ in low.atoms + up.atoms] == [x for x, _ in d.atoms]
+                assert [(pc.lo, pc.hi) for pc in low.pieces] == [(pc.lo, min(pc.hi, c)) for pc in d.pieces if pc.lo < c]
+                assert [(pc.lo, pc.hi) for pc in up.pieces] == [(max(pc.lo, c), pc.hi) for pc in d.pieces if pc.hi > c]
+                for pc in d.pieces:
+                    if pc.lo < c < pc.hi:
+                        straddled += 1
+                        cut = (c - pc.lo) / (pc.hi - pc.lo)
+                        assert low.pieces[-1].mass * p == pytest.approx(pc.mass * cut, rel=1e-12)
+                        assert up.pieces[0].mass * q == pytest.approx(pc.mass * (1 - cut), rel=1e-12)
+        assert straddled > 100
 
 
 class TestDistributionValidation:
@@ -473,7 +515,7 @@ class TestModelFaults:
             support = np.where(past & (np.arange(rows) % 2 == 0)[:, None], np.nan, support)
             mass = np.where(past, -1.0, mass)
             ragged = model_faults_reference(support, mass, sizes)
-            codes = model_faults(support, mass, sizes)
+            codes = model_faults(support, mass, np.arange(width) < sizes[:, None])
         assert codes.dtype == ragged.dtype == np.int64
         assert np.array_equal(codes, ragged)
         for want in (whole, ragged):
@@ -532,7 +574,7 @@ class TestModelFaults:
         sizes = np.array([len(row) for row in rows])
         support = np.tile(np.arange(width, dtype=float), (len(rows), 1))
         want = [4 if fsum_unnormalized(row) else 0 for row in rows]
-        assert model_faults(support, mass, sizes).tolist() == want
+        assert model_faults(support, mass, np.arange(width) < sizes[:, None]).tolist() == want
         assert sum(want) > 0 and want.count(0) > 0
         edge = self.rows_at_the_tolerance()
         assert {fsum_unnormalized(row) for row in edge} == {True, False}
@@ -555,7 +597,8 @@ class TestModelFaults:
         sizes = m - np.arange(mass.shape[0]) % 3
         rows = [row[:size] for row, size in zip(mass.tolist(), sizes)]
         want = [4 if fsum_unnormalized(row) else 0 for row in rows]
-        assert model_faults(support, np.where(np.arange(m) < sizes[:, None], mass, 7.0), sizes).tolist() == want
+        active = np.arange(m) < sizes[:, None]
+        assert model_faults(support, np.where(active, mass, 7.0), active).tolist() == want
 
     def test_one_wide_row(self, rng):
         mass = rng.uniform(0.5, 1.0, 200_000)

@@ -412,6 +412,10 @@ class TestTheorem3:
         with pytest.raises(ValueError, match="nonnegative"):
             rtwo_terms(np.array([1.0, -1.0]))
 
+    def test_rtwo_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rtwo_terms(np.array([math.nan, 1.0]))
+
     def test_three_atom_instance_holds(self):
         # |psi| = (1, 3/4, 1) on three equal atoms falsified E psi^2 (1 - p^2)
         a = np.array([1.0, 0.75, 1.0])
@@ -507,6 +511,11 @@ class TestWeighted:
         with pytest.raises(ValueError, match="nonnegative"):
             weighted_opial_terms(q, np.ones(3), np.array([1.0, -0.1, 1.0]))
 
+    def test_nan_weight_rejected(self):
+        q = uniform_model(3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_opial_terms(q, np.ones(3), np.array([1.0, math.nan, 1.0]))
+
     def test_continuous_weight_upper_bound_display(self):
         # uniform (0, h): rhs -> E psi^2 {chi(x) x + int_x^h chi} / (2h)
         # under refinement, the distribution form of the weighted bound
@@ -544,6 +553,8 @@ class TestTroy:
     def test_exponent_validated(self):
         with pytest.raises(ValueError, match="-1"):
             troy_comparison(-1.0, NodeFunction.identity(), m=16)
+        with pytest.raises(ValueError, match="-1"):
+            troy_comparison(math.nan, NodeFunction.identity(), m=16)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +711,27 @@ class TestReport:
     def test_zero_rhs_ratio(self):
         rep = opial_terms(uniform_model(3), np.zeros(3))
         assert rep.ratio == 0.0 and rep.terms["rhs"] == 0.0
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda tol: opial_terms(uniform_model(3), np.ones(3), tol=tol),
+            lambda tol: corollary_split(make_uniform_interval(0, 1), NodeFunction.constant(), 0.5, m=8, tol=tol),
+            lambda tol: theorem2_terms(uniform_model(3), np.ones(3), 1, tol=tol),
+            lambda tol: theorem3_terms(uniform_model(3), np.ones(3), tol=tol),
+            lambda tol: weighted_opial_terms(uniform_model(3), np.ones(3), np.ones(3), tol=tol),
+            lambda tol: wirtinger_terms(uniform_model(2), np.array([1.0, -1.0]), tol=tol),
+            lambda tol: discrete_identities(np.array([1.0, -1.0]), "o15", tol=tol),
+            lambda tol: rtwo_terms(np.ones(3), tol=tol),
+        ],
+        ids=["thm1", "corollary", "thm2", "thm3", "weighted", "wirtinger", "o15", "rtwo"],
+    )
+    def test_nan_tol_is_rejected(self, evaluate):
+        # Every comparison with a NaN tol is false, so it would report no
+        # equality even where the bound is one; an infinite tol is allowed.
+        assert evaluate(math.inf).equality
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            evaluate(math.nan)
 
 
 # ---------------------------------------------------------------------------

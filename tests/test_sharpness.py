@@ -509,7 +509,7 @@ class TestBlockStream:
                 assert got[name].dtype == want[name].dtype, name
                 assert got[name].tolist() == want[name].tolist(), name
 
-    def test_row_mask_is_built_by_the_draw_and_the_model_check_only(self):
+    def test_row_mask_is_built_by_the_draw_only(self):
         # Every later stage of a search block reads the draw's ``active``.
         builders = []
         for path in sorted(Path(sharpness.__file__).parent.glob("*.py")):
@@ -525,7 +525,7 @@ class TestBlockStream:
                         and ast.unparse(node.left.func) == "np.arange"
                     ):
                         builders.append(f"{path.stem}.{function.name}")
-        assert sorted(builders) == ["distributions.model_faults", "sharpness._draw_block"]
+        assert builders == ["sharpness._draw_block"]
 
     @pytest.mark.parametrize("functional, rel_tol", [("corollary", 0.0), ("wirtinger", -1.0)])
     def test_model_checks_run_once_per_block(self, monkeypatch, functional, rel_tol):
@@ -640,7 +640,7 @@ class TestBatchedSearchMatchesLoop:
     def test_screen_slacks_are_the_evaluators_bit_for_bit(self, functional, m_max):
         drawn = sharpness._draw_block(functional, 8, 0, m_max)
         if "mass" in drawn:
-            assert not model_faults(drawn["support"], drawn["mass"], drawn["sizes"]).any()
+            assert not model_faults(drawn["support"], drawn["mass"], drawn["active"]).any()
         slack, rhs = sharpness._screen(functional, drawn)
         skip = drawn.get("skip", np.zeros(slack.size, dtype=bool))
         kept = np.flatnonzero(~skip)
