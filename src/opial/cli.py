@@ -331,7 +331,8 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     functional = args.functional
     if not spec.oracle_backed:
         raise CliError(
-            f"no enumeration oracle for {functional}; its evaluation is already literal"
+            f"no enumeration oracle for {functional}; its terms are literal sums over "
+            "a coefficient sequence, and the oracle enumerates laws"
         )
     model = quantize(_require(dist, "--dist", functional), args.m)
     if spec.input == "distribution" and dist.pieces:

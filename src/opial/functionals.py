@@ -15,14 +15,18 @@ in the n-th order bound.
 
 Each functional's arithmetic lives in one ``*_rows`` kernel that works row
 by row along the last axis: masses and node values of shape ``(..., m)``
-give terms of shape ``(...)``.  A kernel reads its sums through a
-``passes`` argument, compensated by default (:mod:`opial.accumulate`);
-only the search's filter passes the plain ones.  A batch of models of
-different sizes is zero-padded to a common length; a zero mass leaves
-every compensated pass and sum unchanged (see :mod:`opial.accumulate`), so
-each row's terms are bit-identical to evaluating that model alone.  The
-public evaluators are their kernel applied to one model, followed by the
-report.
+give terms of shape ``(...)``.  The discrete identities are law kernels on
+the counting law of 1..N, a unit mass on each point, where every product
+with a mass is exact: ``o9-1``, ``o9-2``, ``o15`` and ``o18`` are one
+first-order term each (:func:`identity_rows`, tie weight 1, 1, 1/2 and 0),
+and ``rtwo`` is the second-order kernel :func:`theorem3_rows`.  A kernel
+reads its sums through a ``passes`` argument, compensated by default
+(:mod:`opial.accumulate`); only the search's filter passes the plain ones.
+A batch of models of different sizes is zero-padded to a common length; a
+zero mass leaves every compensated pass and sum unchanged (see
+:mod:`opial.accumulate`), so each row's terms are bit-identical to
+evaluating that model alone.  The public evaluators are their kernel
+applied to one model, followed by the report.
 
 :data:`FUNCTIONALS` is the one table of the functional ids: each entry holds
 the evaluator, the row kernel, the tight term, the required parameters, the
@@ -145,7 +149,7 @@ def _model_report(
 
 
 def _as_values(psi, model: QuantizedModel) -> np.ndarray:
-    """Resolve a NodeFunction or raw vector against `model`."""
+    """Resolve a NodeFunction or raw vector against `model`; a raw vector must be finite."""
     if isinstance(psi, NodeFunction):
         return psi.resolve(model)
     vals = np.asarray(psi, dtype=float).ravel()
@@ -154,6 +158,8 @@ def _as_values(psi, model: QuantizedModel) -> np.ndarray:
             f"value vector has {vals.size} entries but the model has "
             f"{model.node_count} nodes"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("value vector must be finite")
     return vals
 
 
@@ -188,10 +194,27 @@ def _check_direction(direction: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _half_tie(weighted: np.ndarray, direction: Direction, passes: Passes = COMPENSATED) -> np.ndarray:
+def _half_tie(weighted: np.ndarray, direction: Direction, passes: Passes = COMPENSATED, tie=0.5):
+    """The strict running sum of `weighted` in `direction`, plus `tie` times each node's own term.
+
+    The transforms take tie 1/2; on the counting law the discrete identities
+    take 1 (o9-1, o9-2), 1/2 (o15) and 0 (o18).
+    """
     if direction == "below":
-        return passes.prefix(weighted) + 0.5 * weighted
-    return passes.suffix(weighted) + 0.5 * weighted
+        return passes.prefix(weighted) + tie * weighted
+    return passes.suffix(weighted) + tie * weighted
+
+
+def _signed_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=1.0):
+    """E |T psi . psi| chi, with T psi the transform of psi at tie weight `tie`."""
+    t_signed = _half_tie(p * vals, direction, passes, tie)
+    return passes.total(p * np.abs(t_signed * vals) * chi)
+
+
+def _magnitude_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=1.0):
+    """E |psi| chi . T|psi|, with T|psi| the transform of |psi| at tie weight `tie`."""
+    mags = np.abs(vals)
+    return passes.total(p * mags * chi * _half_tie(p * mags, direction, passes, tie))
 
 
 def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below") -> np.ndarray:
@@ -208,11 +231,9 @@ def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below
 
 def opial_rows(p, vals, direction: Direction = "below", passes: Passes = COMPENSATED) -> dict:
     """Terms lhs, middle, rhs of :func:`opial_terms`, row by row."""
-    t_signed = _half_tie(p * vals, direction, passes)
-    t_abs = _half_tie(p * np.abs(vals), direction, passes)
     return {
-        "lhs": passes.total(p * np.abs(t_signed * vals)),
-        "middle": passes.total(p * np.abs(vals) * t_abs),
+        "lhs": _signed_term(p, vals, direction, passes),
+        "middle": _magnitude_term(p, vals, direction, passes),
         "rhs": 0.5 * passes.total(p * vals * vals),
     }
 
@@ -434,10 +455,8 @@ def theorem3_terms(model: QuantizedModel, psi, tol: float = EQUALITY_TOL) -> Ine
 
 def weighted_rows(p, vals, chi, direction: Direction = "below", passes: Passes = COMPENSATED) -> dict:
     """Terms of :func:`weighted_opial_terms`, row by row."""
-    t_signed = _half_tie(p * vals, direction, passes)
-    t_abs = _half_tie(p * np.abs(vals), direction, passes)
-    lhs = passes.total(p * np.abs(t_signed * vals) * chi)
-    middle = passes.total(p * np.abs(vals) * chi * t_abs)
+    lhs = _signed_term(p, vals, direction, passes, chi=chi)
+    middle = _magnitude_term(p, vals, direction, passes, chi=chi)
     if direction == "below":
         near = passes.prefix(p)
         far = passes.suffix(p * chi) + 0.5 * p * chi
@@ -564,43 +583,31 @@ def wirtinger_terms(
 # ---------------------------------------------------------------------------
 
 
-def o9_1_rows(a, n, passes: Passes = COMPENSATED) -> dict:
-    """Terms lhs, rhs of ``o9-1`` (:func:`discrete_identities`), row by row.
+def identity_rows(p, a, term: Callable, tie: float, factor: Callable, passes: Passes = COMPENSATED) -> dict:
+    """Terms lhs, rhs of a discrete identity (:func:`discrete_identities`), row by row.
 
-    `n` is each row's length N before its zero padding (or one length for
-    all rows); the other three identity kernels take the same arguments.
+    `p` is the counting law: a unit mass on each of a row's N coefficients
+    (and 0 on its padding).  lhs is the first-order `term` (:func:`_signed_term`
+    or :func:`_magnitude_term`) below, at tie weight `tie`, and rhs is
+    ``factor(N) * sum a^2``.
     """
-    total = passes.total
-    return {"lhs": total(np.abs(a * (passes.prefix(a) + a))), "rhs": 0.5 * (n + 1) * total(a * a)}
-
-
-def o9_2_rows(a, n, passes: Passes = COMPENSATED) -> dict:
-    """Terms lhs, rhs of ``o9-2``, row by row."""
-    mags = np.abs(a)
-    total = passes.total
-    return {"lhs": total(mags * (passes.prefix(mags) + mags)), "rhs": 0.5 * (n + 1) * total(a * a)}
-
-
-def o15_rows(a, n, passes: Passes = COMPENSATED) -> dict:
-    """Terms lhs, rhs of ``o15``, row by row."""
-    total = passes.total
-    return {"lhs": total(np.abs(a * (passes.prefix(a) + 0.5 * a))), "rhs": 0.25 * n * total(a * a)}
-
-
-def o18_rows(a, n, passes: Passes = COMPENSATED) -> dict:
-    """Terms lhs, rhs of ``o18``, row by row."""
-    total = passes.total
-    return {"lhs": total(np.abs(a * passes.prefix(a))), "rhs": 0.5 * ((n + 1) // 2) * total(a * a)}
+    return {"lhs": term(p, a, "below", passes, tie), "rhs": factor(passes.total(p)) * passes.total(p * a * a)}
 
 
 def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
-    """Classical discrete inequalities, both sides evaluated literally.
+    """Classical discrete inequalities on finite coefficients a_1..a_N.
 
     o9-1: sum_i |a_i sum_{j<=i} a_j|            <= (N+1)/2 sum a^2
     o9-2: sum_i sum_{j<=i} |a_i a_j|            <= (N+1)/2 sum a^2
     o15:  sum_i |a_i (sum_{j<i} a_j + a_i/2)|   <= N/4 sum a^2      (sum a = 0)
     o18:  sum_i |a_i sum_{j<i} a_j|             <= floor((N+1)/2)/2 sum a^2
                                                                     (sum a = 0)
+
+    Each left side is a first-order term on the counting law of 1..N
+    (:func:`identity_rows`): o9-1 and o15 are the signed term E|T a . a| at
+    tie weight 1 and 1/2, o18 is it at tie 0 (thm2's left side at n = 1),
+    and o9-2 is the magnitude term E|a| T|a| at tie 1.  Unit masses make
+    every product with a mass exact.
     """
     if which not in DISCRETE_IDENTITY_IDS:
         raise ValueError(f"unknown discrete identity {which!r}; expected one of {DISCRETE_IDENTITY_IDS}")
@@ -608,32 +615,13 @@ def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
     if spec.zero_mean:
         total = comp_sum(arr)
         if abs(total) > ZERO_MEAN_TOL * max(1.0, comp_sum(np.abs(arr))):
             raise ZeroMeanError(f"{which} requires sum(a) = 0; got {total!r}")
-    return _build_report(which, spec.rows(arr, arr.size), m=arr.size, exact=True, tol=tol)
-
-
-def rtwo_rows(a, n, passes: Passes = COMPENSATED) -> dict:
-    """Terms lhs, rhs of :func:`rtwo_terms`, row by row.
-
-    `n` is each row's length N before its zero padding (or one length for
-    all rows).  The left side is the literal double sum
-    6 sum_i a_i sum_{j<=i} (i-j) a_j, each sum taken left to right from 0:
-    the inner sums of all i advance together, one index j at a time.
-    """
-    width = a.shape[-1]
-    index = np.arange(width, dtype=float)
-    inner = np.zeros(a.shape)
-    for j in range(width):
-        inner[..., j:] += (index[j:] - j) * a[..., j : j + 1]
-    outer = np.concatenate((np.zeros(a.shape[:-1] + (1,)), a * inner), axis=-1)
-    lhs = 6.0 * np.add.accumulate(outer, axis=-1)[..., -1]
-    last = np.expand_dims(np.asarray(n, dtype=float) - 1.0, -1)  # N - 1
-    above = last - index  # N - i for i counted from 1
-    weights = index * index + above * above + last
-    return {"lhs": lhs, "rhs": 1.5 * passes.total(weights * a * a)}
+    return _build_report(which, spec.rows(np.ones(arr.size), arr), m=arr.size, exact=True, tol=tol)
 
 
 def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -643,26 +631,22 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
           <= (3/2) sum_i a_i^2 ((i-1)^2 + (N-i)^2 + N - 1),
 
     with i counted from 1 and equality iff a is constant (both sides are
-    N (N^2 - 1) at a = 1).  This is the second-order functional on N equal
-    atoms scaled by N^3 (C = (i-1)/N, D = (N-i)/N, p = 1/N), and it has the
-    same proof: a_i a_j <= (a_i^2 + a_j^2) / 2 applied pair by pair.
+    N (N^2 - 1) at a = 1).  This is the second-order kernel
+    :func:`theorem3_rows` on the counting law of 1..N, a unit mass on each
+    point (C = i - 1, D = N - i, p = 1), and it has the same proof:
+    a_i a_j <= (a_i^2 + a_j^2) / 2 applied pair by pair.
 
-    Requires a >= 0.  The left side is evaluated by the literal double sum
-    so that the identity with the second-order functional on a uniform
-    integer support is an actual cross-check rather than shared code.
+    Requires finite a >= 0.  The oracle's enumeration of the second-order
+    form (:mod:`opial.oracle`) is its independent cross-check.
     """
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
     if not np.all(arr >= 0.0):
         raise ValueError("rtwo expects nonnegative coefficients")
-    return _build_report(
-        "rtwo",
-        rtwo_rows(arr, arr.size),
-        m=arr.size,
-        exact=True,
-        tol=tol,
-    )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
+    return _build_report("rtwo", theorem3_rows(np.ones(arr.size), arr), m=arr.size, exact=True, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +729,9 @@ class Functional:
 
     ``evaluate(subject, psi, **params)`` is the public evaluator, whose
     subject is the ``input``: a quantized "model", a "distribution" that it
-    splits at c, a coefficient "sequence" (called as ``evaluate(a)``) or the
-    troy weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
+    splits at c, a coefficient "sequence" (called as ``evaluate(a)``, its
+    kernel's masses the counting law: 1 on each coefficient) or the troy
+    weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
     search), ``tight`` the term compared with rhs, ``params`` the required
     ones among n, c, chi and p_exp, and ``draw(rng, block)`` the search's
     draw of them for a block of zero-padded rows: it reads the rows'
@@ -777,7 +762,7 @@ class Functional:
 
     @property
     def oracle_backed(self) -> bool:
-        """Whether :mod:`opial.oracle` enumerates it (sequences are literal already)."""
+        """Whether :mod:`opial.oracle` enumerates it: it takes laws of total mass 1, not sequences."""
         return self.input in ("model", "distribution")
 
 
@@ -800,7 +785,8 @@ def _weighted(direction: Direction) -> Functional:
     )
 
 
-def _identity(which: str, rows: Callable, **options) -> Functional:
+def _identity(which: str, term: Callable, tie: float, factor: Callable, **options) -> Functional:
+    rows = partial(identity_rows, term=term, tie=tie, factor=factor)
     return Functional("sequence", partial(discrete_identities, which=which), rows, "lhs", **options)
 
 
@@ -827,11 +813,13 @@ FUNCTIONALS = {
         zero_mean=True,
         form=QuadraticForm(wirtinger_form, INV_PI_SQ),
     ),
-    "o9-1": _identity("o9-1", o9_1_rows),
-    "o9-2": _identity("o9-2", o9_2_rows, sign_free=True),
-    "o15": _identity("o15", o15_rows, zero_mean=True, draw=_draw_centred),
-    "o18": _identity("o18", o18_rows, zero_mean=True, draw=_draw_centred),
-    "rtwo": Functional("sequence", rtwo_terms, rtwo_rows, "lhs", draw=_draw_magnitudes, sign_free=True),
+    "o9-1": _identity("o9-1", _signed_term, 1.0, lambda n: 0.5 * (n + 1)),
+    "o9-2": _identity("o9-2", _magnitude_term, 1.0, lambda n: 0.5 * (n + 1), sign_free=True),
+    "o15": _identity("o15", _signed_term, 0.5, lambda n: 0.25 * n, zero_mean=True, draw=_draw_centred),
+    "o18": _identity(
+        "o18", _signed_term, 0.0, lambda n: 0.5 * ((n + 1) // 2), zero_mean=True, draw=_draw_centred
+    ),
+    "rtwo": Functional("sequence", rtwo_terms, theorem3_rows, "lhs", draw=_draw_magnitudes, sign_free=True),
     "troy": Functional("exponent", troy_comparison, None, "our_lhs", ("p_exp",), theorem_backed=False),
 }
 

@@ -392,12 +392,13 @@ def _exact_share(masses: np.ndarray) -> np.ndarray:
 def _terms(spec: fn.Functional, block: dict, values: np.ndarray, passes, share) -> dict:
     """The row kernel's terms on a block by `passes`, with `values` as psi (or a).
 
+    A sequence row's masses are the counting law, 1 on each of its entries.
     The corollary's conditional laws, X <= c and X > c, are masked rows of
     the block's nodes, their masses divided by `share` of each half's
     masked masses.  Their models' invariants follow from the full model's.
     """
     if spec.input == "sequence":
-        return spec.rows(values, block["sizes"], passes=passes)
+        return spec.rows(block["active"] * 1.0, values, passes=passes)
     p = block["mass"]
     if spec.input == "distribution":
         lower = block["support"] <= block["c"][:, None]

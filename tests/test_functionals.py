@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from opial import (
     wirtinger_terms,
 )
 from opial import functionals as fn
-from opial.accumulate import comp_sum
+from opial.accumulate import COMPENSATED, PLAIN, comp_sum
+from opial.oracle import _enum_opial, _enum_thm3, _w_below
 
 from conftest import random_atomic_model
 
@@ -513,7 +515,7 @@ class TestWeighted:
 
     def test_nan_weight_rejected(self):
         q = uniform_model(3)
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="must be finite"):
             weighted_opial_terms(q, np.ones(3), np.array([1.0, math.nan, 1.0]))
 
     def test_continuous_weight_upper_bound_display(self):
@@ -686,6 +688,95 @@ class TestDiscreteIdentities:
         else:
             assert discrete_identities(uncentred, which).functional == which
 
+    def test_terms_match_the_oracle(self, rng):
+        # The oracle shares no arithmetic with the kernels.  On unit masses at
+        # 1..N its first-order form gives o9-1's lhs and o9-2's (its middle)
+        # at full ties, o15's at half ties and o18's at strict order; its
+        # second-order form gives both sides of rtwo.
+        def full(xj, xi):
+            return 1.0 if xj <= xi else 0.0
+
+        def strict(xj, xi):
+            return 1.0 if xj < xi else 0.0
+
+        def close(value, reference):
+            assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference)), (value, reference)
+
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            a = rng.standard_normal(n) * 10.0 ** rng.uniform(0.0, 3.0)
+            centred = a - a.mean()
+            x, p = [float(i) for i in range(1, n + 1)], [1.0] * n
+            squares, centred_squares = math.fsum(a * a), math.fsum(centred * centred)
+            reports = {
+                which: discrete_identities(centred if fn.FUNCTIONALS[which].zero_mean else a, which)
+                for which in fn.DISCRETE_IDENTITY_IDS
+            }
+            full_ties = _enum_opial(x, p, a.tolist(), full)
+            close(reports["o9-1"].terms["lhs"], full_ties["lhs"])
+            close(reports["o9-2"].terms["lhs"], full_ties["middle"])
+            close(reports["o15"].terms["lhs"], _enum_opial(x, p, centred.tolist(), _w_below)["lhs"])
+            close(reports["o18"].terms["lhs"], _enum_opial(x, p, centred.tolist(), strict)["lhs"])
+            close(reports["o9-1"].terms["rhs"], (n + 1) / 2 * squares)
+            close(reports["o9-2"].terms["rhs"], (n + 1) / 2 * squares)
+            close(reports["o15"].terms["rhs"], n / 4 * centred_squares)
+            close(reports["o18"].terms["rhs"], ((n + 1) // 2) / 2 * centred_squares)
+            rtwo, oracle = rtwo_terms(np.abs(a)), _enum_thm3(x, p, np.abs(a).tolist())
+            close(rtwo.terms["lhs"], oracle["lhs"])
+            close(rtwo.terms["rhs"], oracle["rhs"])
+
+    @pytest.mark.parametrize("passes", [COMPENSATED, PLAIN], ids=["compensated", "plain"])
+    @pytest.mark.parametrize("which", fn.DISCRETE_IDENTITY_IDS)
+    def test_bit_identical_to_the_literal_kernels(self, which, passes):
+        # Unit masses make every product with a mass exact, so the counting
+        # law's terms are the literal sums bit for bit, padded rows included.
+        rng = np.random.default_rng(21)
+        sizes = rng.integers(1, 60, 2000)
+        active = np.arange(59) < sizes[:, None]
+        a = rng.standard_normal(active.shape) * 10.0 ** rng.uniform(-100.0, 100.0, active.shape)
+        a[::7] = np.round(a[::7])
+        a = np.where(active, a, 0.0)
+        terms = fn.FUNCTIONALS[which].rows(active * 1.0, a, passes=passes)
+        reference = LITERAL_IDENTITIES[which](a, sizes, passes)
+        for key in ("lhs", "rhs"):
+            assert bits(terms[key]) == bits(reference[key]), key
+
+    def test_sequence_kernels_are_law_kernels(self):
+        # An identity is a first-order term on the counting law, or the
+        # second-order kernel: no literal identity kernel of its own.
+        assert fn.FUNCTIONALS["rtwo"].rows is fn.theorem3_rows
+        for which, spec in fn.FUNCTIONALS.items():
+            if spec.input != "sequence" or spec.rows is fn.theorem3_rows:
+                continue
+            assert isinstance(spec.rows, partial) and spec.rows.func is fn.identity_rows, which
+            assert spec.rows.keywords["tie"] in (0.0, 0.5, 1.0), which
+
+
+def _o9_1_literal(a, n, passes):
+    total = passes.total
+    return {"lhs": total(np.abs(a * (passes.prefix(a) + a))), "rhs": 0.5 * (n + 1) * total(a * a)}
+
+
+def _o9_2_literal(a, n, passes):
+    mags = np.abs(a)
+    total = passes.total
+    return {"lhs": total(mags * (passes.prefix(mags) + mags)), "rhs": 0.5 * (n + 1) * total(a * a)}
+
+
+def _o15_literal(a, n, passes):
+    total = passes.total
+    return {"lhs": total(np.abs(a * (passes.prefix(a) + 0.5 * a))), "rhs": 0.25 * n * total(a * a)}
+
+
+def _o18_literal(a, n, passes):
+    total = passes.total
+    return {"lhs": total(np.abs(a * passes.prefix(a))), "rhs": 0.5 * ((n + 1) // 2) * total(a * a)}
+
+
+#: The identities' literal sums on rows of coefficients `a` of lengths `n`
+#: (zero-padded), the reference of the counting-law kernels.
+LITERAL_IDENTITIES = {"o9-1": _o9_1_literal, "o9-2": _o9_2_literal, "o15": _o15_literal, "o18": _o18_literal}
+
 
 # ---------------------------------------------------------------------------
 # report container
@@ -732,6 +823,31 @@ class TestReport:
         assert evaluate(math.inf).equality
         with pytest.raises(ValueError, match="tol must not be NaN"):
             evaluate(math.nan)
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: opial_terms(uniform_model(2), np.array([math.nan, 1.0])),
+            lambda: theorem2_terms(uniform_model(2), np.array([math.nan, 1.0]), 1),
+            lambda: theorem3_terms(uniform_model(2), np.array([math.inf, 1.0])),
+            lambda: wirtinger_terms(uniform_model(2), np.array([math.nan, 1.0]), project=True),
+            lambda: weighted_opial_terms(uniform_model(2), np.ones(2), np.array([math.inf, 1.0])),
+            lambda: troy_comparison(1.0, np.array([math.nan, 1.0]), m=2),
+            lambda: half_tie_transform(uniform_model(2), np.array([math.nan, 1.0])),
+            lambda: discrete_identities(np.array([math.nan, 1.0]), "o9-1"),
+            lambda: discrete_identities(np.array([math.inf, 1.0]), "o9-2"),
+            lambda: discrete_identities(np.array([math.nan, 1.0]), "o15"),
+            lambda: discrete_identities(np.array([math.inf, -math.inf]), "o18"),
+            lambda: rtwo_terms(np.array([math.inf, 1.0])),
+        ],
+        ids=["thm1", "thm2", "thm3", "wirtinger", "weighted-chi", "troy", "half-tie",
+             "o9-1", "o9-2", "o15", "o18", "rtwo"],
+    )
+    def test_non_finite_values_are_rejected(self, evaluate):
+        # A NaN or inf raw value would make NaN terms, reported as a
+        # non-equality rather than refused.
+        with pytest.raises(ValueError, match="must be finite"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +898,7 @@ class TestRowKernels:
             # The search's draw centres (o15, o18) or takes magnitudes (rtwo).
             drawn = spec.draw(rng, {"sizes": sizes, "active": active, "a": pad(psis)})["a"]
             seqs = [row[:size] for row, size in zip(drawn, sizes)]
-            self.assert_rows(spec.rows(drawn, sizes), [spec.evaluate(v) for v in seqs])
+            self.assert_rows(spec.rows(active * 1.0, drawn), [spec.evaluate(v) for v in seqs])
             return
         p, psi = pad([q.mass for q in models]), pad(psis)
         if spec.zero_mean:
