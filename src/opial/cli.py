@@ -329,10 +329,9 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     dist, psi, chi = load_specs(args.dist_path, args.psi_spec, args.chi_spec)
     spec = fn.FUNCTIONALS[args.functional]
     functional = args.functional
-    if not spec.oracle_backed:
+    if functional not in oracle_mod.ORACLE_IDS:
         raise CliError(
-            f"no enumeration oracle for {functional}; its terms are literal sums over "
-            "a coefficient sequence, and the oracle enumerates laws"
+            f"no enumeration oracle for {functional}; oracle-diff supports {', '.join(oracle_mod.ORACLE_IDS)}"
         )
     model = quantize(_require(dist, "--dist", functional), args.m)
     if spec.input == "distribution" and dist.pieces:

@@ -760,11 +760,6 @@ class Functional:
     study: Callable | None = None
     sign_free: bool = False
 
-    @property
-    def oracle_backed(self) -> bool:
-        """Whether :mod:`opial.oracle` enumerates it: it takes laws of total mass 1, not sequences."""
-        return self.input in ("model", "distribution")
-
 
 def _first_order(direction: Direction) -> Functional:
     return Functional(

@@ -56,44 +56,39 @@ def _w_below(xj: float, xi: float) -> float:
 
 
 def _w_above(xj: float, xi: float) -> float:
-    if xj > xi:
-        return 1.0
-    if xj == xi:
-        return 0.5
-    return 0.0
+    return _w_below(xi, xj)
 
 
-def _enum_opial(x, p, f, w) -> dict[str, float]:
+def _enum_opial(x, p, f, w, g=None) -> dict[str, float]:
+    """The first-order terms under the tie weight w, with the weight g on the
+    outer node (all ones when None).  The weighted and corollary enumerations
+    are this one."""
     m = len(x)
+    if g is None:
+        g = [1.0] * m
     lhs = 0.0
     middle = 0.0
     rhs = 0.0
     for i in range(m):
         inner = 0.0
         for j in range(m):
-            inner += p[j] * f[j] * w(x[j], x[i])
-            middle += p[i] * p[j] * abs(f[i] * f[j]) * w(x[j], x[i])
-        lhs += p[i] * abs(inner * f[i])
+            wv = w(x[j], x[i])
+            inner += p[j] * f[j] * wv
+            middle += p[i] * p[j] * abs(f[i] * f[j]) * g[i] * wv
+        lhs += p[i] * abs(inner * f[i]) * g[i]
         rhs += 0.5 * p[i] * f[i] * f[i]
     return {"lhs": lhs, "middle": middle, "rhs": rhs}
 
 
-def _enum_weighted(x, p, f, g, w_dir, w_opp) -> dict[str, float]:
+def _enum_weighted(x, p, f, g, w) -> dict[str, float]:
+    # The first-order terms with chi on the outer node; the rhs is the pair
+    # sum of psi_i^2 against chi_i under w and chi_j under w reversed.
     m = len(x)
-    lhs = 0.0
-    middle = 0.0
     rhs = 0.0
     for i in range(m):
-        inner = 0.0
         for j in range(m):
-            wd = w_dir(x[j], x[i])
-            inner += p[j] * f[j] * wd
-            middle += p[i] * p[j] * abs(f[i] * f[j]) * g[i] * wd
-            rhs += 0.5 * p[i] * p[j] * f[i] * f[i] * (
-                g[i] * wd + g[j] * w_opp(x[j], x[i])
-            )
-        lhs += p[i] * abs(inner * f[i]) * g[i]
-    return {"lhs": lhs, "middle": middle, "rhs": rhs}
+            rhs += 0.5 * p[i] * p[j] * f[i] * f[i] * (g[i] * w(x[j], x[i]) + g[j] * w(x[i], x[j]))
+    return {**_enum_opial(x, p, f, w, g), "rhs": rhs}
 
 
 def _enum_thm2(x, p, f, n: int) -> dict[str, float]:
@@ -165,54 +160,39 @@ def _enum_wirtinger(x, p, f) -> dict[str, float]:
 
 
 def _enum_corollary(x, p, f, c: float) -> dict[str, float]:
+    # The first-order terms of each conditional law, summed: x <= c under
+    # the lower weight and x > c under the upper one, with masses p / P(side).
     m = len(x)
     low = [i for i in range(m) if x[i] <= c]
     up = [i for i in range(m) if x[i] > c]
-    p_low = 0.0
-    for i in low:
-        p_low += p[i]
-    p_up = 0.0
-    for i in up:
-        p_up += p[i]
-    if p_low <= 0.0 or p_up <= 0.0:
-        raise ValueError(f"split at c={c} leaves an empty side")
-    lhs = 0.0
-    middle = 0.0
-    rhs = 0.0
-    for idx, weight_fn, side_mass in ((low, _w_below, p_low), (up, _w_above, p_up)):
+    sides = []
+    for idx, w in ((low, _w_below), (up, _w_above)):
+        mass = 0.0
         for i in idx:
-            qi = p[i] / side_mass
-            inner = 0.0
-            for j in idx:
-                qj = p[j] / side_mass
-                wv = weight_fn(x[j], x[i])
-                inner += qj * f[j] * wv
-                middle += qi * qj * abs(f[i] * f[j]) * wv
-            lhs += qi * abs(inner * f[i])
-            rhs += 0.5 * qi * f[i] * f[i]
-    return {"lhs": lhs, "middle": middle, "rhs": rhs}
+            mass += p[i]
+        if mass <= 0.0:
+            raise ValueError(f"split at c={c} leaves an empty side")
+        sides.append(_enum_opial([x[i] for i in idx], [p[i] / mass for i in idx], [f[i] for i in idx], w))
+    lower, upper = sides
+    return {key: lower[key] + upper[key] for key in lower}
 
 
 #: Functional id -> (summand count for m nodes and order n, the arguments its
-#: enumeration needs among g (the weight chi), n and c, the enumeration).
+#: enumeration needs among g (the weight chi), n and c, the enumeration), in
+#: the order of the stable functional ids.
 _ORACLES = {
     "thm1-lower": (lambda m, n: 2 * m * m, (), partial(_enum_opial, w=_w_below)),
     "thm1-upper": (lambda m, n: 2 * m * m, (), partial(_enum_opial, w=_w_above)),
-    "weighted-lower": (
-        lambda m, n: 3 * m * m,
-        ("g",),
-        partial(_enum_weighted, w_dir=_w_below, w_opp=_w_above),
-    ),
-    "weighted-upper": (
-        lambda m, n: 3 * m * m,
-        ("g",),
-        partial(_enum_weighted, w_dir=_w_above, w_opp=_w_below),
-    ),
+    "corollary": (lambda m, n: 4 * m * m, ("c",), _enum_corollary),
     "thm2": (lambda m, n: (n + 1) * m ** (n + 1), ("n",), _enum_thm2),
     "thm3": (lambda m, n: 3 * m**3 + 5 * m * m, (), _enum_thm3),
+    "weighted-lower": (lambda m, n: 3 * m * m, ("g",), partial(_enum_weighted, w=_w_below)),
+    "weighted-upper": (lambda m, n: 3 * m * m, ("g",), partial(_enum_weighted, w=_w_above)),
     "wirtinger": (lambda m, n: 2 * m * m, (), _enum_wirtinger),
-    "corollary": (lambda m, n: 4 * m * m, ("c",), _enum_corollary),
 }
+
+#: The functional ids :func:`enumerate_functional` enumerates.
+ORACLE_IDS = tuple(_ORACLES)
 
 _NEEDS = {"g": "a weight chi", "n": "an order n >= 1", "c": "a split point c"}
 

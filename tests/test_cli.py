@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from opial import cli
 from opial import functionals as fn
+from opial import oracle
 from opial.cli import main
 
 
@@ -720,12 +721,25 @@ class TestOracleDiff:
         assert code == 1
         assert "budget" in capsys.readouterr().err
 
+    SUPPORTED = (
+        "oracle-diff supports thm1-lower, thm1-upper, corollary, thm2, thm3, "
+        "weighted-lower, weighted-upper, wirtinger"
+    )
+
     def test_discrete_identities_have_no_oracle(self, capsys):
         code = main(
             ["oracle-diff", "--psi", "constant", "--functional", "o9-2"]
         )
         assert code == 1
-        assert "literal" in capsys.readouterr().err
+        assert self.SUPPORTED in capsys.readouterr().err
+
+    @pytest.mark.parametrize("functional", ["troy", "o9-2"])
+    def test_refusal_names_the_supported_ids(self, tmp_path, capsys, functional):
+        dist = write_uniform_n(tmp_path / "d.json", 3)
+        flags = ["--dist", str(dist), "--psi", "constant", "--p-exp", "1"]
+        assert main(["oracle-diff", "--functional", functional, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"opial: error: no enumeration oracle for {functional}; {self.SUPPORTED}\n"
 
     def test_csv_restricted_to_converge(self, tmp_path, capsys):
         dist = write_uniform_n(tmp_path / "d.json", 3)
@@ -764,7 +778,7 @@ class TestOracleDiff:
             '{"kind": "step", "threshold": 1.5, "low": -1.0, "high": 2.0}',
         ],
     )
-    @pytest.mark.parametrize("functional", [k for k, f in fn.FUNCTIONALS.items() if f.oracle_backed])
+    @pytest.mark.parametrize("functional", oracle.ORACLE_IDS)
     def test_fast_terms_are_the_verify_terms(self, tmp_path, functional, psi):
         dist = tmp_path / "law.json"
         dist.write_text(json.dumps(GOLDEN_LAW), encoding="utf-8")

@@ -1,12 +1,14 @@
-"""README.md lists the functional ids, node-function kinds, sharpness keys and search constants the code defines."""
+"""README.md lists the functional ids, node-function kinds, sharpness keys, search constants, oracle ids and long options the code defines."""
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from opial.cli import build_parser
 from opial.distributions import NODE_FUNCTION_KINDS, NodeFunction, make_uniform_interval, quantize
 from opial.functionals import FUNCTIONAL_IDS
+from opial.oracle import ORACLE_IDS
 from opial.sharpness import BLOCK_TRIALS, CHUNK_ELEMENTS, rayleigh_best_constant
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -76,3 +78,15 @@ def test_search_block_stream_stated():
     assert rows and [int(g) for g in rows.groups()] == [BLOCK_TRIALS, BLOCK_TRIALS]
     assert f"zero-padded ({BLOCK_TRIALS} x M) arrays" in text
     assert "block b comes from its own generator `default_rng([S, b])`" in text
+
+
+def test_every_long_option_named():
+    text = README.read_text(encoding="utf-8")
+    options = [opt for action in build_parser()._actions for opt in action.option_strings if opt.startswith("--")]
+    missing = [opt for opt in options if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])", text)]
+    assert options and not missing, missing
+
+
+def test_oracle_diff_ids_listed_in_table_order():
+    ids = bullet("`oracle-diff` --").split(":")[0]
+    assert tuple(re.findall(r"`([^`]+)`", ids))[1:] == ORACLE_IDS

@@ -371,6 +371,25 @@ class TestTheorem2:
                 rep = theorem2_terms(q, np.ones(m), n)
                 assert rep.slack > 0.0
 
+    @pytest.mark.parametrize("n, first_failing_m", [(2, 68), (3, 34), (4, 29)])
+    def test_perron_psi_breaks_the_stated_constant(self, n, first_failing_m):
+        # On m equal atoms p = 1/m with psi >= 0, lhs = psi' K psi for the
+        # symmetrized strict-chain kernel K = p^(n+1) C(|i-k|-1, n-1) / 2, so
+        # the top eigenvector of K / p maximizes lhs / E psi^2 at the top
+        # eigenvalue.  (n+1)! times it exceeds 1 from the first failing m on:
+        # the stated 1/(n+1)! is no bound there.  The check reads lhs, not the
+        # report's ratio, so it holds whatever rhs the report states.
+        for m, fails in ((first_failing_m - 1, False), (first_failing_m, True)):
+            p = 1.0 / m
+            gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+            chains = np.array([[math.comb(d - 1, n - 1) if d else 0 for d in row] for row in gap.tolist()])
+            values, vectors = np.linalg.eigh(0.5 * p**n * chains)
+            psi = np.abs(vectors[:, -1])
+            q = QuantizedModel(support=np.arange(1.0, m + 1.0), mass=np.full(m, p))
+            value = theorem2_terms(q, psi, n).terms["lhs"] * math.factorial(n + 1) / np.sum(q.mass * psi * psi)
+            assert rel_close(value, math.factorial(n + 1) * values[-1], 1e-12)
+            assert (value > 1.0) == fails, (m, value)
+
 
 # ---------------------------------------------------------------------------
 # second order with atom corrections

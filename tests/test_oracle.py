@@ -19,7 +19,7 @@ from opial import (
     wirtinger_terms,
 )
 from opial import oracle
-from opial.functionals import FUNCTIONALS
+from opial.functionals import FUNCTIONAL_IDS
 
 from conftest import random_atomic_model
 
@@ -32,6 +32,84 @@ def assert_terms_close(fast: dict, slow: dict, tol=1e-12):
     for key in set(fast) & set(slow):
         scale = max(1.0, abs(fast[key]), abs(slow[key]))
         assert abs(fast[key] - slow[key]) <= tol * scale, (key, fast[key], slow[key])
+
+
+def hex_terms(terms: dict) -> dict:
+    return {key: float(value).hex() for key, value in terms.items()}
+
+
+# The first-order, weighted and corollary enumerations as they were written
+# out separately, kept as references for the shared first-order one.
+
+
+def _w_above_reference(xj: float, xi: float) -> float:
+    if xj > xi:
+        return 1.0
+    if xj == xi:
+        return 0.5
+    return 0.0
+
+
+def _opial_reference(x, p, f, w) -> dict[str, float]:
+    m = len(x)
+    lhs = 0.0
+    middle = 0.0
+    rhs = 0.0
+    for i in range(m):
+        inner = 0.0
+        for j in range(m):
+            inner += p[j] * f[j] * w(x[j], x[i])
+            middle += p[i] * p[j] * abs(f[i] * f[j]) * w(x[j], x[i])
+        lhs += p[i] * abs(inner * f[i])
+        rhs += 0.5 * p[i] * f[i] * f[i]
+    return {"lhs": lhs, "middle": middle, "rhs": rhs}
+
+
+def _weighted_reference(x, p, f, g, w_dir, w_opp) -> dict[str, float]:
+    m = len(x)
+    lhs = 0.0
+    middle = 0.0
+    rhs = 0.0
+    for i in range(m):
+        inner = 0.0
+        for j in range(m):
+            wd = w_dir(x[j], x[i])
+            inner += p[j] * f[j] * wd
+            middle += p[i] * p[j] * abs(f[i] * f[j]) * g[i] * wd
+            rhs += 0.5 * p[i] * p[j] * f[i] * f[i] * (
+                g[i] * wd + g[j] * w_opp(x[j], x[i])
+            )
+        lhs += p[i] * abs(inner * f[i]) * g[i]
+    return {"lhs": lhs, "middle": middle, "rhs": rhs}
+
+
+def _corollary_reference(x, p, f, c: float) -> dict[str, float]:
+    m = len(x)
+    low = [i for i in range(m) if x[i] <= c]
+    up = [i for i in range(m) if x[i] > c]
+    p_low = 0.0
+    for i in low:
+        p_low += p[i]
+    p_up = 0.0
+    for i in up:
+        p_up += p[i]
+    if p_low <= 0.0 or p_up <= 0.0:
+        raise ValueError(f"split at c={c} leaves an empty side")
+    lhs = 0.0
+    middle = 0.0
+    rhs = 0.0
+    for idx, weight_fn, side_mass in ((low, oracle._w_below, p_low), (up, _w_above_reference, p_up)):
+        for i in idx:
+            qi = p[i] / side_mass
+            inner = 0.0
+            for j in idx:
+                qj = p[j] / side_mass
+                wv = weight_fn(x[j], x[i])
+                inner += qj * f[j] * wv
+                middle += qi * qj * abs(f[i] * f[j]) * wv
+            lhs += qi * abs(inner * f[i])
+            rhs += 0.5 * qi * f[i] * f[i]
+    return {"lhs": lhs, "middle": middle, "rhs": rhs}
 
 
 class TestEnumerateFunctional:
@@ -109,6 +187,40 @@ class TestEnumerateFunctional:
             fast = corollary_split(dist, psi, c, m=1).terms
             slow = enumerate_functional(q, psi, functional="corollary", c=c)
             assert_terms_close(fast, slow)
+
+    def test_first_order_enumerations_match_their_references(self):
+        # thm1-* and weighted-* keep every bit of their former enumerations;
+        # the corollary sums its two sides' terms, so only its rounding moves.
+        rng = np.random.default_rng(20261019)
+        below, above = oracle._w_below, _w_above_reference
+        for _ in range(2000):
+            q = random_atomic_model(rng, m_max=24)
+            m = q.node_count
+            psi = rng.standard_normal(m) * 10.0 ** rng.uniform(-5.0, 5.0)
+            chi = rng.uniform(0.0, 3.0, m)
+            x, p, f, g = q.support.tolist(), q.mass.tolist(), psi.tolist(), chi.tolist()
+            references = {
+                "thm1-lower": _opial_reference(x, p, f, below),
+                "thm1-upper": _opial_reference(x, p, f, above),
+                "weighted-lower": _weighted_reference(x, p, f, g, below, above),
+                "weighted-upper": _weighted_reference(x, p, f, g, above, below),
+            }
+            for functional, want in references.items():
+                got = enumerate_functional(q, psi, chi=chi, functional=functional)
+                assert hex_terms(got) == hex_terms(want), functional
+            if m > 1:
+                c = float(q.support[rng.integers(0, m - 1)])
+                want = _corollary_reference(x, p, f, c)
+                got = enumerate_functional(q, psi, functional="corollary", c=c)
+                assert set(got) == set(want)
+                for key in want:
+                    assert abs(got[key] - want[key]) <= 4e-15 * abs(want[key]), (key, got[key], want[key])
+
+    def test_corollary_empty_side_rejected(self):
+        q = uniform_model(3)
+        for c in (3.0, 0.5, float("nan")):
+            with pytest.raises(ValueError, match="empty side"):
+                enumerate_functional(q, np.ones(3), functional="corollary", c=c)
 
     def test_budget_enforced(self):
         q = uniform_model(8)
@@ -210,16 +322,10 @@ class TestBoundary:
         assert imported.isdisjoint({"functionals", "accumulate", "sharpness"}), imported
 
     def test_oracles_cover_the_oracle_backed_ids(self):
-        (table,) = [
-            node.value
-            for node in ast.walk(self.tree())
-            if isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "_ORACLES" for t in node.targets)
-        ]
-        keys = {ast.literal_eval(key) for key in table.keys}
-        backed = {k for k, f in FUNCTIONALS.items() if f.oracle_backed}
-        assert keys == backed
-        assert backed == {
+        # The oracle's table is the one list of enumerated ids: the eight
+        # law functionals, in the order of the stable ids.
+        assert set(oracle.ORACLE_IDS) == {
             "thm1-lower", "thm1-upper", "weighted-lower", "weighted-upper",
             "thm2", "thm3", "wirtinger", "corollary",
         }
+        assert oracle.ORACLE_IDS == tuple(k for k in FUNCTIONAL_IDS if k in oracle.ORACLE_IDS)
