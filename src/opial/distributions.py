@@ -326,14 +326,13 @@ class QuantizedModel:
     ``math.fsum`` only when that sum is too close to the tolerance to
     decide) and raises with the first one that fails.  ``is_exact`` is
     True when the source distribution had no continuous pieces, in which
-    case every evaluation on this model is exact for the source.
-    ``source_m`` records the atomization resolution used.
+    case every evaluation on this model is exact for the source.  The
+    model keeps no resolution: a report's ``m`` is its :attr:`node_count`.
     """
 
     support: np.ndarray
     mass: np.ndarray
     is_exact: bool = True
-    source_m: int = 1
 
     def __post_init__(self) -> None:
         support = np.asarray(self.support, dtype=float).ravel()
@@ -395,7 +394,6 @@ def quantize(dist: Distribution, m: int) -> QuantizedModel:
         support=np.concatenate(support),
         mass=np.concatenate(mass),
         is_exact=not dist.pieces,
-        source_m=m,
     )
 
 

@@ -82,9 +82,12 @@ class IneqReport:
     ``terms`` holds the named sides (lhs, middle where defined, rhs, ...).
     ``slack`` is rhs minus the tightest left-hand term, ``ratio`` that term
     over rhs (0 when rhs is 0), and ``equality`` tests
-    ``slack <= tol * max(1, |rhs|)`` (the evaluators refuse a NaN tol).
-    ``m`` is the quantization resolution and ``exact`` whether the model
-    evaluated had no discretization error.
+    ``|slack| <= tol * max(1, |rhs|)`` on both sides, so a violation is
+    never an equality (the evaluators refuse a NaN tol).  ``m`` is the
+    number of nodes evaluated: a model's node count, the sum of both halves'
+    for the two-sided split, N for a coefficient sequence.  ``exact`` says
+    whether the model evaluated had no discretization error.  The JSON
+    report is these fields, with ``extras`` merged at the top level.
     """
 
     functional: str
@@ -97,17 +100,8 @@ class IneqReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "functional": self.functional,
-            "terms": {k: float(v) for k, v in self.terms.items()},
-            "slack": float(self.slack),
-            "ratio": float(self.ratio),
-            "equality": bool(self.equality),
-            "m": int(self.m),
-            "exact": bool(self.exact),
-        }
-        for key, value in self.extras.items():
-            doc[key] = value
+        doc = dict(vars(self))
+        doc.update(doc.pop("extras"))
         return doc
 
 
@@ -127,7 +121,8 @@ def _build_report(
     rhs = terms["rhs"]
     slack = rhs - tight
     ratio = 0.0 if rhs == 0.0 else tight / rhs
-    equality = slack <= tol * max(1.0, abs(rhs))
+    # bool(): a numpy tol or is_exact would otherwise leave numpy bools in the report.
+    equality = bool(abs(slack) <= tol * max(1.0, abs(rhs)))
     return IneqReport(
         functional=functional,
         terms=terms,
@@ -135,7 +130,7 @@ def _build_report(
         ratio=ratio,
         equality=equality,
         m=m,
-        exact=exact,
+        exact=bool(exact),
         extras=extras or {},
     )
 
@@ -145,7 +140,7 @@ def _model_report(
 ) -> IneqReport:
     """Report of the table's row kernel of `functional` on `model` at node values `vals`."""
     terms = FUNCTIONALS[functional].rows(model.mass, vals, **params)
-    return _build_report(functional, terms, m=model.source_m, exact=model.is_exact, tol=tol, extras=extras)
+    return _build_report(functional, terms, m=model.node_count, exact=model.is_exact, tol=tol, extras=extras)
 
 
 def _as_values(psi, model: QuantizedModel) -> np.ndarray:
@@ -320,7 +315,7 @@ def corollary_split(
     return _build_report(
         "corollary",
         terms,
-        m=m,
+        m=q_low.node_count + q_up.node_count,
         exact=q_low.is_exact and q_up.is_exact,
         tol=tol,
         extras={"c": float(c), "p_lower": float(p_low)},
@@ -516,14 +511,7 @@ class TroyComparison:
     troy_rhs: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "functional": "troy",
-            "p_exp": float(self.p_exp),
-            "m": int(self.m),
-            "our_lhs": float(self.our_lhs),
-            "our_rhs": float(self.our_rhs),
-            "troy_rhs": float(self.troy_rhs),
-        }
+        return {"functional": "troy", **vars(self)}
 
 
 def troy_comparison(p_exp: float, psi, m: int = DEFAULT_RESOLUTION) -> TroyComparison:
@@ -537,7 +525,7 @@ def troy_comparison(p_exp: float, psi, m: int = DEFAULT_RESOLUTION) -> TroyCompa
     troy_rhs = comp_sum(model.mass * vals * vals) / (2.0 * math.sqrt(p_exp + 1.0))
     return TroyComparison(
         p_exp=float(p_exp),
-        m=m,
+        m=model.node_count,
         our_lhs=report.terms["lhs"],
         our_rhs=report.terms["rhs"],
         troy_rhs=troy_rhs,

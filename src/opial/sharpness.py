@@ -86,16 +86,14 @@ class BestConstant:
         return self.c_m / fn.FUNCTIONALS[self.functional].form.bound
 
     def to_json_dict(self) -> dict:
-        """The ``sharpness`` report of every solved functional."""
+        """The ``sharpness`` report of every solved functional: its fields
+        and the three derived ones."""
         return {
-            "c_m": float(self.c_m),
-            "converged": bool(self.converged),
-            "functional": self.functional,
-            "iterations": int(self.iterations),
+            **vars(self),
             "psi_star": self.psi_star.tolist(),
-            "ratio_star": float(self.ratio_star),
-            "residual": float(self.residual),
-            "trace": [[int(i), float(c)] for i, c in self.trace],
+            "converged": self.converged,
+            "iterations": self.iterations,
+            "ratio_star": self.ratio_star,
         }
 
 
@@ -195,10 +193,14 @@ def wirtinger_best_constant(m: int) -> BestConstant:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
+    """One grid of a refinement study: the study's value at resolution m,
+    its error against the limit and ``fitted_order``, the pairwise order
+    against the previous grid (None on the first grid or a zero error)."""
+
     m: int
     value: float
     error: float
-    order: float | None  # pairwise order against the previous grid
+    fitted_order: float | None
 
 
 @dataclass(frozen=True)
@@ -209,32 +211,13 @@ class ConvergenceStudy:
     fitted_order: float | None  # least-squares slope over all positive errors
 
     def to_json_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "n": self.n,
-            "rows": [
-                {
-                    "m": row.m,
-                    "value": float(row.value),
-                    "error": float(row.error),
-                    "fitted_order": None if row.order is None else float(row.order),
-                }
-                for row in self.rows
-            ],
-            "fitted_order": None if self.fitted_order is None else float(self.fitted_order),
-        }
+        return {**vars(self), "rows": [dict(vars(row)) for row in self.rows]}
 
     def to_csv_rows(self) -> list[list]:
         rows: list[list] = [["m", "value", "error", "fitted_order"]]
         for row in self.rows:
-            rows.append(
-                [
-                    row.m,
-                    repr(float(row.value)),
-                    repr(float(row.error)),
-                    "" if row.order is None else repr(float(row.order)),
-                ]
-            )
+            order = "" if row.fitted_order is None else repr(row.fitted_order)
+            rows.append([row.m, repr(row.value), repr(row.error), order])
         return rows
 
 
@@ -278,7 +261,7 @@ def convergence_study(
         order = None
         if rows and error > 0.0 and rows[-1].error > 0.0:
             order = math.log(rows[-1].error / error) / math.log(m / rows[-1].m)
-        rows.append(ConvergenceRow(m=m, value=value, error=error, order=order))
+        rows.append(ConvergenceRow(m=m, value=value, error=error, fitted_order=order))
 
     positive = [row for row in rows if row.error > 0.0]
     fitted = None
@@ -308,14 +291,7 @@ class Violation:
     instance: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "trial": self.trial,
-            "seed": self.seed,
-            "slack": float(self.slack),
-            "heuristic": self.heuristic,
-            "instance": self.instance,
-        }
+        return dict(vars(self))
 
 
 #: Default maximum node count of a search trial (``search --m``).

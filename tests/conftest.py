@@ -11,7 +11,7 @@ def random_atomic_model(rng, m_max=50, m_min=1) -> QuantizedModel:
     mass = rng.dirichlet(np.ones(m))
     mass = np.maximum(mass, 1e-9)
     mass /= mass.sum()
-    return QuantizedModel(support=support, mass=mass, is_exact=True, source_m=1)
+    return QuantizedModel(support=support, mass=mass, is_exact=True)
 
 
 def random_atomic_distribution(rng, m_max=50, m_min=1) -> Distribution:

@@ -76,7 +76,7 @@ class TestVerify:
                 '  "equality": true,',
                 '  "exact": true,',
                 '  "functional": "thm1-lower",',
-                '  "m": 512,',
+                '  "m": 2,',
                 '  "ratio": 1.0,',
                 '  "slack": 0.0,',
                 '  "terms": {',

@@ -1,4 +1,4 @@
-"""README.md lists the functional ids, node-function kinds, sharpness keys, search constants, oracle ids and long options the code defines."""
+"""README.md lists the functional ids, node-function kinds, verify and sharpness keys, search constants, oracle ids and long options the code defines."""
 import json
 import re
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 from opial.cli import build_parser
 from opial.distributions import NODE_FUNCTION_KINDS, NodeFunction, make_uniform_interval, quantize
-from opial.functionals import FUNCTIONAL_IDS
+from opial.functionals import FUNCTIONAL_IDS, theorem3_terms, troy_comparison
 from opial.oracle import ORACLE_IDS
 from opial.sharpness import BLOCK_TRIALS, CHUNK_ELEMENTS, rayleigh_best_constant
 
@@ -65,6 +65,16 @@ def test_sharpness_keys_listed():
     keys = bullet("`sharpness` --").split(" keys ")[1].split(" (")[0]
     result = rayleigh_best_constant(quantize(make_uniform_interval(0.0, 1.0), 4))
     assert re.findall(r"`([^`]+)`", keys) == sorted(result.to_json_dict())
+
+
+def test_verify_keys_listed():
+    keys = bullet("`verify` --").split(" keys ")[1].split(" (")[0]
+    report = theorem3_terms(quantize(make_uniform_interval(0.0, 1.0), 4), NodeFunction.constant())
+    assert not report.extras
+    assert re.findall(r"`([^`]+)`", keys) == sorted(report.to_json_dict())
+    troy_keys = bullet("`verify` --").split("`troy` reports ")[1].split(")")[0]
+    troy = troy_comparison(1.0, NodeFunction.constant(), 4)
+    assert re.findall(r"`([^`]+)`", troy_keys) == sorted(troy.to_json_dict())
 
 
 def test_search_block_stream_stated():

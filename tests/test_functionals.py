@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from opial import (
     Distribution,
     NodeFunction,
+    Piece,
     QuantizedModel,
     ZeroMeanError,
     corollary_split,
@@ -219,7 +220,6 @@ class TestAffineInvariance:
                 support=alpha * q.support + beta,
                 mass=q.mass,
                 is_exact=q.is_exact,
-                source_m=q.source_m,
             )
             pairs = [
                 (opial_terms(q, psi), opial_terms(mapped, psi)),
@@ -379,16 +379,21 @@ class TestTheorem2:
         # eigenvalue.  (n+1)! times it exceeds 1 from the first failing m on:
         # the stated 1/(n+1)! is no bound there.  The check reads lhs, not the
         # report's ratio, so it holds whatever rhs the report states.
+        # The law is built and quantized as the command line builds it: the
+        # report's m is the atom count, not the resolution, and equality is
+        # false on both sides of the threshold.
         for m, fails in ((first_failing_m - 1, False), (first_failing_m, True)):
             p = 1.0 / m
             gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
             chains = np.array([[math.comb(d - 1, n - 1) if d else 0 for d in row] for row in gap.tolist()])
             values, vectors = np.linalg.eigh(0.5 * p**n * chains)
             psi = np.abs(vectors[:, -1])
-            q = QuantizedModel(support=np.arange(1.0, m + 1.0), mass=np.full(m, p))
-            value = theorem2_terms(q, psi, n).terms["lhs"] * math.factorial(n + 1) / np.sum(q.mass * psi * psi)
+            q = quantize(make_discrete(np.arange(1.0, m + 1.0), np.full(m, p)), fn.DEFAULT_RESOLUTION)
+            report = theorem2_terms(q, psi, n)
+            value = report.terms["lhs"] * math.factorial(n + 1) / np.sum(q.mass * psi * psi)
             assert rel_close(value, math.factorial(n + 1) * values[-1], 1e-12)
             assert (value > 1.0) == fails, (m, value)
+            assert report.m == m and report.equality is False
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +461,6 @@ class TestTheorem3:
             support=np.array([1.7275434320138103, 1.896537615723366]),
             mass=np.array([0.6868300366944551, 0.31316996330554503]),
             is_exact=True,
-            source_m=1,
         )
         rep = theorem3_terms(q, np.array([-0.9558658353300341, -1.1532070319758827]))
         assert rep.slack > 1e-3
@@ -802,6 +806,27 @@ LITERAL_IDENTITIES = {"o9-1": _o9_1_literal, "o9-2": _o9_2_literal, "o15": _o15_
 # ---------------------------------------------------------------------------
 
 
+#: The ids whose evaluator returns an IneqReport.
+IDS_WITH_REPORTS = tuple(k for k in fn.FUNCTIONAL_IDS if k != "troy")
+
+#: Resolution of the continuous pieces in NODE_CASES.
+MIXTURE_M = 16
+
+NINE_ATOMS = make_discrete(np.arange(9.0), [1.0 / 9] * 9)
+TWENTY_NINE_ATOMS = make_discrete(np.arange(1.0, 30.0), [1.0 / 29] * 29)
+MIXTURE = Distribution(
+    atoms=((0.0, 0.2), (3.0, 0.2)), pieces=(Piece(1.0, 2.0, 0.3), Piece(4.0, 5.0, 0.3))
+)
+
+#: case -> (model builder, law, split point c, model nodes, nodes of the split at c).
+#: The mixture's c = 1.5 cuts its first piece, so the split quantizes three pieces.
+NODE_CASES = {
+    "direct-9": (lambda: QuantizedModel(support=np.arange(9.0), mass=np.full(9, 1.0 / 9)), NINE_ATOMS, 3.5, 9, 9),
+    "atoms-29": (lambda: quantize(TWENTY_NINE_ATOMS, fn.DEFAULT_RESOLUTION), TWENTY_NINE_ATOMS, 10.5, 29, 29),
+    "mixture": (lambda: quantize(MIXTURE, MIXTURE_M), MIXTURE, 1.5, 2 + 2 * MIXTURE_M, 2 + 3 * MIXTURE_M),
+}
+
+
 class TestReport:
     def test_json_shape(self):
         rep = opial_terms(uniform_model(3), np.ones(3))
@@ -817,6 +842,55 @@ class TestReport:
         }
         assert doc["functional"] == "thm1-lower"
         assert doc["exact"] is True
+
+    @pytest.mark.parametrize("case", sorted(NODE_CASES))
+    @pytest.mark.parametrize("functional", IDS_WITH_REPORTS)
+    def test_m_is_the_node_count(self, functional, case):
+        # A report's m counts the nodes it evaluated: a directly built model
+        # has no resolution, atoms ignore it, and a mixture has atoms plus m
+        # nodes per piece.  The split evaluates both halves, N coefficients
+        # stand for N nodes.
+        make_model, dist, c, nodes, split_nodes = NODE_CASES[case]
+        spec = fn.FUNCTIONALS[functional]
+        cos = NodeFunction.cos_pi_cdf()
+        if spec.input == "distribution":
+            report, expected = spec.evaluate(dist, cos, c, m=MIXTURE_M), split_nodes
+        elif spec.input == "sequence":
+            a = np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes)  # sums to 0
+            report, expected = spec.evaluate(np.abs(a) if functional == "rtwo" else a), nodes
+        else:
+            values = {"n": 2, "chi": NodeFunction.constant()}
+            options = {name: values[name] for name in spec.params}
+            if spec.zero_mean:
+                options["project"] = True
+            report, expected = spec.evaluate(make_model(), cos, **options), nodes
+        assert type(report.m) is int and report.m == expected
+        assert report.to_json_dict()["m"] == expected
+
+    def test_equality_is_false_on_a_violation(self):
+        # equality is two-sided: a slack below -tol max(1, |rhs|) is a
+        # violation, not an equality.  cos(pi F) on 512 equal cells exceeds
+        # the continuum Wirtinger constant, and the Perron psi of 29 equal
+        # atoms exceeds thm2's stated 1/5! (ROADMAP item 1).
+        wirtinger = wirtinger_terms(quantize(make_uniform_interval(0, 1), 512), NodeFunction.cos_pi_cdf())
+        assert wirtinger.ratio > 1.0 and wirtinger.equality is False
+        m = 29
+        gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+        chains = np.array([[math.comb(d - 1, 3) if d else 0 for d in row] for row in gap.tolist()])
+        psi = np.abs(np.linalg.eigh(chains)[1][:, -1])
+        thm2 = theorem2_terms(uniform_model(m), psi, 4)
+        assert thm2.ratio > 1.0 and thm2.equality is False
+        assert opial_terms(uniform_model(5), np.ones(5)).equality is True
+
+    def test_numpy_scalars_are_cast_where_built(self):
+        # A numpy tol and a numpy is_exact reach the report's fields; the
+        # report casts them once, so its JSON holds Python bools.
+        q = uniform_model(3)
+        model = QuantizedModel(support=q.support, mass=q.mass, is_exact=np.bool_(True))
+        report = opial_terms(model, np.ones(3), tol=np.float64(1e-10))
+        doc = report.to_json_dict()
+        assert type(doc["equality"]) is bool and type(doc["exact"]) is bool
+        assert doc["equality"] is True and doc["exact"] is True
 
     def test_zero_rhs_ratio(self):
         rep = opial_terms(uniform_model(3), np.zeros(3))

@@ -331,6 +331,44 @@ class TestSearchCounterexample:
         assert search_counterexample("wirtinger", 200, 0, 30, -math.inf).trial == 0
 
 
+def schema_case(report, doc=None, added=(), dropped=()):
+    """(report, its JSON document, keys the document adds, fields it leaves out)."""
+    return report, report.to_json_dict() if doc is None else doc, set(added), set(dropped)
+
+
+def ineq_case(report):
+    return schema_case(report, added=report.extras, dropped={"extras"})
+
+
+def study_row_case(index):
+    study = convergence_study("wirtinger", [4, 8, 16])
+    return schema_case(study.rows[index], study.to_json_dict()["rows"][index])
+
+
+#: Every report class, with the additions its JSON declares.
+SCHEMA_CASES = {
+    "ineq-thm2": lambda: ineq_case(fn.theorem2_terms(uniform_model(4), np.ones(4), 1)),
+    "ineq-weighted": lambda: ineq_case(fn.weighted_opial_terms(uniform_model(4), np.ones(4), np.ones(4))),
+    "ineq-o15": lambda: ineq_case(fn.discrete_identities(np.array([1.0, -1.0]), "o15")),
+    "troy": lambda: schema_case(fn.troy_comparison(1.0, np.ones(8), m=8), added={"functional"}),
+    "violation": lambda: schema_case(search_counterexample("wirtinger", trials=500, seed=1, m_max=4)),
+    "convergence-study": lambda: schema_case(convergence_study("wirtinger", [4, 8, 16])),
+    "convergence-row-0": lambda: study_row_case(0),
+    "convergence-row-2": lambda: study_row_case(2),
+    "best-constant": lambda: schema_case(
+        wirtinger_best_constant(16), added={"converged", "iterations", "ratio_star"}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_CASES)
+def test_json_keys_are_the_fields(case):
+    # A report's JSON is its dataclass fields, plus only what it declares.
+    report, doc, added, dropped = SCHEMA_CASES[case]()
+    fields = {field.name for field in dataclasses.fields(report)}
+    assert set(doc) == (fields - dropped) | added
+
+
 # ---------------------------------------------------------------------------
 # the block stream against a trial-by-trial loop over the public evaluators
 # ---------------------------------------------------------------------------
@@ -411,7 +449,7 @@ def evaluate(functional, d):
         a = d["a"]
         report = fn.rtwo_terms(a) if functional == "rtwo" else fn.discrete_identities(a, functional)
         return report, {"a": [float(v) for v in a]}
-    model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True, source_m=1)
+    model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True)
     psi = d["psi"]
     instance = {
         "support": [float(v) for v in model.support],
