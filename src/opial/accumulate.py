@@ -9,10 +9,8 @@ runs the kernels once with plain passes (:data:`PLAIN`: ``np.cumsum`` and
 :func:`opial.sharpness.search_counterexample`.
 
 Every pass works row by row along the last axis, so a batch of equal-length
-rows (zero-padded where the rows differ in length) is one call.  Neumaier's
-compensation is a plain running sum of the TwoSum errors of a plain running
-sum, so both sums are ``np.add.accumulate`` calls, which add strictly left
-to right; each row is bit-identical to the scalar loop
+rows (zero-padded where the rows differ in length) is one call.  Each row is
+bit-identical to the scalar loop
 
     s = c = 0.0
     for v in row:
@@ -20,9 +18,32 @@ to right; each row is bit-identical to the scalar loop
         c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
         s = t
 
-including signed zeros, because both running sums start from +0.0.  A zero
-entry of either sign leaves both accumulators unchanged, so zero padding
+Neumaier's compensation is a plain running sum of the rounding errors of a
+plain running sum, so both sums are ``np.add.accumulate`` calls, which add
+strictly left to right.  Between them, each step's error comes from Knuth's
+branch-free TwoSum, ``b = t - s`` and ``e = (s - (t - b)) + (v - b)``: five
+in-place ufuncs instead of the loop's two ``abs``, a compare, both branches
+and a select.  While nothing overflows, the error of a floating-point
+addition is itself a float, and both TwoSum and the loop's branch (Dekker's
+Fast2Sum, larger operand first) compute it exactly, so the two agree bit for
+bit.  An inf or NaN entry, a running sum that overflows, or a TwoSum step
+that overflows makes that step's error, and so the row's error sum, inf or
+NaN.  Only then are the errors recomputed by the loop's branch, so such
+rows give the loop's inf and NaN too.  TwoSum alone would not: its
+``t - s`` overflows where an entry lies within a rounding of the largest
+float and the running sum has the other sign, although the sum and the
+loop's error are finite.
+
+Signed zeros: the running sum after the first entry is that entry, not
++0.0 plus it, so it holds -0.0 where the loop holds +0.0 while every entry
+so far is -0.0.  There the error sum, which starts from +0.0 and adds only zeros,
+is +0.0, so every output ``s + c`` is +0.0, as in the loop.  A zero entry
+of either sign leaves both accumulators' values unchanged, so zero padding
 before or after a row's entries does not change its result.
+
+A pass allocates its buffers per call, ``s`` and ``c`` of width n + 1 and
+one of width n, and never writes into its input.  A total reads only the
+last column of ``s`` and ``c``: it adds no prefix array ``s + c``.
 """
 from __future__ import annotations
 
@@ -38,24 +59,32 @@ def _rows(values) -> np.ndarray:
     return vals.reshape(1) if vals.ndim == 0 else vals
 
 
-def _neumaier(values) -> tuple[np.ndarray, np.ndarray]:
-    """Exclusive compensated running sums and the totals, along the last axis.
+def _neumaier(vals: np.ndarray, total: bool) -> np.ndarray:
+    """The loop's ``s + c`` along the last axis of `vals`.
 
-    Returns ``(out, total)``: ``out[..., i]`` is the loop's ``s + c`` before
-    entry ``i`` and ``total`` its ``s + c`` after the last entry.
+    With `total` false, ``out[..., i]`` is its value before entry ``i``;
+    with `total` true, the result is its value after the last entry.
     """
-    vals = _rows(values)
-    zero = np.zeros(vals.shape[:-1] + (1,))
+    shape = vals.shape[:-1] + (vals.shape[-1] + 1,)
+    s, c = np.empty(shape), np.empty(shape)
+    s[..., 0] = c[..., 0] = 0.0
     # Like the loop's Python floats, overflow to inf and NaN stays silent.
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.add.accumulate(np.concatenate((zero, vals), axis=-1), axis=-1)
-        before, after = s[..., :-1], s[..., 1:]
-        errors = np.where(
-            np.abs(before) >= np.abs(vals), (before - after) + vals, (vals - after) + before
-        )
-        c = np.add.accumulate(np.concatenate((zero, errors), axis=-1), axis=-1)
-        sums = s + c
-    return sums[..., :-1], sums[..., -1]
+        np.add.accumulate(vals, axis=-1, out=s[..., 1:])
+        before, after, err = s[..., :-1], s[..., 1:], c[..., 1:]
+        np.subtract(after, before, out=err)
+        kept = after - err
+        np.subtract(before, kept, out=kept)
+        np.subtract(vals, err, out=err)
+        err += kept
+        np.add.accumulate(c, axis=-1, out=c)
+        if not np.isfinite(c[..., -1]).all():
+            # TwoSum's t - s can overflow where the loop's branch does not.
+            err[...] = np.where(abs(before) >= abs(vals), (before - after) + vals, (vals - after) + before)
+            np.add.accumulate(c, axis=-1, out=c)
+        if total:
+            return s[..., -1] + c[..., -1]
+        return np.add(s, c, out=s)[..., :-1]
 
 
 def comp_sum(values):
@@ -64,18 +93,18 @@ def comp_sum(values):
     A 1-d (or scalar) input gives a Python float; an input of shape
     ``(..., n)`` gives an array of shape ``(...)``.
     """
-    total = _neumaier(values)[1]
+    total = _neumaier(_rows(values), total=True)
     return float(total) if total.ndim == 0 else total
 
 
 def prefix_exclusive(values) -> np.ndarray:
     """out[..., i] = values[..., 0] + ... + values[..., i-1]; out[..., 0] = 0."""
-    return _neumaier(values)[0]
+    return _neumaier(_rows(values), total=False)
 
 
 def suffix_exclusive(values) -> np.ndarray:
     """out[..., i] = values[..., i+1] + ... + values[..., -1]; out[..., -1] = 0."""
-    return _neumaier(_rows(values)[..., ::-1])[0][..., ::-1]
+    return _neumaier(_rows(values)[..., ::-1], total=False)[..., ::-1]
 
 
 # ---------------------------------------------------------------------------

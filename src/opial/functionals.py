@@ -200,16 +200,18 @@ def _half_tie(weighted: np.ndarray, direction: Direction, passes: Passes = COMPE
     return passes.suffix(weighted) + tie * weighted
 
 
-def _signed_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=1.0):
-    """E |T psi . psi| chi, with T psi the transform of psi at tie weight `tie`."""
+def _signed_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=None):
+    """E |T psi . psi| chi, with T psi the transform of psi at tie weight `tie`; chi None is the weight 1."""
     t_signed = _half_tie(p * vals, direction, passes, tie)
-    return passes.total(p * np.abs(t_signed * vals) * chi)
+    summands = p * np.abs(t_signed * vals)
+    return passes.total(summands if chi is None else summands * chi)
 
 
-def _magnitude_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=1.0):
-    """E |psi| chi . T|psi|, with T|psi| the transform of |psi| at tie weight `tie`."""
-    mags = np.abs(vals)
-    return passes.total(p * mags * chi * _half_tie(p * mags, direction, passes, tie))
+def _magnitude_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=None):
+    """E |psi| chi . T|psi|, with T|psi| the transform of |psi| at tie weight `tie`; chi None is the weight 1."""
+    weighted = p * np.abs(vals)
+    outer = weighted if chi is None else weighted * chi
+    return passes.total(outer * _half_tie(weighted, direction, passes, tie))
 
 
 def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below") -> np.ndarray:
@@ -338,7 +340,7 @@ def _nested_rows(p, vals, n, passes: Passes = COMPENSATED) -> np.ndarray:
     cur = i_n = vals
     for k in range(1, high + 1):
         cur = passes.prefix(p * cur)
-        i_n = np.where(np.expand_dims(n >= k, -1), cur, i_n)
+        i_n = cur if n.ndim == 0 else np.where(np.expand_dims(n >= k, -1), cur, i_n)
     return i_n
 
 
@@ -458,8 +460,9 @@ def weighted_rows(p, vals, chi, direction: Direction = "below", passes: Passes =
     else:
         near = passes.suffix(p)
         far = passes.prefix(p * chi) + 0.5 * p * chi
-    rhs = 0.5 * passes.total(p * vals * vals * (chi * (near + 0.5 * p) + far))
-    monotone_bound = 0.5 * passes.total(p * vals * vals * chi)
+    squares = p * vals * vals
+    rhs = 0.5 * passes.total(squares * (chi * (near + 0.5 * p) + far))
+    monotone_bound = 0.5 * passes.total(squares * chi)
     return {"lhs": lhs, "middle": middle, "rhs": rhs, "monotone_bound": monotone_bound}
 
 

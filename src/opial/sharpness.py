@@ -261,7 +261,7 @@ def convergence_study(
         order = None
         if rows and error > 0.0 and rows[-1].error > 0.0:
             order = math.log(rows[-1].error / error) / math.log(m / rows[-1].m)
-        rows.append(ConvergenceRow(m=m, value=value, error=error, fitted_order=order))
+        rows.append(ConvergenceRow(m=int(m), value=value, error=error, fitted_order=order))
 
     positive = [row for row in rows if row.error > 0.0]
     fitted = None
@@ -270,7 +270,7 @@ def convergence_study(
         ys = np.array([math.log(row.error) for row in positive])
         fitted = -float(np.polyfit(xs, ys, 1)[0])
     return ConvergenceStudy(
-        functional=functional_id, n=params.get("n"), rows=tuple(rows), fitted_order=fitted
+        functional=functional_id, n=int(n) if params else None, rows=tuple(rows), fitted_order=fitted
     )
 
 
@@ -566,7 +566,7 @@ def search_counterexample(
             return Violation(
                 functional=functional_id,
                 trial=start + k,
-                seed=seed,
+                seed=int(seed),
                 slack=float(slack[j]),
                 heuristic=not spec.theorem_backed,
                 instance={name: value.tolist() for name, value in _row(block, k).items()},

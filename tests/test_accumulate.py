@@ -1,13 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_atomic_model
+
+from opial import functionals as fn
 from opial.accumulate import (
     COMPENSATED,
     PLAIN,
+    Passes,
     comp_sum,
     plain_prefix,
     plain_suffix,
@@ -152,6 +157,187 @@ def test_empty_single_and_signed_zero_inputs():
         assert bits(prefix_exclusive(row)) == bits(want_prefix)
         assert bits([comp_sum(row)]) == bits([want_total])
     assert comp_sum(3.0) == 3.0
+
+
+def same_or_both_nan(got, want):
+    """NaN exactly where `want` is NaN, and every other entry bit-identical."""
+    got, want = np.asarray(got, dtype=float).reshape(-1), np.asarray(want, dtype=float).reshape(-1)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and bits(got[~nan]) == bits(want[~nan])
+
+
+def test_long_row_over_forty_decades_matches_loop():
+    # One 8 196-node row: the shape of every pass on a large quantized model.
+    row = spread_row(np.random.default_rng(408), 8196)
+    assert_rows_match_loop(row[None, :])
+    want_prefix, want_total = neumaier_prefix(row)
+    assert bits(prefix_exclusive(row)) == bits(want_prefix)
+    assert bits([comp_sum(row)]) == bits([want_total])
+
+
+def test_views_and_read_only_inputs_match_loop_and_stay_unwritten(rng):
+    block = spread_row(rng, 9 * 40).reshape(9, 40)
+    model = random_atomic_model(rng, m_min=20, m_max=40)
+    assert not model.mass.flags.writeable
+    for view in (block[0, ::-1], block[1, ::2], block[:, 3], block[::-2, 5:], model.mass):
+        before = view.copy()
+        assert_rows_match_loop(np.atleast_2d(view))
+        assert bits(view) == bits(before)
+
+
+BIG = np.finfo(float).max
+
+#: Rows whose running sum overflows mid-row, rows holding inf or NaN, and
+#: rows next to the largest float, where Knuth's TwoSum overflows in ``t - s``
+#: although the sum and the loop's error are finite.
+NON_FINITE_ROWS = [
+    [1e308, 1e308, -1e308, 2.0],
+    [1.0, 1e308, 1e308, 3.0, -1e308],
+    [-1e308, -1e308, 5.0],
+    [1.0, np.inf, 2.0],
+    [np.inf, -np.inf, 1.0],
+    [-np.inf, 1.0, 2.0],
+    [1.0, np.nan, 2.0],
+    [np.nan],
+    [8.096975377736175e307, -BIG, 1.0],
+    [-8.811710735134989e307, BIG, 0.5],
+    [1.0, BIG, -BIG, 1e-300],
+    [BIG, -1.0, -BIG, 2.0],
+]
+
+
+@pytest.mark.parametrize("row", NON_FINITE_ROWS)
+def test_overflow_inf_and_nan_rows_match_loop(row):
+    want_prefix, want_total = neumaier_prefix(row)
+    want_suffix = neumaier_prefix(row[::-1])[0][::-1]
+    assert same_or_both_nan(prefix_exclusive(row), want_prefix)
+    assert same_or_both_nan(suffix_exclusive(row), want_suffix)
+    assert same_or_both_nan([comp_sum(row)], [want_total])
+    # In a batch, a non-finite row changes no other row.
+    finite = np.arange(1.0, len(row) + 1.0)
+    batch = np.array([finite, row, finite[::-1]])
+    assert same_or_both_nan(prefix_exclusive(batch)[1], want_prefix)
+    assert same_or_both_nan(comp_sum(batch)[1:2], [want_total])
+    assert bits(prefix_exclusive(batch)[0]) == bits(neumaier_prefix(finite)[0])
+    assert bits(suffix_exclusive(batch)[2]) == bits(neumaier_prefix(finite)[0][::-1])
+
+
+def test_overflowing_rows_raise_no_warning():
+    # The passes are silent on overflow, like the loop's Python floats.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for values in ([1e308, 1e308, -1e308], [[1e308, 1e308, -1e308], [1.0, 2.0, 3.0]]):
+            prefix_exclusive(values)
+            suffix_exclusive(values)
+            comp_sum(values)
+
+
+def test_total_equals_the_prefix_paths_total():
+    # comp_sum reads the last column only; the prefix pass over the row and
+    # one more zero ends in the same total.
+    rng = np.random.default_rng(409)
+    for shape in ((8196,), (1, 8196), (256, 30), (3, 5, 9), (4, 0)):
+        rows = spread_row(rng, math.prod(shape)).reshape(shape)
+        padded = np.concatenate((rows, np.zeros(shape[:-1] + (1,))), axis=-1)
+        assert bits(comp_sum(rows)) == bits(prefix_exclusive(padded)[..., -1])
+
+
+# ---------------------------------------------------------------------------
+# every model kernel on the scalar loop, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def loop_rows(values):
+    """The scalar loop on each row along the last axis: its exclusive sums, then its total."""
+    vals = np.asarray(values, dtype=float)
+    out = np.empty(vals.shape[:-1] + (vals.shape[-1] + 1,))
+    for index in np.ndindex(vals.shape[:-1]):
+        prefix, total = neumaier_prefix(vals[index])
+        out[index] = prefix + [total]
+    return out
+
+
+def loop_total(values):
+    total = loop_rows(values)[..., -1]
+    return float(total) if total.ndim == 0 else total
+
+
+#: The passes of the scalar loop, row by row.
+LOOP = Passes(
+    lambda values: loop_rows(values)[..., :-1],
+    lambda values: loop_rows(np.asarray(values, dtype=float)[..., ::-1])[..., :-1][..., ::-1],
+    loop_total,
+)
+
+
+def kernel_cases(p, vals, chi, orders):
+    """(name, call) for every model kernel, `passes` left open."""
+    half = vals.shape[-1] // 2
+    cases = [
+        ("opial-below", lambda passes: fn.opial_rows(p, vals, "below", passes)),
+        ("opial-above", lambda passes: fn.opial_rows(p, vals, "above", passes)),
+        (
+            "corollary",
+            lambda passes: fn.corollary_rows(p[..., :half], vals[..., :half], p[..., half:], vals[..., half:], passes),
+        ),
+        ("thm2-per-row", lambda passes: fn.theorem2_rows(p, vals, orders, passes)),
+        ("thm3", lambda passes: fn.theorem3_rows(p, vals, passes)),
+        ("weighted-below", lambda passes: fn.weighted_rows(p, vals, chi, "below", passes)),
+        ("weighted-above", lambda passes: fn.weighted_rows(p, vals, chi, "above", passes)),
+        ("wirtinger", lambda passes: fn.wirtinger_rows(p, vals, passes)),
+    ]
+    for n in range(1, fn.ORDER_CAP + 1):
+        cases.append((f"thm2-n{n}", lambda passes, n=n: fn.theorem2_rows(p, vals, n, passes)))
+    return cases
+
+
+def assert_kernels_match_loop(p, vals, chi, orders):
+    for name, call in kernel_cases(p, vals, chi, orders):
+        got, want = call(COMPENSATED), call(LOOP)
+        assert set(got) == set(want), name
+        for key in want:
+            assert np.shape(got[key]) == np.shape(want[key]), (name, key)
+            assert bits(got[key]) == bits(want[key]), (name, key)
+
+
+def test_no_weight_is_weight_one_bit_for_bit():
+    # The unweighted kernels skip the product with chi, since x * 1.0 == x.
+    rng = np.random.default_rng(412)
+    p = rng.dirichlet(np.ones(50), 4)
+    vals = rng.standard_normal((4, 50)) * 10.0 ** rng.uniform(-8.0, 8.0, (4, 50))
+    for direction in ("below", "above"):
+        plain = fn.opial_rows(p, vals, direction)
+        weighted = fn.weighted_rows(p, vals, np.ones_like(p), direction)
+        for key in ("lhs", "middle"):
+            assert bits(plain[key]) == bits(weighted[key]), (direction, key)
+
+
+def test_loop_passes_are_the_reference():
+    row = [1.0, 1e16, -1e16, 3.0]
+    assert LOOP.prefix(row).tolist() == neumaier_prefix(row)[0]
+    assert LOOP.suffix(row).tolist() == neumaier_prefix(row[::-1])[0][::-1]
+    assert LOOP.total(row) == neumaier_prefix(row)[1] == 4.0
+
+
+def test_model_kernels_match_loop_on_rows():
+    rng = np.random.default_rng(410)
+    for _ in range(25):
+        m = int(rng.integers(2, 40))
+        p = rng.dirichlet(np.ones(m))
+        vals = rng.standard_normal(m) * 10.0 ** rng.uniform(-3.0, 3.0, m)
+        chi = rng.uniform(0.0, 3.0, m)
+        assert_kernels_match_loop(p, vals, chi, int(rng.integers(1, fn.ORDER_CAP + 1)))
+
+
+def test_model_kernels_match_loop_on_zero_padded_batches():
+    rng = np.random.default_rng(411)
+    rows, width = 12, 24
+    sizes = rng.integers(2, width + 1, rows)
+    active = np.arange(width) < sizes[:, None]
+    p = np.where(active, rng.dirichlet(np.ones(width), rows), 0.0)
+    vals = np.where(active, rng.standard_normal((rows, width)), 0.0)
+    chi = np.where(active, rng.uniform(0.0, 3.0, (rows, width)), 0.0)
+    assert_kernels_match_loop(p, vals, chi, rng.integers(1, fn.ORDER_CAP + 1, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from opial import (
 )
 from opial.functionals import INV_PI_SQ
 from opial.accumulate import PLAIN, comp_sum
+from opial.cli import _json_text
 from opial.functionals import FUNCTIONALS, SEARCHABLE_IDS, THEOREM_BACKED_IDS
 from opial.distributions import MASS_TOL, model_faults
 from opial.sharpness import (
@@ -367,6 +368,19 @@ def test_json_keys_are_the_fields(case):
     report, doc, added, dropped = SCHEMA_CASES[case]()
     fields = {field.name for field in dataclasses.fields(report)}
     assert set(doc) == (fields - dropped) | added
+
+
+def test_numpy_int_arguments_give_encodable_reports():
+    # Grid sizes, an order and a seed given as numpy ints are stored as
+    # Python ints, so the CLI's encoder takes the reports.
+    study = convergence_study("thm1-lower", list(np.array([4, 8])))
+    order_study = convergence_study("thm2", [4, 8], n=np.int64(2))
+    violation = search_counterexample("wirtinger", trials=500, seed=np.int64(1), m_max=4)
+    assert [type(row.m) for row in study.rows] == [int, int]
+    assert type(order_study.n) is int and order_study.n == 2
+    assert type(violation.seed) is int and violation.seed == 1
+    for report in (study, order_study, violation):
+        assert json.loads(_json_text(report.to_json_dict())) == json.loads(json.dumps(report.to_json_dict()))
 
 
 # ---------------------------------------------------------------------------
