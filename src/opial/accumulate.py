@@ -162,3 +162,18 @@ COMPENSATED = Passes(prefix_exclusive, suffix_exclusive, comp_sum)
 
 #: Plain passes, for the search's filter only.
 PLAIN = Passes(plain_prefix, plain_suffix, plain_sum)
+
+
+def half_tie(weighted, direction: str, passes: Passes = COMPENSATED, tie=0.5) -> np.ndarray:
+    """The running sum of `weighted` strictly below (prefix) or strictly above
+    (suffix) each entry, plus `tie` times the entry.
+
+    At tie 1/2 on the masses this is the half-tie CDF F(x-) + p/2; on p psi
+    it is the transform T- or T+.  On the counting law the discrete
+    identities take tie 1 (o9-1, o9-2), 1/2 (o15) and 0 (o18).
+    """
+    if direction == "below":
+        return passes.prefix(weighted) + tie * weighted
+    if direction == "above":
+        return passes.suffix(weighted) + tie * weighted
+    raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .accumulate import prefix_exclusive
+from .accumulate import half_tie
 
 #: Absolute tolerance for probability-mass comparisons.  Support-point
 #: comparisons are always exact.
@@ -357,7 +357,7 @@ class QuantizedModel:
 
     def midpoint_cdf(self) -> np.ndarray:
         """Half-tie CDF at the nodes: F(x-) + p/2."""
-        return prefix_exclusive(self.mass) + 0.5 * self.mass
+        return half_tie(self.mass, "below")
 
 
 def quantize(dist: Distribution, m: int) -> QuantizedModel:
@@ -430,19 +430,17 @@ class _Kind(NamedTuple):
     resolve: Callable
 
 
-def _resolve_values(f: "NodeFunction", model: QuantizedModel) -> np.ndarray:
-    assert f.values is not None
-    if len(f.values) != model.node_count:
-        raise ValueError(
-            f"value vector has {len(f.values)} entries but the model has "
-            f"{model.node_count} nodes"
-        )
-    return np.asarray(f.values, dtype=float)
+def node_values(values, model: QuantizedModel) -> np.ndarray:
+    """`values` as a flat float array, one entry per node of `model`."""
+    vals = np.asarray(values, dtype=float).ravel()
+    if vals.size != model.node_count:
+        raise ValueError(f"value vector has {vals.size} entries but the model has {model.node_count} nodes")
+    return vals
 
 
 #: Node-function kind -> :class:`_Kind`; the one place each kind is dispatched.
 _KINDS = {
-    "values": _Kind({"values": None}, _resolve_values),
+    "values": _Kind({"values": None}, lambda f, model: node_values(f.values, model)),
     "constant": _Kind({"level": 1.0}, lambda f, model: np.full(model.node_count, f.level)),
     "identity": _Kind({}, lambda f, model: np.array(model.support, dtype=float)),
     "cos_pi_F": _Kind({}, lambda f, model: np.cos(math.pi * model.midpoint_cdf())),

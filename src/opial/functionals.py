@@ -43,13 +43,14 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .accumulate import COMPENSATED, Passes, comp_sum, prefix_exclusive, suffix_exclusive
+from .accumulate import COMPENSATED, Passes, comp_sum, half_tie, prefix_exclusive, suffix_exclusive
 from .distributions import (
     Distribution,
     NodeFunction,
     QuantizedModel,
     conditional_truncate,
     make_uniform_interval,
+    node_values,
     quantize,
 )
 
@@ -147,12 +148,7 @@ def _as_values(psi, model: QuantizedModel) -> np.ndarray:
     """Resolve a NodeFunction or raw vector against `model`; a raw vector must be finite."""
     if isinstance(psi, NodeFunction):
         return psi.resolve(model)
-    vals = np.asarray(psi, dtype=float).ravel()
-    if vals.size != model.node_count:
-        raise ValueError(
-            f"value vector has {vals.size} entries but the model has "
-            f"{model.node_count} nodes"
-        )
+    vals = node_values(psi, model)
     if not np.all(np.isfinite(vals)):
         raise ValueError("value vector must be finite")
     return vals
@@ -179,6 +175,10 @@ def zero_mean_values(p, vals: np.ndarray, project: bool) -> np.ndarray:
     return vals - mean
 
 
+#: Each direction's mirror: the weighted rhs sums chi on the far side.
+_OTHER_SIDE = {"below": "above", "above": "below"}
+
+
 def _check_direction(direction: str) -> None:
     if direction not in ("below", "above"):
         raise ValueError(f"direction must be 'below' or 'above', got {direction!r}")
@@ -189,20 +189,9 @@ def _check_direction(direction: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _half_tie(weighted: np.ndarray, direction: Direction, passes: Passes = COMPENSATED, tie=0.5):
-    """The strict running sum of `weighted` in `direction`, plus `tie` times each node's own term.
-
-    The transforms take tie 1/2; on the counting law the discrete identities
-    take 1 (o9-1, o9-2), 1/2 (o15) and 0 (o18).
-    """
-    if direction == "below":
-        return passes.prefix(weighted) + tie * weighted
-    return passes.suffix(weighted) + tie * weighted
-
-
 def _signed_term(p, vals, direction: Direction, passes: Passes = COMPENSATED, tie=0.5, chi=None):
     """E |T psi . psi| chi, with T psi the transform of psi at tie weight `tie`; chi None is the weight 1."""
-    t_signed = _half_tie(p * vals, direction, passes, tie)
+    t_signed = half_tie(p * vals, direction, passes, tie)
     summands = p * np.abs(t_signed * vals)
     return passes.total(summands if chi is None else summands * chi)
 
@@ -211,7 +200,7 @@ def _magnitude_term(p, vals, direction: Direction, passes: Passes = COMPENSATED,
     """E |psi| chi . T|psi|, with T|psi| the transform of |psi| at tie weight `tie`; chi None is the weight 1."""
     weighted = p * np.abs(vals)
     outer = weighted if chi is None else weighted * chi
-    return passes.total(outer * _half_tie(weighted, direction, passes, tie))
+    return passes.total(outer * half_tie(weighted, direction, passes, tie))
 
 
 def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below") -> np.ndarray:
@@ -222,8 +211,7 @@ def half_tie_transform(model: QuantizedModel, psi, direction: Direction = "below
 
     Computed by a single compensated forward (resp. backward) pass.
     """
-    _check_direction(direction)
-    return _half_tie(model.mass * _as_values(psi, model), direction)
+    return half_tie(model.mass * _as_values(psi, model), direction)
 
 
 def opial_rows(p, vals, direction: Direction = "below", passes: Passes = COMPENSATED) -> dict:
@@ -454,14 +442,10 @@ def weighted_rows(p, vals, chi, direction: Direction = "below", passes: Passes =
     """Terms of :func:`weighted_opial_terms`, row by row."""
     lhs = _signed_term(p, vals, direction, passes, chi=chi)
     middle = _magnitude_term(p, vals, direction, passes, chi=chi)
-    if direction == "below":
-        near = passes.prefix(p)
-        far = passes.suffix(p * chi) + 0.5 * p * chi
-    else:
-        near = passes.suffix(p)
-        far = passes.prefix(p * chi) + 0.5 * p * chi
+    near = half_tie(p, direction, passes)
+    far = half_tie(p * chi, _OTHER_SIDE[direction], passes)
     squares = p * vals * vals
-    rhs = 0.5 * passes.total(squares * (chi * (near + 0.5 * p) + far))
+    rhs = 0.5 * passes.total(squares * (chi * near + far))
     monotone_bound = 0.5 * passes.total(squares * chi)
     return {"lhs": lhs, "middle": middle, "rhs": rhs, "monotone_bound": monotone_bound}
 
@@ -585,6 +569,18 @@ def identity_rows(p, a, term: Callable, tie: float, factor: Callable, passes: Pa
     return {"lhs": term(p, a, "below", passes, tie), "rhs": factor(passes.total(p)) * passes.total(p * a * a)}
 
 
+def _coefficients(a, nonnegative: bool = False) -> np.ndarray:
+    """`a` as a flat float vector: nonempty, >= 0 if `nonnegative`, and finite."""
+    arr = np.asarray(a, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValueError("empty coefficient vector")
+    if nonnegative and not np.all(arr >= 0.0):
+        raise ValueError("rtwo expects nonnegative coefficients")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coefficients must be finite")
+    return arr
+
+
 def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     """Classical discrete inequalities on finite coefficients a_1..a_N.
 
@@ -603,11 +599,7 @@ def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     if which not in DISCRETE_IDENTITY_IDS:
         raise ValueError(f"unknown discrete identity {which!r}; expected one of {DISCRETE_IDENTITY_IDS}")
     spec = FUNCTIONALS[which]
-    arr = np.asarray(a, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty coefficient vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must be finite")
+    arr = _coefficients(a)
     if spec.zero_mean:
         total = comp_sum(arr)
         if abs(total) > ZERO_MEAN_TOL * max(1.0, comp_sum(np.abs(arr))):
@@ -630,13 +622,7 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
     Requires finite a >= 0.  The oracle's enumeration of the second-order
     form (:mod:`opial.oracle`) is its independent cross-check.
     """
-    arr = np.asarray(a, dtype=float).ravel()
-    if arr.size == 0:
-        raise ValueError("empty coefficient vector")
-    if not np.all(arr >= 0.0):
-        raise ValueError("rtwo expects nonnegative coefficients")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("coefficients must be finite")
+    arr = _coefficients(a, nonnegative=True)
     return _build_report("rtwo", theorem3_rows(np.ones(arr.size), arr), m=arr.size, exact=True, tol=tol)
 
 
@@ -652,7 +638,7 @@ def first_order_form(p, psi) -> np.ndarray:
     sum, so psi^T K psi = (E psi)^2 / 2, largest at constant psi.
     """
     weighted = p * psi
-    return 0.5 * p * (_half_tie(weighted, "below") + _half_tie(weighted, "above"))
+    return 0.5 * p * (half_tie(weighted, "below") + half_tie(weighted, "above"))
 
 
 def wirtinger_form(p, psi) -> np.ndarray:

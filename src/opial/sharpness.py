@@ -31,6 +31,7 @@ from .distributions import (
     DEFAULT_MAX_NODES,
     MODEL_FAULTS,
     DistributionError,
+    NodeFunction,
     QuantizedModel,
     make_uniform_interval,
     model_faults,
@@ -147,7 +148,7 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
     def apply(phi: np.ndarray) -> np.ndarray:
         return project(form.matvec(p, phi / sq) / sq)
 
-    phi = project(sq * np.cos(math.pi * model.midpoint_cdf()))
+    phi = project(sq * NodeFunction.cos_pi_cdf().resolve(model))
     phi /= np.linalg.norm(phi)
 
     trace: list[tuple[int, float]] = []
@@ -268,7 +269,7 @@ def convergence_study(
     if len(positive) >= 2:
         xs = np.array([math.log(row.m) for row in positive])
         ys = np.array([math.log(row.error) for row in positive])
-        fitted = -float(np.polyfit(xs, ys, 1)[0])
+        fitted = 0.0 - float(np.polyfit(xs, ys, 1)[0])  # +0.0, not -0.0, for a flat study
     return ConvergenceStudy(
         functional=functional_id, n=int(n) if params else None, rows=tuple(rows), fitted_order=fitted
     )

@@ -14,6 +14,7 @@ from opial.accumulate import (
     PLAIN,
     Passes,
     comp_sum,
+    half_tie,
     plain_prefix,
     plain_suffix,
     plain_sum,
@@ -390,3 +391,19 @@ def test_pass_bundles():
         comp_sum,
     )
     assert (PLAIN.prefix, PLAIN.suffix, PLAIN.total) == (plain_prefix, plain_suffix, plain_sum)
+
+
+@pytest.mark.parametrize("passes", [COMPENSATED, PLAIN])
+@pytest.mark.parametrize("tie", [0.0, 0.5, 1.0])
+def test_half_tie_is_the_strict_pass_plus_the_tie(rng, passes, tie):
+    weighted = rng.standard_normal((5, 17)) * 10.0 ** rng.uniform(-8, 8, (5, 17))
+    below = passes.prefix(weighted) + tie * weighted
+    above = passes.suffix(weighted) + tie * weighted
+    assert half_tie(weighted, "below", passes, tie).tolist() == below.tolist()
+    assert half_tie(weighted, "above", passes, tie).tolist() == above.tolist()
+
+
+@pytest.mark.parametrize("direction", ["sideways", "Below", "", None])
+def test_half_tie_refuses_an_unknown_direction(direction):
+    with pytest.raises(ValueError, match=f"direction must be 'below' or 'above', got {direction!r}"):
+        half_tie(np.ones(3), direction)

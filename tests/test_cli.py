@@ -889,6 +889,14 @@ class TestConverge:
         doc = json.loads(out.read_text())
         assert 0.8 <= doc["fitted_order"] <= 1.2
 
+    def test_flat_study_writes_positive_zero(self, tmp_path):
+        out = tmp_path / "study.json"
+        argv = ["converge", "--functional", "thm2", "--n", "2", "--grids", "1,2", "--out", str(out)]
+        assert main(argv) == 0
+        text = out.read_text()
+        assert '"fitted_order": 0.0' in text
+        assert math.copysign(1.0, json.loads(text)["fitted_order"]) == 1.0
+
     def test_grids_required(self, capsys):
         assert main(["converge", "--functional", "thm2", "--n", "1"]) == 1
 

@@ -15,10 +15,11 @@ from opial import (
     quantize,
 )
 
-from opial.accumulate import comp_sum
-from opial.distributions import DEFAULT_MAX_NODES, MASS_TOL, NODE_FUNCTION_KINDS, model_faults
+from opial.accumulate import comp_sum, prefix_exclusive
+from opial.distributions import DEFAULT_MAX_NODES, MASS_TOL, NODE_FUNCTION_KINDS, model_faults, node_values
+from opial.functionals import opial_terms
 
-from conftest import random_atomic_distribution, random_mixed_distribution
+from conftest import random_atomic_distribution, random_atomic_model, random_mixed_distribution
 
 
 class TestMakeDiscrete:
@@ -628,6 +629,29 @@ class TestNodeFunction:
         f = NodeFunction.of_values([1.0, 2.0])
         with pytest.raises(ValueError, match="3 nodes"):
             f.resolve(q)
+
+    def test_one_count_check_for_both_value_paths(self):
+        q = quantize(make_discrete([1, 2, 3], [1 / 3] * 3), 1)
+        message = "value vector has 2 entries but the model has 3 nodes"
+        for call in (
+            lambda: node_values([1.0, 2.0], q),
+            lambda: NodeFunction.of_values([1.0, 2.0]).resolve(q),
+            lambda: opial_terms(q, [1.0, 2.0]),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_node_values_flattens_to_floats(self):
+        q = quantize(make_discrete([1, 2, 3, 4], [1 / 4] * 4), 1)
+        vals = node_values([[1, 2], [3, 4]], q)
+        assert vals.dtype == float and vals.tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_midpoint_cdf_is_the_strict_prefix_plus_half_the_mass(self, rng):
+        for _ in range(50):
+            q = random_atomic_model(rng, m_max=200)
+            want = prefix_exclusive(q.mass) + 0.5 * q.mass
+            assert q.midpoint_cdf().view(np.int64).tolist() == want.view(np.int64).tolist()
 
     def test_cos_pi_cdf_uses_midpoint(self):
         q = quantize(make_uniform_interval(0, 1), 4)

@@ -28,7 +28,7 @@ from opial import (
     wirtinger_terms,
 )
 from opial import functionals as fn
-from opial.accumulate import COMPENSATED, PLAIN, comp_sum
+from opial.accumulate import COMPENSATED, PLAIN, comp_sum, prefix_exclusive, suffix_exclusive
 from opial.oracle import _enum_opial, _enum_thm3, _w_below
 
 from conftest import random_atomic_model
@@ -556,6 +556,67 @@ class TestWeighted:
         )
         assert rel_close(rep.terms["rhs"], exact_rhs, 5.0 / m)
         assert rep.terms["lhs"] <= rep.terms["rhs"]
+
+
+class TestOneDirectionRule:
+    """Every row kernel takes its direction rule from ``accumulate.half_tie``."""
+
+    KERNELS = {
+        "opial_rows": lambda p, v, direction, passes: fn.opial_rows(p, v, direction, passes),
+        "weighted_rows": lambda p, v, direction, passes: fn.weighted_rows(p, v, np.ones_like(p), direction, passes),
+    }
+
+    @pytest.mark.parametrize("passes", [COMPENSATED, PLAIN], ids=["compensated", "plain"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_row_kernels_refuse_an_unknown_direction(self, kernel, passes):
+        p, v = np.full(3, 1.0 / 3.0), np.array([1.0, -2.0, 0.5])
+        with pytest.raises(ValueError, match="direction must be 'below' or 'above', got 'sideways'"):
+            self.KERNELS[kernel](p, v, "sideways", passes)
+
+    @staticmethod
+    def weighted_by_branches(p, vals, chi, direction, passes):
+        """weighted_rows' rhs and monotone_bound as written before half_tie carried the direction."""
+        if direction == "below":
+            near = passes.prefix(p)
+            far = passes.suffix(p * chi) + 0.5 * p * chi
+        else:
+            near = passes.suffix(p)
+            far = passes.prefix(p * chi) + 0.5 * p * chi
+        squares = p * vals * vals
+        rhs = 0.5 * passes.total(squares * (chi * (near + 0.5 * p) + far))
+        return rhs, 0.5 * passes.total(squares * chi)
+
+    @pytest.mark.parametrize("passes", [COMPENSATED, PLAIN], ids=["compensated", "plain"])
+    @pytest.mark.parametrize("direction", ["below", "above"])
+    def test_weighted_rhs_is_bit_identical_to_the_branches(self, rng, direction, passes):
+        # The search's masses: exponential draws floored at 1e-9; sparse
+        # Dirichlet draws put many of them at that floor.
+        rows, width = 64, 30
+        sizes = rng.integers(1, width + 1, rows)
+        active = np.arange(width) < sizes[:, None]
+        concentration = np.where(np.arange(rows) % 2 == 0, 0.02, 1.0)[:, None]
+        mass = rng.gamma(concentration, size=(rows, width)) * active
+        mass = np.where(active, np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), 0.0)
+        vals = np.where(active, rng.standard_normal((rows, width)) * 10.0 ** rng.uniform(-6, 6, (rows, 1)), 0.0)
+        chi = np.where(active, rng.uniform(0.0, 3.0, (rows, width)), 0.0)
+        got = fn.weighted_rows(mass, vals, chi, direction, passes)
+        rhs, monotone_bound = self.weighted_by_branches(mass, vals, chi, direction, passes)
+        assert bits(got["rhs"]) == bits(rhs)
+        assert bits(got["monotone_bound"]) == bits(monotone_bound)
+        for r in range(rows):
+            one = fn.weighted_rows(mass[r, : sizes[r]], vals[r, : sizes[r]], chi[r, : sizes[r]], direction, passes)
+            rhs_r, bound_r = self.weighted_by_branches(
+                mass[r, : sizes[r]], vals[r, : sizes[r]], chi[r, : sizes[r]], direction, passes
+            )
+            assert (bits(one["rhs"]), bits(one["monotone_bound"])) == (bits(rhs_r), bits(bound_r)), r
+        assert np.any(mass == 1e-9)
+
+    def test_transform_is_the_strict_pass_plus_half_the_node(self, rng):
+        q = random_atomic_model(rng, m_max=40, m_min=2)
+        psi = rng.standard_normal(q.node_count)
+        weighted = q.mass * psi
+        assert bits(half_tie_transform(q, psi, "below")) == bits(prefix_exclusive(weighted) + 0.5 * weighted)
+        assert bits(half_tie_transform(q, psi, "above")) == bits(suffix_exclusive(weighted) + 0.5 * weighted)
 
 
 class TestTroy:

@@ -37,6 +37,19 @@ def test_every_import_is_used(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
+def test_accumulate_is_the_leaf_module():
+    # distributions and functionals both import the passes, so the pass
+    # module imports nothing from the package: no import cycle can form.
+    tree = ast.parse((PACKAGE / "accumulate.py").read_text(encoding="utf-8"))
+    relative = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "opial"))
+        or (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "opial" for alias in node.names))
+    ]
+    assert relative == []
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"

@@ -286,6 +286,12 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="order n"):
             convergence_study("thm2", [16, 32])
 
+    def test_flat_study_fits_positive_zero(self):
+        # m <= n leaves no strictly ordered pair, so every error is 1 and the slope is 0.
+        study = convergence_study("thm2", [1, 2], n=2)
+        assert [row.error for row in study.rows] == [1.0, 1.0]
+        assert study.fitted_order == 0.0 and math.copysign(1.0, study.fitted_order) == 1.0
+
     def test_csv_rows(self):
         study = convergence_study("thm2", [16, 64], n=1)
         rows = study.to_csv_rows()
