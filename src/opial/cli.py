@@ -150,12 +150,17 @@ def _c_encoder(depth: int):
 
 
 def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``, byte for byte,
+    with each 1-D float64 array in `doc` written as its ``tolist()``.
 
     json.dumps encodes in pure Python once ``indent`` is set.  Here Python
-    walks only the containers that hold containers; every other container,
-    such as a long ``psi_star``, is one call of the C encoder, whose item
-    separator carries the newline and the indentation.
+    walks only the containers that hold containers; every other container
+    is one call of the C encoder, whose item separator carries the newline
+    and the indentation.  A 1-D float64 array, such as ``psi_star``, takes
+    no per-item type scan: when every entry has one bit pattern (the
+    all-ones ``psi_star`` of a first-order report) it is that value's text
+    repeated, else one C-encoder call on its ``tolist()``.  An array of
+    another dtype or shape raises TypeError, as json.dumps does.
     """
     chunks: list[str] = []
     _encode(doc, 0, chunks)
@@ -165,6 +170,9 @@ def _json_text(doc: dict) -> str:
 
 def _encode(value, depth: int, chunks: list[str]) -> None:
     """Append the JSON text of `value`, written at indentation level `depth`."""
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        _encode_floats(value, depth, chunks)
+        return
     if not isinstance(value, (dict, list, tuple)):
         chunks += _c_encoder(0)(value, 0)
         return
@@ -176,8 +184,7 @@ def _encode(value, depth: int, chunks: list[str]) -> None:
     inner = "\n" + "  " * (depth + 1)
     close = "\n" + "  " * depth
     if _SCALAR_TYPES.issuperset(map(type, items)):
-        text = "".join(_c_encoder(depth + 1)(value, 0))
-        chunks += (text[0], inner, text[1:-1], close, text[-1])
+        _encode_leaf(value, depth, chunks)
         return
     opening, closing = ("{", "}") if is_dict else ("[", "]")
     sep = opening
@@ -189,6 +196,31 @@ def _encode(value, depth: int, chunks: list[str]) -> None:
         _encode(item, depth + 1, chunks)
         sep = ","
     chunks += (close, closing)
+
+
+def _encode_leaf(value, depth: int, chunks: list[str]) -> None:
+    """Append a non-empty container of scalars, in one call of the C encoder."""
+    text = "".join(_c_encoder(depth + 1)(value, 0))
+    chunks += (text[0], "\n" + "  " * (depth + 1), text[1:-1], "\n" + "  " * depth, text[-1])
+
+
+def _encode_floats(array: np.ndarray, depth: int, chunks: list[str]) -> None:
+    """Append a 1-D float64 array as its ``tolist()``.
+
+    Entries that share one bit pattern (compared as uint64, so -0.0 and
+    0.0 differ) are one value's text repeated; the C encoder still writes
+    that value, so a NaN or inf raises ValueError.
+    """
+    if not array.size:
+        chunks.append("[]")
+        return
+    bits = array.view(np.uint64)
+    if bits.min() != bits.max():
+        _encode_leaf(array.tolist(), depth, chunks)
+        return
+    item = "".join(_c_encoder(0)(float(array[0]), 0))
+    inner = "\n" + "  " * (depth + 1)
+    chunks += ("[", inner, item, ("," + inner + item) * (array.size - 1), "\n" + "  " * depth, "]")
 
 
 def _key_text(key) -> str:

@@ -62,7 +62,7 @@ class BestConstant:
     that raised the quotient, numbered from 1.  The trace is the solve's
     only record: iterations and converged are derived from it.  A
     rank-one form's pair is stated in closed form, not iterated: its
-    trace is empty and psi_star is all ones.
+    trace is empty and psi_star is all ones.  psi_star is read-only.
     """
 
     functional: str
@@ -70,6 +70,9 @@ class BestConstant:
     psi_star: np.ndarray
     residual: float
     trace: tuple[tuple[int, float], ...]
+
+    def __post_init__(self) -> None:
+        self.psi_star.setflags(write=False)
 
     @property
     def iterations(self) -> int:
@@ -88,10 +91,10 @@ class BestConstant:
 
     def to_json_dict(self) -> dict:
         """The ``sharpness`` report of every solved functional: its fields
-        and the three derived ones."""
+        and the three derived ones.  ``psi_star`` is the read-only array
+        itself, not a copy; ``cli._json_text`` writes it as its ``tolist()``."""
         return {
             **vars(self),
-            "psi_star": self.psi_star.tolist(),
             "converged": self.converged,
             "iterations": self.iterations,
             "ratio_star": self.ratio_star,

@@ -7,9 +7,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from opial import cli
 from opial import functionals as fn
@@ -257,18 +259,24 @@ def test_every_command_has_a_golden_report():
 
 
 def reference_json_text(doc) -> str:
-    """The report format that ``cli._json_text`` must reproduce byte for byte."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The report format that ``cli._json_text`` must reproduce byte for byte:
+    json.dumps of `doc` with each array written as its ``tolist()``."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=np.ndarray.tolist) + "\n"
 
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 
 #: JSON documents: every scalar type, non-ASCII strings and keys, empty
-#: containers, and lists that mix scalars with containers.
+#: containers, lists that mix scalars with containers, and 1-D float64
+#: arrays, constant (every entry one bit pattern) or not.
 JSON_DOCS = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(),
+    | FINITE_FLOATS
+    | st.text()
+    | hnp.arrays(np.float64, st.integers(0, 6), elements=FINITE_FLOATS)
+    | st.builds(np.full, st.integers(0, 6), FINITE_FLOATS),
     lambda children: st.lists(children, max_size=6) | st.dictionaries(st.text(), children, max_size=6),
     max_leaves=40,
 )
@@ -282,6 +290,15 @@ JSON_DOCS = st.recursive(
 @example({None: [{}]})
 @example({"k": ({"t": (1, 2.0)}, ())})  # tuples are arrays
 @example([True, False, None, 0, -7, 12345678901234567890])
+@example({"psi_star": np.ones(5), "trace": []})  # constant
+@example({"psi_star": np.array([0.5, -1.25, 1e300, 5e-324])})  # distinct
+@example({"psi_star": np.full(3, -0.0)})  # constant -0.0 is not 0.0
+@example({"a": np.array([0.0, -0.0, 0.0]), "b": np.array([-0.0, 0.0])})  # mixed signed zeros
+@example({"a": np.full(4, 5e-324), "b": np.array([5e-324, 2.2250738585072014e-308 / 3, -5e-324])})  # subnormals
+@example({"one": np.array([2.5]), "empty": np.empty(0), "zero": np.array([-0.0])})
+@example({"a": {"b": [np.ones(3), {"c": np.array([1.0, 2.0])}, [np.empty(0)]]}})  # arrays at depth 2-4
+@example({"strided": np.arange(10.0)[::3], "constant": np.ones(10)[::2]})  # not contiguous
+@example(np.array([3.0, 3.0]))
 def test_json_text_is_the_json_dumps_format(doc):
     assert cli._json_text(doc) == reference_json_text(doc)
 
@@ -464,12 +481,24 @@ class TestHostileInput:
             lambda v: {"psi_star": [1.0, v, 2.0]},
             lambda v: {"trace": [[1, 0.5], [2, v]]},
             lambda v: {"top": v, "psi_star": [1.0]},
+            lambda v: {"psi_star": np.array([1.0, v, 2.0])},
+            lambda v: {"psi_star": np.full(4, v)},
         ],
-        ids=["leaf-dict", "leaf-list", "nested-list", "scalar"],
+        ids=["leaf-dict", "leaf-list", "nested-list", "scalar", "array", "constant-array"],
     )
     def test_json_reports_reject_nan(self, value, place):
         with pytest.raises(ValueError):
             cli._json_text(place(value))
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.arange(3), np.ones((2, 2)), np.ones(3, dtype=np.float32), np.empty((0, 2))],
+        ids=["int", "2-d", "float32", "empty-2-d"],
+    )
+    def test_json_reports_reject_other_arrays(self, array):
+        # Only 1-D float64 arrays are written; any other raises as json.dumps does.
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json_text({"psi_star": array})
 
     def test_non_finite_split_point(self, tmp_path, capsys):
         code, out = self.verify(tmp_path, "constant", "--functional", "corollary", "--c", "nan")

@@ -106,7 +106,7 @@ class TestMaximizeRatioOpial:
             phi = sq * below.psi_star
             assert abs(phi @ top) / np.linalg.norm(phi) >= 1.0 - 1e-13
             docs = [{**r.to_json_dict(), "functional": None} for r in (below, above)]
-            assert json.dumps(docs[0], sort_keys=True) == json.dumps(docs[1], sort_keys=True)
+            assert _json_text(docs[0]) == _json_text(docs[1])
 
 
 def dense_form(functional, p):
@@ -387,6 +387,16 @@ def test_numpy_int_arguments_give_encodable_reports():
     assert type(violation.seed) is int and violation.seed == 1
     for report in (study, order_study, violation):
         assert json.loads(_json_text(report.to_json_dict())) == json.loads(json.dumps(report.to_json_dict()))
+
+
+@pytest.mark.parametrize("functional", ["thm1-lower", "wirtinger"])
+def test_psi_star_is_read_only_through_the_report(functional):
+    # The report holds psi_star itself, not a copy, so it must not be writable.
+    result = rayleigh_best_constant(quantize(make_uniform_interval(0.0, 1.0), 16), functional)
+    doc = result.to_json_dict()
+    assert doc["psi_star"] is result.psi_star
+    with pytest.raises(ValueError, match="read-only"):
+        doc["psi_star"][0] = 2.0
 
 
 # ---------------------------------------------------------------------------
