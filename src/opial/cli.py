@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=fn.EQUALITY_TOL, metavar="REAL", help="verification tolerance (relative)")
     p.add_argument("--seed", type=int, default=0, metavar="INT", help="master seed for randomized commands")
     p.add_argument("--trials", type=int, default=100_000, metavar="INT", help="trial count for search")
-    p.add_argument("--project", action="store_true", help="project psi onto the zero-mean subspace where required")
+    p.add_argument("--project", action="store_true", help="remove psi's mean under the law (wirtinger)")
     p.add_argument("--budget", type=int, default=None, metavar="INT", help=f"oracle summand budget (default from ${BUDGET_ENV_VAR} or {oracle_mod.DEFAULT_BUDGET})")
     p.add_argument("--out", dest="out_path", metavar="PATH", help="report output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="report format")

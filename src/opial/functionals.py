@@ -29,9 +29,9 @@ evaluating that model alone.  The public evaluators are their kernel
 applied to one model, followed by the report.
 
 :data:`FUNCTIONALS` is the one table of the functional ids: each entry holds
-the evaluator, the row kernel, the tight term, the required parameters, the
-search's parameter draw and the quadratic form of the sharp-constant
-engine, and the command line, the search and the refinement studies look
+the evaluator, the row kernel, the tight term, the required parameters and
+side conditions, which the search draws to, and the quadratic form of the
+sharp-constant engine, and the command line, the search and the refinement studies look
 the id up there.
 """
 from __future__ import annotations
@@ -661,41 +661,6 @@ class QuadraticForm:
     rank_one: bool = False
 
 
-def _draw_nothing(rng, block):
-    return block
-
-
-def _draw_order(rng, block):
-    return {**block, "n": rng.integers(1, 4, size=block["sizes"].size)}
-
-
-def _draw_weight(rng, block):
-    return {**block, "chi": np.where(block["active"], rng.uniform(0.0, 3.0, block["psi"].shape), 0.0)}
-
-
-def _draw_cut(rng, block):
-    # The split point c is the support point `cut`, counted from 1.
-    sizes = block["sizes"]
-    cut = rng.integers(1, sizes)
-    return {**block, "c": block["support"][np.arange(sizes.size), cut - 1]}
-
-
-def _draw_projected(rng, block):
-    # psi less its compensated mean: E psi = 0 to a few ulp, as wirtinger requires.
-    p, psi = block["mass"], block["psi"]
-    return {**block, "psi": np.where(block["active"], psi - comp_sum(p * psi)[:, None], 0.0)}
-
-
-def _draw_centred(rng, block):
-    # One coefficient centres to 0: the size-1 rows are skipped.
-    a, sizes = block["a"], block["sizes"]
-    return {**block, "a": np.where(block["active"], a - (a.sum(axis=-1) / sizes)[:, None], 0.0), "skip": sizes == 1}
-
-
-def _draw_magnitudes(rng, block):
-    return {**block, "a": np.abs(block["a"])}
-
-
 def _nth_order_value(terms: dict, n: int) -> float:
     return terms["lhs"] * math.factorial(n + 1)
 
@@ -709,16 +674,14 @@ class Functional:
     splits at c, a coefficient "sequence" (called as ``evaluate(a)``, its
     kernel's masses the counting law: 1 on each coefficient) or the troy
     weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
-    search), ``tight`` the term compared with rhs, ``params`` the required
-    ones among n, c, chi and p_exp, and ``draw(rng, block)`` the search's
-    draw of them for a block of zero-padded rows: it reads the rows'
-    ``sizes`` and zeroes what it draws outside the block's row mask
-    ``active``.  It may also centre ``a`` or ``psi`` and mark rows to ``skip``:
-    every row it leaves is a valid input of the evaluator.
-    ``zero_mean`` requires psi (or the sequence) to have mean zero, ``form``
-    is the tight term's quadratic form and ``study(terms, **params)`` the
-    value a refinement study reads off the kernel's terms at constant psi,
-    whose limit is 1.  ``sign_free`` marks a kernel whose tight term and
+    search), ``tight`` the term compared with rhs and ``params`` the
+    required ones among n, c, chi and p_exp.  ``zero_mean`` requires psi
+    (or the sequence) to have mean zero and ``nonnegative`` requires the
+    sequence to be nonnegative: the search draws each id's params and meets
+    these two side conditions (:func:`~opial.sharpness._draw_block`).
+    ``form`` is the tight term's quadratic form and ``study(terms, **params)``
+    the value a refinement study reads off the kernel's terms at constant
+    psi, whose limit is 1.  ``sign_free`` marks a kernel whose tight term and
     rhs read psi (or a) only through |psi| and psi^2 (chi and rtwo's
     coefficients are nonnegative by contract), so that every summand in
     them is nonnegative: the search's plain evaluation of such a kernel
@@ -730,9 +693,9 @@ class Functional:
     rows: Callable | None
     tight: str
     params: tuple[str, ...] = ()
-    draw: Callable = _draw_nothing
     theorem_backed: bool = True
     zero_mean: bool = False
+    nonnegative: bool = False
     form: QuadraticForm | None = None
     study: Callable | None = None
     sign_free: bool = False
@@ -753,7 +716,7 @@ def _first_order(direction: Direction) -> Functional:
 def _weighted(direction: Direction) -> Functional:
     evaluate = partial(weighted_opial_terms, direction=direction)
     return Functional(
-        "model", evaluate, partial(weighted_rows, direction=direction), "middle", ("chi",), _draw_weight, sign_free=True
+        "model", evaluate, partial(weighted_rows, direction=direction), "middle", ("chi",), sign_free=True
     )
 
 
@@ -766,12 +729,8 @@ def _identity(which: str, term: Callable, tie: float, factor: Callable, **option
 FUNCTIONALS = {
     "thm1-lower": _first_order("below"),
     "thm1-upper": _first_order("above"),
-    "corollary": Functional(
-        "distribution", corollary_split, corollary_rows, "middle", ("c",), _draw_cut, sign_free=True
-    ),
-    "thm2": Functional(
-        "model", theorem2_terms, theorem2_rows, "lhs", ("n",), _draw_order, study=_nth_order_value
-    ),
+    "corollary": Functional("distribution", corollary_split, corollary_rows, "middle", ("c",), sign_free=True),
+    "thm2": Functional("model", theorem2_terms, theorem2_rows, "lhs", ("n",), study=_nth_order_value),
     "thm3": Functional("model", theorem3_terms, theorem3_rows, "lhs", sign_free=True),
     "weighted-lower": _weighted("below"),
     "weighted-upper": _weighted("above"),
@@ -780,18 +739,15 @@ FUNCTIONALS = {
         wirtinger_terms,
         wirtinger_rows,
         "lhs",
-        draw=_draw_projected,
         theorem_backed=False,
         zero_mean=True,
         form=QuadraticForm(wirtinger_form, INV_PI_SQ),
     ),
     "o9-1": _identity("o9-1", _signed_term, 1.0, lambda n: 0.5 * (n + 1)),
     "o9-2": _identity("o9-2", _magnitude_term, 1.0, lambda n: 0.5 * (n + 1), sign_free=True),
-    "o15": _identity("o15", _signed_term, 0.5, lambda n: 0.25 * n, zero_mean=True, draw=_draw_centred),
-    "o18": _identity(
-        "o18", _signed_term, 0.0, lambda n: 0.5 * ((n + 1) // 2), zero_mean=True, draw=_draw_centred
-    ),
-    "rtwo": Functional("sequence", rtwo_terms, theorem3_rows, "lhs", draw=_draw_magnitudes, sign_free=True),
+    "o15": _identity("o15", _signed_term, 0.5, lambda n: 0.25 * n, zero_mean=True),
+    "o18": _identity("o18", _signed_term, 0.0, lambda n: 0.5 * ((n + 1) // 2), zero_mean=True),
+    "rtwo": Functional("sequence", rtwo_terms, theorem3_rows, "lhs", nonnegative=True, sign_free=True),
     "troy": Functional("exponent", troy_comparison, None, "our_lhs", ("p_exp",), theorem_backed=False),
 }
 

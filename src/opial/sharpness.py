@@ -323,15 +323,18 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     atomic model per row: ``support`` from uniform(0.1, 1) gaps after a
     uniform(-3, 3) offset, Dirichlet(1, ..., 1) ``mass`` (row-normalized
     standard exponentials, floored at 1e-9 and normalized again) and N(0,1)
-    node values ``psi``.  Every draw is one call for the whole block, in
-    that order, of shape (rows, m_max) or (rows,).  Entries past a row's
+    node values ``psi``.  The values then meet the table's side conditions:
+    a ``zero_mean`` sequence loses its mean over the row, and its size-1
+    rows, which centre to 0, are marked to ``skip``; a ``zero_mean`` psi
+    loses its compensated mean under the row's masses; a ``nonnegative``
+    sequence is taken in magnitude.  Last comes the parameter the table's
+    ``params`` names: the order ``n`` from 1 to 3, the weight ``chi`` from
+    uniform(0, 3), or the split point ``c``, the support point of a uniform
+    index from 1 to size - 1.  Every draw is one call for the whole block,
+    in that order, of shape (rows, m_max) or (rows,).  Entries past a row's
     size are 0, set by the row mask ``active``, which is built once per
-    block and kept in it for the model check, the table's hook and
-    :func:`_terms`.  The table's ``draw(rng, block)`` then adds the
-    functional's parameter (``n``, ``chi``, or the split point ``c``: the
-    support point of a uniform index from 1 to size - 1) or transforms
-    ``a`` or ``psi`` (psi less its compensated mean for wirtinger), and
-    marks the size-1 rows that o15 and o18 ``skip``.
+    block and kept in it for the model check and :func:`_terms`.  Every row
+    not skipped is a valid input of the functional's public evaluator.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
@@ -340,18 +343,32 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     sequence = spec.input == "sequence"
     sizes = rng.integers(1 if sequence else 2, m_max + 1, size=rows)
     active = np.arange(m_max) < sizes[:, None]
-    if sequence:
-        a = np.where(active, rng.standard_normal(shape), 0.0)
-        return spec.draw(rng, {"sizes": sizes, "active": active, "a": a})
-    gaps = rng.uniform(0.1, 1.0, shape)
-    support = np.where(active, np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], 0.0)
-    mass = np.where(active, rng.standard_exponential(shape), 0.0)
-    # Floor the masses: Dirichlet draws can come out small enough to trip
-    # the positive-mass and conditioning guards downstream.
-    mass = np.where(active, np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), 0.0)
-    mass /= mass.sum(axis=1)[:, None]
-    psi = np.where(active, rng.standard_normal(shape), 0.0)
-    return spec.draw(rng, {"sizes": sizes, "active": active, "support": support, "mass": mass, "psi": psi})
+    drawn = {"sizes": sizes, "active": active}
+    if not sequence:
+        gaps = rng.uniform(0.1, 1.0, shape)
+        support = np.where(active, np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], 0.0)
+        mass = np.where(active, rng.standard_exponential(shape), 0.0)
+        # Floor the masses: Dirichlet draws can come out small enough to trip
+        # the positive-mass and conditioning guards downstream.
+        mass = np.where(active, np.maximum(mass / mass.sum(axis=1)[:, None], 1e-9), 0.0)
+        mass /= mass.sum(axis=1)[:, None]
+        drawn.update(support=support, mass=mass)
+    values = np.where(active, rng.standard_normal(shape), 0.0)
+    if spec.zero_mean:
+        # psi less its compensated mean has E psi = 0 to a few ulp, as wirtinger requires.
+        mean = values.sum(axis=-1) / sizes if sequence else comp_sum(mass * values)
+        values = np.where(active, values - mean[:, None], 0.0)
+    drawn["a" if sequence else "psi"] = np.abs(values) if spec.nonnegative else values
+    if spec.zero_mean and sequence:
+        # One coefficient centres to 0: the size-1 rows are skipped.
+        drawn["skip"] = sizes == 1
+    if "n" in spec.params:
+        drawn["n"] = rng.integers(1, 4, size=rows)
+    if "chi" in spec.params:
+        drawn["chi"] = np.where(active, rng.uniform(0.0, 3.0, shape), 0.0)
+    if "c" in spec.params:
+        drawn["c"] = support[np.arange(rows), rng.integers(1, sizes) - 1]
+    return drawn
 
 
 def _row(block: dict, k: int) -> dict:
@@ -506,7 +523,7 @@ def search_counterexample(
     infinite one is allowed).
 
     Every drawn row is a valid input of the functional's public evaluator
-    (the table's ``draw`` centres and splits it).  Each block's zero-padded
+    (the draw meets the table's side conditions).  Each block's zero-padded
     (B, m_max) arrays first pass a filter: the functional's row kernel in
     :mod:`opial.functionals`, run with plain passes, and the model checks
     of every row (:func:`~opial.distributions.model_faults`), made once per

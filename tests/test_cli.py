@@ -184,6 +184,16 @@ class TestVerify:
         assert "zero-mean" in err and "(--project)" in err
         assert main(args + ["--project"]) == 0
 
+    @pytest.mark.parametrize("functional", ["o15", "o18"])
+    def test_project_leaves_a_sequence_as_given(self, capsys, functional):
+        # --project removes psi's mean under a law; a sequence id takes a zero-sum --psi.
+        psi = '{"kind":"values","values":[1.0,2.0]}'
+        assert main(["verify", "--functional", functional, "--psi", psi, "--project"]) == 1
+        err = capsys.readouterr().err
+        assert f"opial: error: {functional} requires sum(a) = 0; got 3.0" in err
+        zero_sum = '{"kind":"values","values":[1.0,-1.0]}'
+        assert main(["verify", "--functional", functional, "--psi", zero_sum]) == 0
+
     def test_unknown_functional(self, capsys):
         code = main(["verify", "--psi", "constant", "--functional", "thm9"])
         assert code == 1

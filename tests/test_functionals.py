@@ -1049,8 +1049,13 @@ class TestRowKernels:
         spec = fn.FUNCTIONALS[functional]
         models, psis, pad, active, sizes = self.batch(rng)
         if spec.input == "sequence":
-            # The search's draw centres (o15, o18) or takes magnitudes (rtwo).
-            drawn = spec.draw(rng, {"sizes": sizes, "active": active, "a": pad(psis)})["a"]
+            # The table's side conditions, met as the search meets them:
+            # centred over the padded row (o15, o18), or in magnitude (rtwo).
+            drawn = pad(psis)
+            if spec.zero_mean:
+                drawn = np.where(active, drawn - (drawn.sum(axis=-1) / sizes)[:, None], 0.0)
+            if spec.nonnegative:
+                drawn = np.abs(drawn)
             seqs = [row[:size] for row, size in zip(drawn, sizes)]
             self.assert_rows(spec.rows(active * 1.0, drawn), [spec.evaluate(v) for v in seqs])
             return

@@ -595,6 +595,28 @@ class TestBlockStream:
                         builders.append(f"{path.stem}.{function.name}")
         assert builders == ["sharpness._draw_block"]
 
+    def test_every_random_draw_is_made_by_the_draw_only(self):
+        # The table states each id's params and side conditions; no hook of
+        # it draws or transforms a search block.
+        drawers = []
+        for path in sorted(Path(sharpness.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                arguments = function.args.posonlyargs + function.args.args + function.args.kwonlyargs
+                takes_rng = any(arg.arg == "rng" for arg in arguments)
+                calls_rng = any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "rng"
+                    for node in ast.walk(function)
+                )
+                if takes_rng or calls_rng:
+                    drawers.append(f"{path.stem}.{function.name}")
+        assert drawers == ["sharpness._draw_block"]
+
     @pytest.mark.parametrize("functional, rel_tol", [("corollary", 0.0), ("wirtinger", -1.0)])
     def test_model_checks_run_once_per_block(self, monkeypatch, functional, rel_tol):
         # At rel_tol 0 the corollary's splits with one atom on each side are
@@ -637,16 +659,26 @@ class TestBlockStream:
             for name, value in drawn.items():
                 if value.ndim == 2:
                     assert value.shape == active.shape and not value[~active].any(), name
+            sequence = spec.input == "sequence"
+            base = ["sizes", "active", "a"] if sequence else ["sizes", "active", "support", "mass", "psi"]
+            extra = set(spec.params) | ({"skip"} if sequence and spec.zero_mean else set())
+            assert list(drawn)[: len(base)] == base
+            assert set(drawn) - set(base) == extra
             for k, size in enumerate(sizes):
                 row = sharpness._row(drawn, k)
-                if spec.input == "sequence":
-                    a = row["a"]
-                    if functional in ("o15", "o18"):
+                values = row["a" if sequence else "psi"]
+                if spec.nonnegative:
+                    assert (values >= 0.0).all()
+                if sequence:
+                    if spec.zero_mean:
                         assert drawn["skip"][k] == (size == 1)
-                        assert abs(math.fsum(a)) <= 1e-14 * max(1.0, math.fsum(np.abs(a)))
-                    if functional == "rtwo":
-                        assert (a >= 0.0).all()
+                        # well inside the zero-sum tolerance of discrete_identities
+                        assert fn.ZERO_MEAN_TOL > 1e-14
+                        assert abs(math.fsum(values)) <= 1e-14 * max(1.0, math.fsum(np.abs(values)))
                     continue
+                if spec.zero_mean:
+                    # wirtinger's evaluator accepts it without projection
+                    assert fn.zero_mean_values(row["mass"], values, project=False) is values
                 assert (row["mass"] > 0.0).all()
                 assert abs(math.fsum(row["mass"]) - 1.0) <= MASS_TOL
                 assert (np.diff(row["support"]) > 0.0).all()
