@@ -569,16 +569,24 @@ def identity_rows(p, a, term: Callable, tie: float, factor: Callable, passes: Pa
     return {"lhs": term(p, a, "below", passes, tie), "rhs": factor(passes.total(p)) * passes.total(p * a * a)}
 
 
-def _coefficients(a, nonnegative: bool = False) -> np.ndarray:
-    """`a` as a flat float vector: nonempty, >= 0 if `nonnegative`, and finite."""
+def _sequence_report(which: str, a, tol: float) -> IneqReport:
+    """Report of the table's row kernel of sequence functional `which` on the
+    counting law of `a`, after the table's side conditions: `a` is a
+    nonempty flat float vector, >= 0 where ``nonnegative`` is set, finite,
+    and of zero sum where ``zero_mean`` is set."""
+    spec = FUNCTIONALS[which]
     arr = np.asarray(a, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty coefficient vector")
-    if nonnegative and not np.all(arr >= 0.0):
-        raise ValueError("rtwo expects nonnegative coefficients")
+    if spec.nonnegative and not np.all(arr >= 0.0):
+        raise ValueError(f"{which} expects nonnegative coefficients")
     if not np.all(np.isfinite(arr)):
         raise ValueError("coefficients must be finite")
-    return arr
+    if spec.zero_mean:
+        total = comp_sum(arr)
+        if abs(total) > ZERO_MEAN_TOL * max(1.0, comp_sum(np.abs(arr))):
+            raise ZeroMeanError(f"{which} requires sum(a) = 0; got {total!r}")
+    return _build_report(which, spec.rows(np.ones(arr.size), arr), m=arr.size, exact=True, tol=tol)
 
 
 def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -598,13 +606,7 @@ def discrete_identities(a, which: str, tol: float = EQUALITY_TOL) -> IneqReport:
     """
     if which not in DISCRETE_IDENTITY_IDS:
         raise ValueError(f"unknown discrete identity {which!r}; expected one of {DISCRETE_IDENTITY_IDS}")
-    spec = FUNCTIONALS[which]
-    arr = _coefficients(a)
-    if spec.zero_mean:
-        total = comp_sum(arr)
-        if abs(total) > ZERO_MEAN_TOL * max(1.0, comp_sum(np.abs(arr))):
-            raise ZeroMeanError(f"{which} requires sum(a) = 0; got {total!r}")
-    return _build_report(which, spec.rows(np.ones(arr.size), arr), m=arr.size, exact=True, tol=tol)
+    return _sequence_report(which, a, tol)
 
 
 def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
@@ -622,8 +624,7 @@ def rtwo_terms(a, tol: float = EQUALITY_TOL) -> IneqReport:
     Requires finite a >= 0.  The oracle's enumeration of the second-order
     form (:mod:`opial.oracle`) is its independent cross-check.
     """
-    arr = _coefficients(a, nonnegative=True)
-    return _build_report("rtwo", theorem3_rows(np.ones(arr.size), arr), m=arr.size, exact=True, tol=tol)
+    return _sequence_report("rtwo", a, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +679,12 @@ class Functional:
     required ones among n, c, chi and p_exp.  ``zero_mean`` requires psi
     (or the sequence) to have mean zero and ``nonnegative`` requires the
     sequence to be nonnegative: the search draws each id's params and meets
-    these two side conditions (:func:`~opial.sharpness._draw_block`).
+    these two side conditions (:func:`~opial.sharpness._draw_block`), and a
+    sequence's evaluator checks them (:func:`_sequence_report`).
     ``form`` is the tight term's quadratic form and ``study(terms, **params)``
     the value a refinement study reads off the kernel's terms at constant
     psi, whose limit is 1.  ``sign_free`` marks a kernel whose tight term and
-    rhs read psi (or a) only through |psi| and psi^2 (chi and rtwo's
+    rhs read psi only through |psi| and psi^2 (chi and rtwo's
     coefficients are nonnegative by contract), so that every summand in
     them is nonnegative: the search's plain evaluation of such a kernel
     bounds its own rounding error, with no second evaluation at |psi|.

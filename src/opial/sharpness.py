@@ -318,30 +318,31 @@ def block_trials(m_max: int) -> int:
 def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     """Block `block`'s trials as zero-padded rows, from ``default_rng([seed, block])``.
 
-    Sequence functionals get ``sizes`` from 1 to m_max and N(0,1)
-    coefficients ``a``.  The others get ``sizes`` from 2 to m_max and an
-    atomic model per row: ``support`` from uniform(0.1, 1) gaps after a
-    uniform(-3, 3) offset, Dirichlet(1, ..., 1) ``mass`` (row-normalized
-    standard exponentials, floored at 1e-9 and normalized again) and N(0,1)
-    node values ``psi``.  The values then meet the table's side conditions:
-    a ``zero_mean`` sequence loses its mean over the row, and its size-1
-    rows, which centre to 0, are marked to ``skip``; a ``zero_mean`` psi
-    loses its compensated mean under the row's masses; a ``nonnegative``
-    sequence is taken in magnitude.  Last comes the parameter the table's
-    ``params`` names: the order ``n`` from 1 to 3, the weight ``chi`` from
-    uniform(0, 3), or the split point ``c``, the support point of a uniform
-    index from 1 to size - 1.  Every draw is one call for the whole block,
-    in that order, of shape (rows, m_max) or (rows,).  Entries past a row's
-    size are 0, set by the row mask ``active``, which is built once per
-    block and kept in it for the model check and :func:`_terms`.  Every row
-    not skipped is a valid input of the functional's public evaluator.
+    Every functional gets ``sizes`` from 2 to m_max: one value is an
+    equality case of every kernel.  A model or distribution functional then
+    gets an atomic model per row: ``support`` from uniform(0.1, 1) gaps
+    after a uniform(-3, 3) offset and Dirichlet(1, ..., 1) ``mass``
+    (row-normalized standard exponentials, floored at 1e-9 and normalized
+    again); a sequence functional gets none, its masses the counting law.
+    Every functional gets N(0,1) values ``psi``.  The values then meet the
+    table's side conditions: a ``zero_mean`` sequence loses its mean over
+    the row, a ``zero_mean`` psi loses its compensated mean under the row's
+    masses, and a ``nonnegative`` sequence is taken in magnitude.  Last
+    comes the parameter the table's ``params`` names: the order ``n`` from
+    1 to 3, the weight ``chi`` from uniform(0, 3), or the split point ``c``,
+    the support point of a uniform index from 1 to size - 1.  Every draw is
+    one call for the whole block, in that order, of shape (rows, m_max) or
+    (rows,).  Entries past a row's size are 0, set by the row mask
+    ``active``, which is built once per block and kept in it for the model
+    check and :func:`_terms`.  Every row is a valid input of the
+    functional's public evaluator.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
     rows = block_trials(m_max)
     shape = (rows, m_max)
     sequence = spec.input == "sequence"
-    sizes = rng.integers(1 if sequence else 2, m_max + 1, size=rows)
+    sizes = rng.integers(2, m_max + 1, size=rows)
     active = np.arange(m_max) < sizes[:, None]
     drawn = {"sizes": sizes, "active": active}
     if not sequence:
@@ -358,10 +359,7 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
         # psi less its compensated mean has E psi = 0 to a few ulp, as wirtinger requires.
         mean = values.sum(axis=-1) / sizes if sequence else comp_sum(mass * values)
         values = np.where(active, values - mean[:, None], 0.0)
-    drawn["a" if sequence else "psi"] = np.abs(values) if spec.nonnegative else values
-    if spec.zero_mean and sequence:
-        # One coefficient centres to 0: the size-1 rows are skipped.
-        drawn["skip"] = sizes == 1
+    drawn["psi"] = np.abs(values) if spec.nonnegative else values
     if "n" in spec.params:
         drawn["n"] = rng.integers(1, 4, size=rows)
     if "chi" in spec.params:
@@ -377,7 +375,7 @@ def _row(block: dict, k: int) -> dict:
     return {
         name: value[k, :size] if value.ndim == 2 else value[k]
         for name, value in block.items()
-        if name not in ("sizes", "active", "skip")
+        if name not in ("sizes", "active")
     }
 
 
@@ -387,7 +385,7 @@ def _exact_share(masses: np.ndarray) -> np.ndarray:
 
 
 def _terms(spec: fn.Functional, block: dict, values: np.ndarray, passes, share) -> dict:
-    """The row kernel's terms on a block by `passes`, with `values` as psi (or a).
+    """The row kernel's terms on a block by `passes`, with `values` as psi.
 
     A sequence row's masses are the counting law, 1 on each of its entries.
     The corollary's conditional laws, X <= c and X > c, are masked rows of
@@ -422,8 +420,7 @@ def _screen(functional_id: str, block: dict):
     meet the zero-sum and zero-mean conditions to within a few ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
-    values = block["a" if spec.input == "sequence" else "psi"]
-    terms = _terms(spec, block, values, COMPENSATED, _exact_share)
+    terms = _terms(spec, block, block["psi"], COMPENSATED, _exact_share)
     return terms["rhs"] - terms[spec.tight], terms["rhs"]
 
 
@@ -453,11 +450,11 @@ def _plain_screen(functional_id: str, block: dict):
     slack and rhs, the pair :func:`_screen` gives, lie within ``slack_error``
     and ``rhs_error`` of the plain ones.  The bounds are
     ``2 gamma_K (|tight~| + |rhs~|)`` and ``2 gamma_K |rhs~|``, where the
-    tilde terms are the kernel's plain terms at |psi| (or |a|) and
-    gamma_K is that of :func:`_margin`.  A ``sign_free`` kernel's plain
-    terms are their own magnitudes, so it is evaluated once.  Both
-    evaluations are :func:`_terms` with plain passes, which divides the
-    corollary's conditional masses by plain sums.
+    tilde terms are the kernel's plain terms at |psi| and gamma_K is that
+    of :func:`_margin`.  A ``sign_free`` kernel's plain terms are their own
+    magnitudes, so it is evaluated once.  Both evaluations are
+    :func:`_terms` with plain passes, which divides the corollary's
+    conditional masses by plain sums.
 
     Why: each tight or rhs term is a tree of sums and products of the
     row's entries.  If every entry of it passes through at most d
@@ -473,7 +470,7 @@ def _plain_screen(functional_id: str, block: dict):
     silenced here; a row the filter does not clear meets the screen's own.
     """
     spec = fn.FUNCTIONALS[functional_id]
-    values = block["a" if spec.input == "sequence" else "psi"]
+    values = block["psi"]
     factor = _margin(values.shape[-1])
     with np.errstate(all="ignore"):
         terms = _terms(spec, block, values, PLAIN, PLAIN.total)
@@ -570,10 +567,7 @@ def search_counterexample(
             faults = np.zeros(block["sizes"].size, dtype=np.int64)
         else:
             faults = model_faults(block["support"], block["mass"], block["active"])
-        refine = ~_cleared(functional_id, block, rel_tol) | (faults != 0)
-        if "skip" in block:
-            refine &= ~block["skip"]
-        kept = np.flatnonzero(refine)
+        kept = np.flatnonzero(~_cleared(functional_id, block, rel_tol) | (faults != 0))
         if kept.size == 0:
             continue
         slack, rhs = _screen(functional_id, {name: value[kept] for name, value in block.items()})

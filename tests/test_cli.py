@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from opial import cli
 from opial import functionals as fn
 from opial import oracle
+from opial import sharpness as sharp
 from opial.cli import main
 
 
@@ -1137,6 +1138,33 @@ class TestSearchCommand:
         assert main(argv + ["--tol", "1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["violation"] is None and doc["tol"] == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("functional", fn.SEARCHABLE_IDS)
+    def test_every_instance_replays_through_verify(self, tmp_path, functional, seed):
+        # At rel_tol -1 every trial is listed, so the search returns trial 0.
+        # Its instance, written as verify flags, gives the same slack bit for
+        # bit: the instance holds psi for every id, and the law ids' atoms.
+        violation = sharp.search_counterexample(functional, 50, seed, 8, rel_tol=-1.0)
+        assert violation is not None and violation.trial == 0
+        instance = violation.instance
+        argv = ["verify", "--functional", functional]
+        argv += ["--psi", json.dumps({"kind": "values", "values": instance["psi"]})]
+        if "mass" in instance:
+            atoms = [list(atom) for atom in zip(instance["support"], instance["mass"])]
+            dist = tmp_path / "law.json"
+            dist.write_text(json.dumps({"atoms": atoms, "pieces": []}), encoding="utf-8")
+            argv += ["--dist", str(dist)]
+        if "n" in instance:
+            argv += ["--n", str(instance["n"])]
+        if "c" in instance:
+            argv += ["--c", repr(instance["c"])]
+        if "chi" in instance:
+            argv += ["--chi", json.dumps({"kind": "values", "values": instance["chi"]})]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) in (0, 2)
+        slack = json.loads(out.read_text())["slack"]
+        assert np.float64(slack).view(np.int64) == np.float64(violation.slack).view(np.int64)
 
 
 class TestUsage:

@@ -772,6 +772,36 @@ class TestDiscreteIdentities:
         else:
             assert discrete_identities(uncentred, which).functional == which
 
+    def test_one_coefficient_is_an_equality(self, rng):
+        # Why the search draws two or more values: one coefficient is an
+        # equality case of every sequence kernel.  o15 and o18 take only
+        # [0.0], the one coefficient of zero sum.
+        for _ in range(200):
+            a = np.array([rng.standard_normal() * 10.0 ** rng.uniform(-3.0, 3.0)])
+            for which in ("o9-1", "o9-2"):
+                assert discrete_identities(a, which).slack == 0.0
+            assert rtwo_terms(np.abs(a)).slack == 0.0
+        for which in ("o15", "o18"):
+            assert discrete_identities(np.array([0.0]), which).slack == 0.0
+
+    @pytest.mark.parametrize(
+        "evaluate, error, message",
+        [
+            (lambda: discrete_identities([], "o9-1"), ValueError, "^empty coefficient vector$"),
+            (lambda: discrete_identities([], "o15"), ValueError, "^empty coefficient vector$"),
+            (lambda: rtwo_terms([]), ValueError, "^empty coefficient vector$"),
+            (lambda: discrete_identities([], "o99"), ValueError, "^unknown discrete identity"),
+            (lambda: rtwo_terms([-1.0, math.inf]), ValueError, "^rtwo expects nonnegative coefficients$"),
+            (lambda: discrete_identities([math.inf, 1.0], "o15"), ValueError, "^coefficients must be finite$"),
+            (lambda: discrete_identities([1.0, 1.0], "o18"), ZeroMeanError, "^o18 requires sum"),
+        ],
+        ids=["empty", "empty-zero-sum", "empty-rtwo", "unknown-first", "sign-before-finite",
+             "finite-before-zero-sum", "zero-sum"],
+    )
+    def test_input_checks_in_their_order(self, evaluate, error, message):
+        with pytest.raises(error, match=message):
+            evaluate()
+
     def test_terms_match_the_oracle(self, rng):
         # The oracle shares no arithmetic with the kernels.  On unit masses at
         # 1..N its first-order form gives o9-1's lhs and o9-2's (its middle)

@@ -413,16 +413,14 @@ def draw_block(functional, seed, block, m_max):
     rows = max(1, min(BLOCK_TRIALS, CHUNK_ELEMENTS // m_max))
     rng = np.random.default_rng([seed, block])
     shape = (rows, m_max)
-    if functional in fn.DISCRETE_IDENTITY_IDS or functional == "rtwo":
-        sizes = rng.integers(1, m_max + 1, size=rows)
-        active = np.arange(m_max) < sizes[:, None]
-        a = pad(rng.standard_normal(shape), sizes)
-        if functional in ("o15", "o18"):
-            # centred by the mean over the zero-padded row; size-1 rows skipped
-            a = pad(a - (a.sum(axis=1) / sizes)[:, None], sizes)
-            return {"sizes": sizes, "active": active, "a": a, "skip": sizes == 1}
-        return {"sizes": sizes, "active": active, "a": np.abs(a) if functional == "rtwo" else a}
     sizes = rng.integers(2, m_max + 1, size=rows)
+    if functional in fn.DISCRETE_IDENTITY_IDS or functional == "rtwo":
+        active = np.arange(m_max) < sizes[:, None]
+        psi = pad(rng.standard_normal(shape), sizes)
+        if functional in ("o15", "o18"):
+            # centred by the mean over the zero-padded row
+            psi = pad(psi - (psi.sum(axis=1) / sizes)[:, None], sizes)
+        return {"sizes": sizes, "active": active, "psi": np.abs(psi) if functional == "rtwo" else psi}
     gaps = rng.uniform(0.1, 1.0, shape)
     support = pad(np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], sizes)
     exponentials = pad(rng.standard_exponential(shape), sizes)
@@ -447,18 +445,15 @@ def draw_block(functional, seed, block, m_max):
 
 
 def block_rows(block):
-    """One dict per row (None for a skipped one), its arrays views into the block."""
-    out = []
-    for k, size in enumerate(block["sizes"]):
-        if "skip" in block and block["skip"][k]:
-            out.append(None)
-            continue
-        out.append({
+    """One dict per row, its arrays views into the block."""
+    return [
+        {
             name: value[k, :size] if value.ndim == 2 else value[k].item()
             for name, value in block.items()
-            if name not in ("sizes", "active", "skip")
-        })
-    return out
+            if name not in ("sizes", "active")
+        }
+        for k, size in enumerate(block["sizes"])
+    ]
 
 
 def draw_trials(functional, seed, trials, m_max, change=None):
@@ -467,7 +462,7 @@ def draw_trials(functional, seed, trials, m_max, change=None):
     out = []
     for block in range(-(-trials // rows)):
         for k, row in enumerate(block_rows(draw_block(functional, seed, block, m_max))):
-            if row is not None and change is not None:
+            if change is not None:
                 change(block * rows + k, row)
             out.append(row)
     return out[:trials]
@@ -475,12 +470,11 @@ def draw_trials(functional, seed, trials, m_max, change=None):
 
 def evaluate(functional, d):
     """One trial through its public evaluator: (report, instance)."""
-    if "a" in d:
-        a = d["a"]
-        report = fn.rtwo_terms(a) if functional == "rtwo" else fn.discrete_identities(a, functional)
-        return report, {"a": [float(v) for v in a]}
-    model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True)
     psi = d["psi"]
+    if "mass" not in d:
+        report = fn.rtwo_terms(psi) if functional == "rtwo" else fn.discrete_identities(psi, functional)
+        return report, {"psi": [float(v) for v in psi]}
+    model = QuantizedModel(support=d["support"], mass=d["mass"], is_exact=True)
     instance = {
         "support": [float(v) for v in model.support],
         "mass": [float(v) for v in model.mass],
@@ -510,8 +504,7 @@ def evaluate(functional, d):
 def loop_trials(functional, trials, seed, m_max, change=None):
     """Yield (trial, report, instance), each trial through the public evaluator."""
     for trial, d in enumerate(draw_trials(functional, seed, trials, m_max, change)):
-        if d is not None:
-            yield (trial, *evaluate(functional, d))
+        yield (trial, *evaluate(functional, d))
 
 
 def first_violation(functional, seed, evaluated, rel_tol):
@@ -653,25 +646,22 @@ class TestBlockStream:
             drawn = sharpness._draw_block(functional, 5, block, m_max)
             sizes = drawn["sizes"]
             assert sizes.shape == (sharpness.block_trials(m_max),)
-            low = 1 if spec.input == "sequence" else 2
-            assert sizes.min() >= low and sizes.max() <= m_max
+            assert sizes.min() >= 2 and sizes.max() <= m_max
             active = np.arange(m_max) < sizes[:, None]
             for name, value in drawn.items():
                 if value.ndim == 2:
                     assert value.shape == active.shape and not value[~active].any(), name
             sequence = spec.input == "sequence"
-            base = ["sizes", "active", "a"] if sequence else ["sizes", "active", "support", "mass", "psi"]
-            extra = set(spec.params) | ({"skip"} if sequence and spec.zero_mean else set())
+            base = ["sizes", "active", "psi"] if sequence else ["sizes", "active", "support", "mass", "psi"]
             assert list(drawn)[: len(base)] == base
-            assert set(drawn) - set(base) == extra
-            for k, size in enumerate(sizes):
+            assert set(drawn) - set(base) == set(spec.params)
+            for k in range(sizes.size):
                 row = sharpness._row(drawn, k)
-                values = row["a" if sequence else "psi"]
+                values = row["psi"]
                 if spec.nonnegative:
                     assert (values >= 0.0).all()
                 if sequence:
                     if spec.zero_mean:
-                        assert drawn["skip"][k] == (size == 1)
                         # well inside the zero-sum tolerance of discrete_identities
                         assert fn.ZERO_MEAN_TOL > 1e-14
                         assert abs(math.fsum(values)) <= 1e-14 * max(1.0, math.fsum(np.abs(values)))
@@ -742,24 +732,21 @@ class TestBatchedSearchMatchesLoop:
         if "mass" in drawn:
             assert not model_faults(drawn["support"], drawn["mass"], drawn["active"]).any()
         slack, rhs = sharpness._screen(functional, drawn)
-        skip = drawn.get("skip", np.zeros(slack.size, dtype=bool))
-        kept = np.flatnonzero(~skip)
-        assert kept.size > 0
-        reports = [evaluate(functional, sharpness._row(drawn, k))[0] for k in kept]
-        assert bits(slack[kept]) == bits([r.slack for r in reports])
-        assert bits(rhs[kept]) == bits([r.terms["rhs"] for r in reports])
+        reports = [evaluate(functional, sharpness._row(drawn, k))[0] for k in range(slack.size)]
+        assert bits(slack) == bits([r.slack for r in reports])
+        assert bits(rhs) == bits([r.terms["rhs"] for r in reports])
 
-    @pytest.mark.parametrize("functional", ["o15", "o18"])
-    def test_size_one_rows_are_skipped(self, functional):
-        # With rel_tol = -1 every evaluated trial violates, so the result is
-        # the first trial of size 2: the size-1 rows before it are skipped.
-        found = []
-        for seed in range(8):
+    @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
+    def test_every_trial_holds_two_or_more_values(self, functional):
+        # One value is an equality case of every kernel, so no trial holds
+        # fewer than two.  With rel_tol = -1 every trial violates, so the
+        # result is trial 0, whose psi has two entries at m_max = 2.
+        for m_max in (2, 3, 30, 1000):
+            assert sharpness._draw_block(functional, 0, 0, m_max)["sizes"].min() >= 2
+        for seed in range(4):
             violation = search_counterexample(functional, 50, seed, 2, rel_tol=-1.0)
-            assert len(violation.instance["a"]) == 2
+            assert violation.trial == 0 and len(violation.instance["psi"]) == 2
             assert as_text(violation) == as_text(loop_search(functional, 50, seed, 2, rel_tol=-1.0))
-            found.append(violation.trial)
-        assert max(found) > 0
 
     def test_wirtinger_violates_in_first_block(self, monkeypatch):
         looped = loop_search("wirtinger", 200, 1, 4)
@@ -829,10 +816,6 @@ class TestBatchedSearchMatchesLoop:
 # ---------------------------------------------------------------------------
 
 
-def values_name(functional):
-    return "a" if FUNCTIONALS[functional].input == "sequence" else "psi"
-
-
 def ulp_neighbours(value):
     """`value` and the floats one and two steps either side of it."""
     out = [value]
@@ -842,10 +825,6 @@ def ulp_neighbours(value):
             step = float(np.nextafter(step, direction))
             out.append(step)
     return out
-
-
-def kept_rows(block):
-    return ~block.get("skip", np.zeros(block["sizes"].size, dtype=bool))
 
 
 class TestPlainFilter:
@@ -877,7 +856,6 @@ class TestPlainFilter:
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_plain_slacks_lie_within_the_stated_bound(self, functional, m_max):
         spec = FUNCTIONALS[functional]
-        name = values_name(functional)
         gamma = (fn.ORDER_CAP + 4) * (m_max + 2) * (np.finfo(float).eps / 2)
         gamma /= 1.0 - gamma
         orders = range(1, fn.ORDER_CAP + 1) if functional == "thm2" else [None]
@@ -888,15 +866,14 @@ class TestPlainFilter:
                     block["n"][:] = order
                 slack, rhs = sharpness._screen(functional, block)
                 plain, plain_rhs, slack_error, rhs_error = sharpness._plain_screen(functional, block)
-                magnitudes = sharpness._terms(spec, block, np.abs(block[name]), PLAIN, PLAIN.total)
+                magnitudes = sharpness._terms(spec, block, np.abs(block["psi"]), PLAIN, PLAIN.total)
                 want_rhs_error = 2.0 * gamma * np.abs(magnitudes["rhs"])
                 want_error = want_rhs_error + 2.0 * gamma * np.abs(magnitudes[spec.tight])
                 assert np.allclose(slack_error, want_error, rtol=1e-14, atol=0.0)
                 assert np.allclose(rhs_error, want_rhs_error, rtol=1e-14, atol=0.0)
-                kept = kept_rows(block)
-                assert np.isfinite(plain[kept]).all()
-                assert (np.abs(plain - slack)[kept] <= slack_error[kept]).all()
-                assert (np.abs(plain_rhs - rhs)[kept] <= rhs_error[kept]).all()
+                assert np.isfinite(plain).all()
+                assert (np.abs(plain - slack) <= slack_error).all()
+                assert (np.abs(plain_rhs - rhs) <= rhs_error).all()
 
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_cleared_rows_clear_every_rhs_in_their_interval(self, functional):
@@ -920,19 +897,17 @@ class TestPlainFilter:
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_sign_free_kernels_read_only_magnitudes(self, functional):
         # The flag's promise: the plain kernel gives the same tight and rhs
-        # bits at psi (or a) and at its magnitudes.  An unflagged kernel's
-        # tight term reads the signs.
+        # bits at psi and at its magnitudes.  An unflagged kernel's tight
+        # term reads the signs.
         spec = FUNCTIONALS[functional]
-        name = values_name(functional)
         tight_differs = False
         for m_max in (3, 30):
             for seed in range(3):
                 block = sharpness._draw_block(functional, seed, 0, m_max)
-                kept = kept_rows(block)
-                signed = sharpness._terms(spec, block, block[name], PLAIN, PLAIN.total)
-                magnitudes = sharpness._terms(spec, block, np.abs(block[name]), PLAIN, PLAIN.total)
-                assert bits(signed["rhs"][kept]) == bits(magnitudes["rhs"][kept])
-                same = bits(signed[spec.tight][kept]) == bits(magnitudes[spec.tight][kept])
+                signed = sharpness._terms(spec, block, block["psi"], PLAIN, PLAIN.total)
+                magnitudes = sharpness._terms(spec, block, np.abs(block["psi"]), PLAIN, PLAIN.total)
+                assert bits(signed["rhs"]) == bits(magnitudes["rhs"])
+                same = bits(signed[spec.tight]) == bits(magnitudes[spec.tight])
                 assert same or not spec.sign_free
                 tight_differs |= not same
         assert tight_differs != spec.sign_free
