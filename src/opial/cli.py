@@ -310,13 +310,19 @@ def _require_finite(functional: str, terms: dict) -> None:
         )
 
 
+def _quantized(args: argparse.Namespace, dist):
+    """--dist quantized at --m, cut at --c for the functional that splits there."""
+    dist = _require(dist, "--dist", args.functional)
+    return quantize(dist, args.m, cut=args.c if "c" in fn.FUNCTIONALS[args.functional].params else None)
+
+
 def _evaluate_report(args: argparse.Namespace, dist, psi, chi, model=None):
     """Evaluate --functional on the loaded inputs: the one way from the flags
-    to a report, for verify and oracle-diff.  `model` is --dist quantized at
-    --m where the caller has it already."""
+    to a report, for verify and oracle-diff.  `model` is :func:`_quantized`
+    where the caller has it already."""
     functional = args.functional
     spec = fn.FUNCTIONALS[functional]
-    if spec.input in ("model", "distribution"):
+    if spec.input == "model":
         _require(dist, "--dist", functional)
     psi = _require(psi, "--psi", functional)
     params = _params(args, spec, chi)
@@ -326,16 +332,14 @@ def _evaluate_report(args: argparse.Namespace, dist, psi, chi, model=None):
         return spec.evaluate(np.asarray(psi.values, dtype=float), tol=args.tol)
     if spec.input == "exponent":
         return spec.evaluate(psi=psi, m=args.m, **params)
-    if spec.input == "distribution":
-        return spec.evaluate(dist, psi, m=args.m, tol=args.tol, **params)
     if model is None:
-        model = quantize(dist, args.m)
+        model = _quantized(args, dist)
     options = {"project": args.project} if spec.zero_mean else {}
     return spec.evaluate(model, psi, tol=args.tol, **options, **params)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    reads_dist = fn.FUNCTIONALS[args.functional].input in ("model", "distribution")
+    reads_dist = fn.FUNCTIONALS[args.functional].input == "model"
     dist_path = args.dist_path if reads_dist else None
     report = _evaluate_report(args, *load_specs(dist_path, args.psi_spec, args.chi_spec))
     if isinstance(report, fn.TroyComparison):
@@ -365,18 +369,11 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
         raise CliError(
             f"no enumeration oracle for {functional}; oracle-diff supports {', '.join(oracle_mod.ORACLE_IDS)}"
         )
-    model = quantize(_require(dist, "--dist", functional), args.m)
-    if spec.input == "distribution" and dist.pieces:
-        # The fast path quantizes each conditional separately, which is a
-        # different discretization than splitting the quantized model.
-        raise CliError(f"oracle-diff for {functional} requires an atomic distribution")
+    model = _quantized(args, dist)
     fast = _evaluate_report(args, dist, psi, chi, model).terms
     _require_finite(functional, fast)
-    # The oracle gets psi as the fast path resolved it: on an atomic law the
-    # two sides of the split are the full model's nodes, in order.
-    if spec.input == "distribution":
-        psi_vals = np.concatenate([vals for _, vals in fn.split_at(dist, psi, args.c, args.m)[:2]])
-    elif spec.zero_mean:
+    # The oracle gets the fast path's model and psi as it resolved it there.
+    if spec.zero_mean:
         psi_vals = fn.zero_mean_values(model.mass, psi.resolve(model), args.project)
     else:
         psi_vals = psi.resolve(model)

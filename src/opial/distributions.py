@@ -220,9 +220,13 @@ def _cut(dist: Distribution, x: float, upper: bool) -> tuple[list, list[Piece]]:
         if (pc.lo >= x if upper else pc.hi <= x):
             pieces.append(pc)
         elif (pc.hi > x if upper else pc.lo < x):
-            lo, hi = (x, pc.hi) if upper else (pc.lo, x)
-            pieces.append(Piece(lo, hi, pc.mass * (hi - lo) / (pc.hi - pc.lo)))
+            pieces.append(_part(pc, x, pc.hi) if upper else _part(pc, pc.lo, x))
     return atoms, pieces
+
+
+def _part(pc: Piece, lo: float, hi: float) -> Piece:
+    """The part (lo, hi) of piece `pc`, with the mass of its share of the length."""
+    return Piece(lo, hi, pc.mass * (hi - lo) / (pc.hi - pc.lo))
 
 
 def make_discrete(points: Sequence[float], probs: Sequence[float]) -> Distribution:
@@ -360,12 +364,18 @@ class QuantizedModel:
         return half_tie(self.mass, "below")
 
 
-def quantize(dist: Distribution, m: int) -> QuantizedModel:
+def quantize(dist: Distribution, m: int, cut: float | None = None) -> QuantizedModel:
     """Reduce `dist` to a pure-atom model at resolution `m`.
 
     Atoms pass through unchanged.  A piece of mass ``w`` on ``(lo, hi)``
     becomes ``m`` atoms of mass ``w/m`` at ``lo + (hi-lo)(k-1/2)/m``, an
-    ascending run of strictly interior midpoints.  The nodes need no sort:
+    ascending run of strictly interior midpoints.  With a `cut` strictly
+    inside a piece, that piece is first split at the cut into its two
+    parts, as the two sides of the cut hold them (see :class:`Distribution`),
+    and each part becomes its own run of ``m`` atoms: the nodes on each
+    side are then those of that side's conditional law quantized at `m`.
+    A `cut` of None or NaN, or one inside no piece, leaves the model as
+    without it.  The nodes need no sort:
     :class:`Distribution` keeps its atoms sorted, its pieces sorted with
     disjoint interiors and no atom inside a piece, so the model is the
     atoms merged with one run per piece, in piece order, each run placed
@@ -374,20 +384,27 @@ def quantize(dist: Distribution, m: int) -> QuantizedModel:
     """
     if m < 1:
         raise ValueError(f"resolution m must be >= 1, got {m}")
-    node_count = len(dist.atoms) + m * len(dist.pieces)
+    pieces = dist.pieces
+    if cut is not None:
+        pieces = [
+            part
+            for pc in pieces
+            for part in ((_part(pc, pc.lo, cut), _part(pc, cut, pc.hi)) if pc.lo < cut < pc.hi else (pc,))
+        ]
+    node_count = len(dist.atoms) + m * len(pieces)
     if node_count > DEFAULT_MAX_NODES:
         raise DistributionError(
             f"quantization would create {node_count} nodes (limit {DEFAULT_MAX_NODES})"
         )
     locs, probs = np.array(dist.atoms, dtype=float).reshape(-1, 2).T
-    cuts = np.searchsorted(locs, [pc.lo for pc in dist.pieces], side="right").tolist()
+    ends = np.searchsorted(locs, [pc.lo for pc in pieces], side="right").tolist()
     steps = np.arange(1, m + 1) - 0.5
     support, mass = [], []
     done = 0
-    for pc, cut in zip(dist.pieces, cuts):
-        support += [locs[done:cut], pc.lo + (pc.hi - pc.lo) * steps / m]
-        mass += [probs[done:cut], np.full(m, pc.mass / m)]
-        done = cut
+    for pc, end in zip(pieces, ends):
+        support += [locs[done:end], pc.lo + (pc.hi - pc.lo) * steps / m]
+        mass += [probs[done:end], np.full(m, pc.mass / m)]
+        done = end
     support.append(locs[done:])
     mass.append(probs[done:])
     return QuantizedModel(

@@ -45,10 +45,11 @@ import numpy as np
 
 from .accumulate import COMPENSATED, Passes, comp_sum, half_tie, prefix_exclusive, suffix_exclusive
 from .distributions import (
+    MASS_TOL,
     Distribution,
+    DistributionError,
     NodeFunction,
     QuantizedModel,
-    conditional_truncate,
     make_uniform_interval,
     node_values,
     quantize,
@@ -63,8 +64,11 @@ ZERO_MEAN_TOL = 1e-10
 #: Default quantization resolution where an operation needs one.
 DEFAULT_RESOLUTION = 512
 
-#: Cap on the nested-integral order; beyond this the values are rarely
-#: distinguishable from 0 in double precision at moderate resolution.
+#: Cap on the nested-integral order.  It bounds two costs, not what a
+#: double can hold (the sharp constant c_20 is about 1e-19, and 21! is
+#: exact): the search filter's rounding margin K = (ORDER_CAP + 4)(width + 2)
+#: (:func:`~opial.sharpness._margin`) and the oracle's (n + 1) m^(n+1)
+#: summands (:mod:`opial.oracle`).
 ORDER_CAP = 6
 
 INV_PI_SQ = 1.0 / math.pi**2
@@ -85,8 +89,8 @@ class IneqReport:
     over rhs (0 when rhs is 0), and ``equality`` tests
     ``|slack| <= tol * max(1, |rhs|)`` on both sides, so a violation is
     never an equality (the evaluators refuse a NaN tol).  ``m`` is the
-    number of nodes evaluated: a model's node count, the sum of both halves'
-    for the two-sided split, N for a coefficient sequence.  ``exact`` says
+    number of nodes evaluated: a model's node count (both halves' for the
+    two-sided split), N for a coefficient sequence.  ``exact`` says
     whether the model evaluated had no discretization error.  The JSON
     report is these fields, with ``extras`` merged at the top level.
     """
@@ -243,7 +247,7 @@ def opial_terms(
 
 
 def corollary_rows(p_low, vals_low, p_up, vals_up, passes: Passes = COMPENSATED) -> dict:
-    """Terms of :func:`corollary_split`, row by row.
+    """Terms of :func:`corollary_terms`, row by row.
 
     ``p_low, vals_low`` are the lower conditional model's masses and
     values, ``p_up, vals_up`` the upper one's; the two halves' lengths may
@@ -259,32 +263,26 @@ def corollary_rows(p_low, vals_low, p_up, vals_up, passes: Passes = COMPENSATED)
     return {key: low[key] + up[key] for key in ("lhs", "middle", "rhs")}
 
 
-def split_at(dist: Distribution, psi, c: float, m: int):
-    """``((q_low, vals_low), (q_up, vals_up), P(X <= c))``: the laws of X given
-    X <= c and X > c, each quantized at `m` with psi on its nodes.
+def corollary_terms(model: QuantizedModel, psi, c: float, tol: float = EQUALITY_TOL) -> IneqReport:
+    """Two-sided split at `c`: below-form on X <= c plus above-form on X > c.
 
-    Named node-function families are resolved against each conditional model
-    (in particular cos_pi_F uses the conditional CDF); explicit value vectors
-    align with the full support, the lower nodes then the upper, and therefore
-    require an atomic distribution.
+    The nodes at or below `c` and those above it are the two conditional
+    laws, each side's masses divided by their compensated sum, and each
+    gets its own first-order evaluation with psi resolved once on the whole
+    `model`; the right-hand side is E[psi^2 (1_{X<=c}/p + 1_{X>c}/(1-p))]/2
+    with p = P(X <= c), reported as ``p_lower``.  Equality iff psi is
+    constant on each side separately.  A side of at most MASS_TOL
+    probability raises :class:`~opial.distributions.DistributionError`.
     """
-    lower_dist, p_low = conditional_truncate(dist, c, "lower")
-    upper_dist, _ = conditional_truncate(dist, c, "upper")
-    q_low = quantize(lower_dist, m)
-    q_up = quantize(upper_dist, m)
-    if isinstance(psi, NodeFunction) and psi.kind != "values":
-        return (q_low, psi.resolve(q_low)), (q_up, psi.resolve(q_up)), p_low
-    # An explicit value vector is aligned to the full quantized support; it
-    # can only be split at c when that support survives the split, i.e. for
-    # purely atomic distributions.
-    if dist.pieces:
-        raise ValueError(
-            "explicit value vectors cannot be split at c for distributions "
-            "with continuous pieces; use a named node-function family"
-        )
-    full = quantize(dist, m)
-    vals = _as_values(psi, full)
-    return (q_low, vals[full.support <= c]), (q_up, vals[full.support > c]), p_low
+    lower = model.support <= c
+    p_low, p_up = model.mass[lower], model.mass[~lower]
+    share_low, share_up = comp_sum(p_low), comp_sum(p_up)
+    if min(share_low, share_up) <= MASS_TOL:
+        raise DistributionError(f"conditioning on X <= {c} leaves probability {share_low!r}")
+    vals = _as_values(psi, model)
+    terms = corollary_rows(p_low / share_low, vals[lower], p_up / share_up, vals[~lower])
+    extras = {"c": float(c), "p_lower": share_low}
+    return _build_report("corollary", terms, m=model.node_count, exact=model.is_exact, tol=tol, extras=extras)
 
 
 def corollary_split(
@@ -294,22 +292,10 @@ def corollary_split(
     m: int = DEFAULT_RESOLUTION,
     tol: float = EQUALITY_TOL,
 ) -> IneqReport:
-    """Two-sided split at `c`: below-form on X <= c plus above-form on X > c.
-
-    Each conditional law gets its own first-order evaluation; the right-hand
-    side is E[psi^2 (1_{X<=c}/p + 1_{X>c}/(1-p))]/2 with p = P(X <= c).
-    Equality iff psi is constant on each side separately.
-    """
-    (q_low, vals_low), (q_up, vals_up), p_low = split_at(dist, psi, c, m)
-    terms = corollary_rows(q_low.mass, vals_low, q_up.mass, vals_up)
-    return _build_report(
-        "corollary",
-        terms,
-        m=q_low.node_count + q_up.node_count,
-        exact=q_low.is_exact and q_up.is_exact,
-        tol=tol,
-        extras={"c": float(c), "p_lower": float(p_low)},
-    )
+    """:func:`corollary_terms` on `dist` quantized at `m` with its cut at `c`
+    (:func:`~opial.distributions.quantize`): each side's nodes are those of
+    its conditional law at `m`, and a value vector aligns with all of them."""
+    return corollary_terms(quantize(dist, m, cut=c), psi, c, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +657,13 @@ class Functional:
     """Everything the library does with one functional id.
 
     ``evaluate(subject, psi, **params)`` is the public evaluator, whose
-    subject is the ``input``: a quantized "model", a "distribution" that it
-    splits at c, a coefficient "sequence" (called as ``evaluate(a)``, its
-    kernel's masses the counting law: 1 on each coefficient) or the troy
-    weight "exponent".  ``rows`` is its ``*_rows`` kernel (None: no
-    search), ``tight`` the term compared with rhs and ``params`` the
-    required ones among n, c, chi and p_exp.  ``zero_mean`` requires psi
+    subject is the ``input``: a quantized "model" (the corollary's, cut at
+    c by :func:`~opial.distributions.quantize`, which it splits there), a
+    coefficient "sequence" (called as ``evaluate(a)``, its kernel's masses
+    the counting law: 1 on each coefficient) or the troy weight
+    "exponent".  ``rows`` is its ``*_rows`` kernel (None: no search),
+    ``tight`` the term compared with rhs and ``params`` the required ones
+    among n, c, chi and p_exp.  ``zero_mean`` requires psi
     (or the sequence) to have mean zero and ``nonnegative`` requires the
     sequence to be nonnegative: the search draws each id's params and meets
     these two side conditions (:func:`~opial.sharpness._draw_block`), and a
@@ -731,7 +718,7 @@ def _identity(which: str, term: Callable, tie: float, factor: Callable, **option
 FUNCTIONALS = {
     "thm1-lower": _first_order("below"),
     "thm1-upper": _first_order("above"),
-    "corollary": Functional("distribution", corollary_split, corollary_rows, "middle", ("c",), sign_free=True),
+    "corollary": Functional("model", corollary_terms, corollary_rows, "middle", ("c",), sign_free=True),
     "thm2": Functional("model", theorem2_terms, theorem2_rows, "lhs", ("n",), study=_nth_order_value),
     "thm3": Functional("model", theorem3_terms, theorem3_rows, "lhs", sign_free=True),
     "weighted-lower": _weighted("below"),

@@ -319,7 +319,7 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     """Block `block`'s trials as zero-padded rows, from ``default_rng([seed, block])``.
 
     Every functional gets ``sizes`` from 2 to m_max: one value is an
-    equality case of every kernel.  A model or distribution functional then
+    equality case of every kernel.  A model functional then
     gets an atomic model per row: ``support`` from uniform(0.1, 1) gaps
     after a uniform(-3, 3) offset and Dirichlet(1, ..., 1) ``mass``
     (row-normalized standard exponentials, floored at 1e-9 and normalized
@@ -379,28 +379,26 @@ def _row(block: dict, k: int) -> dict:
     }
 
 
-def _exact_share(masses: np.ndarray) -> np.ndarray:
-    """Each row's sum by ``math.fsum``: exact, so the zeros outside a half add nothing."""
-    return np.array([math.fsum(row) for row in masses.tolist()])
-
-
-def _terms(spec: fn.Functional, block: dict, values: np.ndarray, passes, share) -> dict:
+def _terms(spec: fn.Functional, block: dict, values: np.ndarray, passes) -> dict:
     """The row kernel's terms on a block by `passes`, with `values` as psi.
 
     A sequence row's masses are the counting law, 1 on each of its entries.
     The corollary's conditional laws, X <= c and X > c, are masked rows of
-    the block's nodes, their masses divided by `share` of each half's
-    masked masses.  Their models' invariants follow from the full model's.
+    the block's nodes, their masses divided by ``passes.total`` of each
+    half's masked masses, as :func:`~opial.functionals.corollary_terms`
+    divides them by their compensated sums; zeros outside a half add
+    nothing to either sum.  Their models' invariants follow from the full
+    model's.
     """
     if spec.input == "sequence":
         return spec.rows(block["active"] * 1.0, values, passes=passes)
     p = block["mass"]
-    if spec.input == "distribution":
+    if "c" in spec.params:
         lower = block["support"] <= block["c"][:, None]
         args = []
         for half in (block["active"] & lower, block["active"] & ~lower):
             masses = np.where(half, p, 0.0)
-            args += [masses / share(masses)[:, None], np.where(half, values, 0.0)]
+            args += [masses / passes.total(masses)[:, None], np.where(half, values, 0.0)]
         return spec.rows(*args, passes=passes)
     return spec.rows(p, values, **{name: block[name] for name in spec.params}, passes=passes)
 
@@ -412,15 +410,15 @@ def _screen(functional_id: str, block: dict):
     :func:`_cleared`); each row's result does not depend on the other rows.
     The rows are evaluated by :func:`_terms` with the kernels' default
     compensated passes, and the corollary's conditional masses are divided
-    by their exact sums, as the public path divides them: each row is
-    bit-identical to the public evaluators.  The rows' model checks are
+    by their compensated sums, as the public path divides them: each row
+    is bit-identical to the public evaluators.  The rows' model checks are
     made once per block, by the search.  The evaluators' other input
     checks cannot fail on the draws: chi, the rtwo coefficients and both
     conditional masses are positive by construction, and the centred rows
     meet the zero-sum and zero-mean conditions to within a few ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
-    terms = _terms(spec, block, block["psi"], COMPENSATED, _exact_share)
+    terms = _terms(spec, block, block["psi"], COMPENSATED)
     return terms["rhs"] - terms[spec.tight], terms["rhs"]
 
 
@@ -432,8 +430,9 @@ def _margin(width: int) -> float:
     Counted along every path from an entry to a term, with one rounding per
     product and width - 1 per plain pass, the deepest kernel is thm2: at
     order n its lhs takes (n + 1)(width - 1) + 2 roundings.  The next
-    deepest is the corollary's middle term, 4 width + 2, because its masses
-    are divided by plain sums of width entries.  K exceeds every kernel's
+    deepest is the corollary's middle term, 4 width + 2, because the filter
+    divides its masses by plain sums of width entries (the screen and the
+    public path by compensated ones).  K exceeds every kernel's
     depth at n <= ORDER_CAP by more than 2 width + 8.  That covers
     Neumaier's passes, which are within a few roundings of exact at any
     length, and the handful of roundings in the slack and in the filter's
@@ -473,10 +472,10 @@ def _plain_screen(functional_id: str, block: dict):
     values = block["psi"]
     factor = _margin(values.shape[-1])
     with np.errstate(all="ignore"):
-        terms = _terms(spec, block, values, PLAIN, PLAIN.total)
+        terms = _terms(spec, block, values, PLAIN)
         tight, rhs = terms[spec.tight], terms["rhs"]
         if not spec.sign_free:
-            terms = _terms(spec, block, np.abs(values), PLAIN, PLAIN.total)
+            terms = _terms(spec, block, np.abs(values), PLAIN)
         rhs_error = factor * np.abs(terms["rhs"])
         return rhs - tight, rhs, rhs_error + factor * np.abs(terms[spec.tight]), rhs_error
 
@@ -529,7 +528,7 @@ def search_counterexample(
     by the compensated screen, and is dropped.  The faulty rows and the
     rows not cleared are screened as before (:func:`_screen`): the same
     kernel arguments, built by :func:`_terms`, with the compensated passes
-    and exact conditional sums, whose rows are bit-identical to the public
+    and compensated conditional sums, whose rows are bit-identical to the public
     evaluators.  A listed row is one whose model check failed or whose
     screened slack violates the threshold.  The lowest listed trial of a
     block raises the

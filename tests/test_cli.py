@@ -127,6 +127,24 @@ class TestVerify:
         assert code == 1
         assert "--c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c", [0.3, 1.0, 1.25, 1.6])
+    def test_corollary_reads_the_cdf_of_the_cut_law(self, tmp_path, c):
+        # cos_pi_F on the corollary is cos(pi * Ftilde) of the whole law on
+        # its cut model, one value vector aligned with that model's nodes.
+        law = {"atoms": [[1.25, 0.2], [2.0, 0.3]], "pieces": [{"lo": 0.0, "hi": 1.0, "mass": 0.5}]}
+        dist = tmp_path / "mix.json"
+        dist.write_text(json.dumps(law), encoding="utf-8")
+        model = fn.quantize(fn.Distribution.from_spec_dict(law), 32, cut=c)
+        values = json.dumps({"kind": "values", "values": np.cos(math.pi * model.midpoint_cdf()).tolist()})
+        reports = []
+        for psi in ("cos_pi_F", values):
+            out = tmp_path / "out.json"
+            flags = ["--dist", str(dist), "--functional", "corollary", "--c", repr(c), "--m", "32"]
+            assert main(["verify", *flags, "--psi", psi, "--out", str(out)]) in (0, 2)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["m"] == model.node_count
+
     def test_discrete_identity_via_values(self, tmp_path):
         out = tmp_path / "o92.json"
         code = main(
@@ -850,23 +868,18 @@ class TestOracleDiff:
         assert code == 0
         assert json.loads(out.read_text())["rel_err"] <= 1e-12
 
-    def test_corollary_on_continuous_rejected(self, tmp_path, capsys):
-        dist = write_uniform_interval(tmp_path / "u.json")
-        code = main(
-            [
-                "oracle-diff",
-                "--dist",
-                str(dist),
-                "--psi",
-                "constant",
-                "--functional",
-                "corollary",
-                "--c",
-                "0.5",
-            ]
-        )
-        assert code == 1
-        assert "atomic" in capsys.readouterr().err
+    @pytest.mark.parametrize("c", ["0.25", "1.5"])
+    def test_corollary_on_a_law_with_pieces(self, tmp_path, c):
+        # uniform (0, 1) plus two atoms, cut inside the piece and in a gap:
+        # the oracle enumerates the same cut model.
+        dist = tmp_path / "mix.json"
+        spec = {"atoms": [[2.0, 0.25], [3.0, 0.25]], "pieces": [{"lo": 0.0, "hi": 1.0, "mass": 0.5}]}
+        dist.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "diff.json"
+        flags = ["--dist", str(dist), "--functional", "corollary", "--c", c, "--m", "16", "--out", str(out)]
+        for psi in ("cos_pi_F", "identity", '{"kind": "step", "threshold": 0.5, "low": -1.0, "high": 2.0}'):
+            assert main(["oracle-diff", "--psi", psi, *flags]) == 0
+            assert json.loads(out.read_text())["rel_err"] <= 1e-12
 
     def test_budget_env_override(self, tmp_path, monkeypatch, capsys):
         dist = write_uniform_n(tmp_path / "d.json", 8)

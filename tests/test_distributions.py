@@ -237,6 +237,58 @@ class TestQuantize:
             for x, _ in d.atoms:
                 assert abs(d.cdf(x) - math.fsum(q.mass[q.support <= x].tolist())) <= 1e-15
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 64])
+    def test_cut_sides_are_the_conditional_models(self, rng, m):
+        # A cut inside a piece, at an atom or in a gap: each side of the cut
+        # model has its conditional law's nodes, bit for bit, and its masses
+        # over their compensated sum are within 2 ulp of that law's masses.
+        kinds = {"piece": 0, "atom": 0, "gap": 0}
+        for _ in range(60):
+            d = random_mixed_distribution(rng, max_parts=6)
+            spans = sorted([(x, x) for x, _ in d.atoms] + [(pc.lo, pc.hi) for pc in d.pieces])
+            points = {
+                "piece": [pc.lo + (pc.hi - pc.lo) * u for pc in d.pieces for u in rng.uniform(0, 1, 2)],
+                "atom": [x for x, _ in d.atoms],
+                "gap": [(a[1] + b[0]) / 2 for a, b in zip(spans, spans[1:])],
+            }
+            for kind, cuts in points.items():
+                for c in cuts:
+                    if d.cdf(c) <= MASS_TOL or d.cdf(c) >= 1.0 - MASS_TOL:
+                        continue
+                    kinds[kind] += 1
+                    q = quantize(d, m, cut=c)
+                    assert q.is_exact == (not d.pieces)
+                    lower = q.support <= c
+                    for side, mask in (("lower", lower), ("upper", ~lower)):
+                        want = quantize(conditional_truncate(d, c, side)[0], m)
+                        assert q.support[mask].tobytes() == want.support.tobytes()
+                        got = q.mass[mask] / comp_sum(q.mass[mask])
+                        assert np.all(np.abs(got - want.mass) <= 2.0 * np.spacing(want.mass))
+        assert min(kinds.values()) > 20
+
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_cut_outside_every_piece_is_no_cut(self, rng, m):
+        # None, NaN, a piece end, an atom, a gap and a point beyond the
+        # support leave the model as quantize(dist, m) gives it.
+        for _ in range(40):
+            d = random_mixed_distribution(rng, max_parts=6)
+            spans = sorted([(x, x) for x, _ in d.atoms] + [(pc.lo, pc.hi) for pc in d.pieces])
+            cuts = [None, math.nan, spans[0][0] - 1.0, spans[-1][1] + 1.0]
+            cuts += [end for pc in d.pieces for end in (pc.lo, pc.hi)] + [x for x, _ in d.atoms]
+            cuts += [(a[1] + b[0]) / 2 for a, b in zip(spans, spans[1:])]
+            want = quantize(d, m)
+            for c in cuts:
+                q = quantize(d, m, cut=c)
+                assert q.support.tobytes() == want.support.tobytes()
+                assert q.mass.tobytes() == want.mass.tobytes()
+                assert q.is_exact == want.is_exact
+
+    def test_cut_inside_a_piece_adds_one_run(self):
+        d = Distribution(atoms=((2.0, 0.5),), pieces=(Piece(0.0, 1.0, 0.5),))
+        q = quantize(d, 4, cut=0.25)
+        assert q.node_count == 1 + 2 * 4
+        assert q.support.tolist() == [0.03125, 0.09375, 0.15625, 0.21875, 0.34375, 0.53125, 0.71875, 0.90625, 2.0]
+
     def test_refinement_sup_distance(self):
         # sup_x |cdf(x) - empirical cdf| is exactly 1/(2m) for uniform (0, 1)
         d = make_uniform_interval(0, 1)

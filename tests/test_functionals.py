@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from opial import (
     Distribution,
+    DistributionError,
     NodeFunction,
     Piece,
     QuantizedModel,
@@ -287,10 +288,24 @@ class TestCorollarySplit:
             rep = corollary_split(d, NodeFunction.of_values(a), float(big_k), m=1)
             assert rep.equality
 
-    def test_values_split_requires_atomic(self):
-        d = make_uniform_interval(0, 1)
-        with pytest.raises(ValueError, match="value vectors"):
-            corollary_split(d, NodeFunction.of_values([1.0] * 8), 0.5, m=8)
+    @pytest.mark.parametrize("c", [0.3, 0.5, 1.5])
+    def test_values_align_with_the_cut_model(self, c):
+        # A law with pieces takes a value vector on the cut model's nodes:
+        # the support there gives the identity family's report, bit for bit.
+        d = Distribution(atoms=((1.5, 0.25), (2.0, 0.25)), pieces=(Piece(0.0, 1.0, 0.5),))
+        q = quantize(d, 8, cut=c)
+        rep = corollary_split(d, NodeFunction.of_values(q.support.tolist()), c, m=8)
+        want = corollary_split(d, NodeFunction.identity(), c, m=8)
+        assert repr(rep) == repr(want) == repr(fn.corollary_terms(q, q.support, c))
+        with pytest.raises(ValueError, match=f"value vector has 8 entries but the model has {q.node_count} nodes"):
+            corollary_split(d, NodeFunction.of_values([1.0] * 8), c, m=8)
+
+    def test_split_reads_the_cdf_of_the_whole_law(self):
+        # cos_pi_F is resolved once, on the cut model: the law's half-tie CDF.
+        d = Distribution(atoms=((1.5, 0.25),), pieces=(Piece(0.0, 1.0, 0.75),))
+        q = quantize(d, 16, cut=0.4)
+        rep = corollary_split(d, NodeFunction.cos_pi_cdf(), 0.4, m=16)
+        assert repr(rep) == repr(fn.corollary_terms(q, np.cos(math.pi * q.midpoint_cdf()), 0.4))
 
     def test_continuous_median_identity_closed_form(self):
         # uniform (0,1) split at the median with psi(x) = x: under refinement
@@ -309,6 +324,19 @@ class TestCorollarySplit:
         d = make_discrete([1, 2, 3], [1 / 3] * 3)
         with pytest.raises(Exception, match="probability"):
             corollary_split(d, NodeFunction.constant(), 0.5)
+
+    @pytest.mark.parametrize("c", [0.5, 3.0, 7.0, math.nan])
+    def test_an_empty_side_names_the_lower_mass(self, c):
+        # Either side empty: the refusal names P(X <= c), before psi is read.
+        q = uniform_model(3)
+        low = comp_sum(q.mass[q.support <= c])
+        with pytest.raises(DistributionError, match=rf"^conditioning on X <= {c} leaves probability {low!r}$"):
+            fn.corollary_terms(q, [1.0], c)
+
+    def test_the_table_has_three_input_kinds(self):
+        # The two-sided split is a model functional: it takes the cut model.
+        assert {f.input for f in fn.FUNCTIONALS.values()} == {"model", "sequence", "exponent"}
+        assert fn.FUNCTIONALS["corollary"].input == "model"
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +972,8 @@ class TestReport:
         make_model, dist, c, nodes, split_nodes = NODE_CASES[case]
         spec = fn.FUNCTIONALS[functional]
         cos = NodeFunction.cos_pi_cdf()
-        if spec.input == "distribution":
-            report, expected = spec.evaluate(dist, cos, c, m=MIXTURE_M), split_nodes
+        if "c" in spec.params:
+            report, expected = spec.evaluate(quantize(dist, MIXTURE_M, cut=c), cos, c), split_nodes
         elif spec.input == "sequence":
             a = np.cos(math.pi * (np.arange(nodes) + 0.5) / nodes)  # sums to 0
             report, expected = spec.evaluate(np.abs(a) if functional == "rtwo" else a), nodes
@@ -1093,24 +1121,19 @@ class TestRowKernels:
         if spec.zero_mean:
             psis = [v - comp_sum(q.mass * v) for q, v in zip(models, psis)]
             psi = pad(psis)
-        if spec.input == "distribution":
+        if "c" in spec.params:
             cuts = np.array([int(rng.integers(1, q.node_count)) for q in models])
             lower = np.arange(self.WIDTH) < cuts[:, None]
             upper = active & ~lower
-            share_low = np.array([math.fsum(q.mass[:k]) for q, k in zip(models, cuts)])[:, None]
-            share_up = np.array([math.fsum(q.mass[k:]) for q, k in zip(models, cuts)])[:, None]
+            share_low = np.array([comp_sum(q.mass[:k]) for q, k in zip(models, cuts)])[:, None]
+            share_up = np.array([comp_sum(q.mass[k:]) for q, k in zip(models, cuts)])[:, None]
             terms = spec.rows(
                 np.where(lower, p / share_low, 0.0),
                 np.where(lower, psi, 0.0),
                 np.where(upper, p / share_up, 0.0),
                 np.where(upper, psi, 0.0),
             )
-            reports = [
-                spec.evaluate(
-                    Distribution(atoms=tuple(zip(q.support, q.mass))), v, float(q.support[k - 1]), m=1
-                )
-                for q, v, k in zip(models, psis, cuts)
-            ]
+            reports = [spec.evaluate(q, v, float(q.support[k - 1])) for q, v, k in zip(models, psis, cuts)]
             self.assert_rows(terms, reports)
             return
         params = [

@@ -866,7 +866,7 @@ class TestPlainFilter:
                     block["n"][:] = order
                 slack, rhs = sharpness._screen(functional, block)
                 plain, plain_rhs, slack_error, rhs_error = sharpness._plain_screen(functional, block)
-                magnitudes = sharpness._terms(spec, block, np.abs(block["psi"]), PLAIN, PLAIN.total)
+                magnitudes = sharpness._terms(spec, block, np.abs(block["psi"]), PLAIN)
                 want_rhs_error = 2.0 * gamma * np.abs(magnitudes["rhs"])
                 want_error = want_rhs_error + 2.0 * gamma * np.abs(magnitudes[spec.tight])
                 assert np.allclose(slack_error, want_error, rtol=1e-14, atol=0.0)
@@ -904,8 +904,8 @@ class TestPlainFilter:
         for m_max in (3, 30):
             for seed in range(3):
                 block = sharpness._draw_block(functional, seed, 0, m_max)
-                signed = sharpness._terms(spec, block, block["psi"], PLAIN, PLAIN.total)
-                magnitudes = sharpness._terms(spec, block, np.abs(block["psi"]), PLAIN, PLAIN.total)
+                signed = sharpness._terms(spec, block, block["psi"], PLAIN)
+                magnitudes = sharpness._terms(spec, block, np.abs(block["psi"]), PLAIN)
                 assert bits(signed["rhs"]) == bits(magnitudes["rhs"])
                 same = bits(signed[spec.tight]) == bits(magnitudes[spec.tight])
                 assert same or not spec.sign_free
@@ -925,5 +925,5 @@ class TestPlainFilter:
         block = sharpness._draw_block("thm2", 2, 0, 12)
         spec = FUNCTIONALS["thm2"]
         want = fn.theorem2_rows(block["mass"], block["psi"], block["n"], passes=PLAIN)
-        got = sharpness._terms(spec, block, block["psi"], PLAIN, PLAIN.total)
+        got = sharpness._terms(spec, block, block["psi"], PLAIN)
         assert bits(got["lhs"]) == bits(want["lhs"]) and bits(got["rhs"]) == bits(want["rhs"])
