@@ -249,75 +249,38 @@ def make_uniform_interval(a: float, b: float) -> Distribution:
     return Distribution(pieces=(Piece(float(a), float(b), 1.0),))
 
 
-#: Messages of the :func:`model_faults` codes; code 0 is a valid model.
-MODEL_FAULTS = (
-    "",
-    "support and mass must be finite",
-    "support must be strictly increasing",
-    "all masses must be positive",
-    "masses must sum to 1",
-)
+def _check_model(support: np.ndarray, mass: np.ndarray) -> None:
+    """Raise :class:`DistributionError` naming the first :class:`QuantizedModel`
+    invariant that `support` and `mass` fail, checked in this order: finite,
+    strictly increasing, positive masses, masses summing to 1 within
+    :data:`MASS_TOL` (decided as by the exact sum ``math.fsum``).
 
-
-def model_faults(support: np.ndarray, mass: np.ndarray, active=None) -> np.ndarray:
-    """First failed :class:`QuantizedModel` invariant of each row, as a code.
-
-    ``support`` and ``mass`` have shape (rows, width); row r holds a model
-    in the entries where the row mask ``active[r]`` is True, which are its
-    first ones (all of them when ``active`` is None), and anything after
-    them.  Returns one code per row, indexing :data:`MODEL_FAULTS` in the
-    order the checks are made: finite, strictly increasing, positive
-    masses, masses summing to 1 within :data:`MASS_TOL` (decided as by the
-    exact sum ``math.fsum``).
-
-    Each check is a plain reduction over a boolean array, with the entries
-    past each row's size masked off by ``active``.  The codes are written
-    in reverse order into a zero array, so a row gets the code of its first
-    failed check.  The masses are summed plainly, in blocks of about
-    sqrt(width) entries; only the rows whose sum lies within that sum's
-    error bound of the tolerance, and the rows whose sum overflows, are
-    summed by ``math.fsum``.
+    The masses are summed plainly, in k blocks of c entries (k and c about
+    sqrt(size), zero-padded), within the blocks and then across them.  The
+    masses are positive here, so in whatever order numpy adds them the sum
+    t is within (c - 1 + k - 1) u t of the exact sum (u the unit roundoff,
+    up to a factor 1 + O((k + c) u)), which is within u t of ``math.fsum``'s.
+    A sum whose |t - 1| lies further than twice that from MASS_TOL is
+    decided as ``math.fsum`` decides it; only a sum nearer than that, or one
+    that overflows, is taken by ``math.fsum``.
     """
-    rows, width = mass.shape
-    nonfinite = ~(np.isfinite(support) & np.isfinite(mass))
-    unordered = support[:, 1:] <= support[:, :-1]
-    nonpositive = mass <= 0.0
-    if active is None:
-        active = True
-    else:
-        nonfinite &= active
-        unordered &= active[:, 1:]
-        nonpositive &= active
-    nonfinite = nonfinite.any(axis=-1)
-    unordered = unordered.any(axis=-1)
-    nonpositive = nonpositive.any(axis=-1)
-    checked = ~(nonfinite | unordered | nonpositive)
-    # Each row, zero-padded, as k blocks of c entries (k, c about
-    # sqrt(width)), summed within the blocks and then across them.  On the
-    # checked rows the terms are nonnegative, so in whatever order numpy
-    # adds them the sum t is within (c - 1 + k - 1) u t of the exact sum (u
-    # the unit roundoff, up to a factor 1 + O((k + c) u)), which is within
-    # u t of math.fsum's; a row whose |t - 1| lies further than twice that
-    # from MASS_TOL is decided as math.fsum decides it.  The others, and the
-    # rows whose sum overflows, are summed by math.fsum.
-    c = math.isqrt(max(width - 1, 0)) + 1
-    k = -(-width // c)
-    masses = np.zeros((rows, k * c))
-    np.copyto(masses[:, :width], mass, where=active)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = masses.reshape(rows, k, c).sum(axis=-1).sum(axis=-1)
-        margin = 2.0 * (k + c) * (np.finfo(float).eps / 2) * total
-        off = np.abs(total - 1.0)
-        unnormalized = checked & (off > MASS_TOL)
-        near = checked & ~(np.abs(off - MASS_TOL) > margin)
-    unnormalized[near] = [abs(_mass_total(row) - 1.0) > MASS_TOL for row in masses[near].tolist()]
-    # Later assignments overwrite earlier ones: the first failed check wins.
-    codes = np.zeros(rows, dtype=np.int64)
-    codes[unnormalized] = 4
-    codes[nonpositive] = 3
-    codes[unordered] = 2
-    codes[nonfinite] = 1
-    return codes
+    if not (np.isfinite(support).all() and np.isfinite(mass).all()):
+        raise DistributionError("support and mass must be finite")
+    if (support[1:] <= support[:-1]).any():
+        raise DistributionError("support must be strictly increasing")
+    if (mass <= 0.0).any():
+        raise DistributionError("all masses must be positive")
+    c = math.isqrt(mass.size - 1) + 1
+    k = -(-mass.size // c)
+    blocks = np.zeros(k * c)
+    blocks[: mass.size] = mass
+    with np.errstate(over="ignore"):
+        total = float(blocks.reshape(k, c).sum(axis=-1).sum())
+    off = abs(total - 1.0)
+    if not abs(off - MASS_TOL) > 2.0 * (k + c) * (np.finfo(float).eps / 2) * total:
+        off = abs(_mass_total(mass.tolist()) - 1.0)
+    if off > MASS_TOL:
+        raise DistributionError("masses must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -325,12 +288,13 @@ class QuantizedModel:
     """Canonical pure-atom evaluation form.
 
     ``support`` is strictly increasing, ``mass`` is positive and sums to 1
-    within :data:`MASS_TOL`; construction checks all three by
-    :func:`model_faults` (a plain blocked sum of the masses, with
-    ``math.fsum`` only when that sum is too close to the tolerance to
-    decide) and raises with the first one that fails.  ``is_exact`` is
-    True when the source distribution had no continuous pieces, in which
-    case every evaluation on this model is exact for the source.  The
+    within :data:`MASS_TOL`; construction checks all three, and that every
+    entry is finite, by :func:`_check_model` (a plain blocked sum of the
+    masses, with ``math.fsum`` only when that sum is too close to the
+    tolerance to decide) and raises with the first one that fails.
+    ``is_exact`` is True when the source distribution had no continuous
+    pieces, in which case every evaluation on this model is exact for the
+    source.  The
     model keeps no resolution: a report's ``m`` is its :attr:`node_count`.
     """
 
@@ -347,9 +311,7 @@ class QuantizedModel:
             raise DistributionError(
                 f"{support.size} support points but {mass.size} masses"
             )
-        fault = int(model_faults(support[None, :], mass[None, :])[0])
-        if fault:
-            raise DistributionError(MODEL_FAULTS[fault])
+        _check_model(support, mass)
         support.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "support", support)
@@ -367,9 +329,10 @@ class QuantizedModel:
 def quantize(dist: Distribution, m: int, cut: float | None = None) -> QuantizedModel:
     """Reduce `dist` to a pure-atom model at resolution `m`.
 
-    Atoms pass through unchanged.  A piece of mass ``w`` on ``(lo, hi)``
-    becomes ``m`` atoms of mass ``w/m`` at ``lo + (hi-lo)(k-1/2)/m``, an
-    ascending run of strictly interior midpoints.  With a `cut` strictly
+    Atoms pass through unchanged, so a law without pieces gives the same
+    model at every `m`.  A piece of mass ``w`` on ``(lo, hi)`` becomes
+    ``m`` atoms of mass ``w/m`` at ``lo + (hi-lo)(k-1/2)/m``, an ascending
+    run of strictly interior midpoints.  With a `cut` strictly
     inside a piece, that piece is first split at the cut into its two
     parts, as the two sides of the cut hold them (see :class:`Distribution`),
     and each part becomes its own run of ``m`` atoms: the nodes on each
@@ -398,7 +361,8 @@ def quantize(dist: Distribution, m: int, cut: float | None = None) -> QuantizedM
         )
     locs, probs = np.array(dist.atoms, dtype=float).reshape(-1, 2).T
     ends = np.searchsorted(locs, [pc.lo for pc in pieces], side="right").tolist()
-    steps = np.arange(1, m + 1) - 0.5
+    # The node limit bounds m only through the pieces: build no run without one.
+    steps = np.arange(1, m + 1) - 0.5 if pieces else None
     support, mass = [], []
     done = 0
     for pc, end in zip(pieces, ends):

@@ -272,13 +272,16 @@ def corollary_terms(model: QuantizedModel, psi, c: float, tol: float = EQUALITY_
     `model`; the right-hand side is E[psi^2 (1_{X<=c}/p + 1_{X>c}/(1-p))]/2
     with p = P(X <= c), reported as ``p_lower``.  Equality iff psi is
     constant on each side separately.  A side of at most MASS_TOL
-    probability raises :class:`~opial.distributions.DistributionError`.
+    probability, the lower one first, raises
+    :class:`~opial.distributions.DistributionError` naming that side and
+    its probability.
     """
     lower = model.support <= c
     p_low, p_up = model.mass[lower], model.mass[~lower]
     share_low, share_up = comp_sum(p_low), comp_sum(p_up)
     if min(share_low, share_up) <= MASS_TOL:
-        raise DistributionError(f"conditioning on X <= {c} leaves probability {share_low!r}")
+        side, share = ("<=", share_low) if share_low <= MASS_TOL else (">", share_up)
+        raise DistributionError(f"conditioning on X {side} {c} leaves probability {share!r}")
     vals = _as_values(psi, model)
     terms = corollary_rows(p_low / share_low, vals[lower], p_up / share_up, vals[~lower])
     extras = {"c": float(c), "p_lower": share_low}

@@ -27,16 +27,7 @@ import numpy as np
 
 from . import functionals as fn
 from .accumulate import COMPENSATED, PLAIN, comp_sum
-from .distributions import (
-    DEFAULT_MAX_NODES,
-    MODEL_FAULTS,
-    DistributionError,
-    NodeFunction,
-    QuantizedModel,
-    make_uniform_interval,
-    model_faults,
-    quantize,
-)
+from .distributions import DEFAULT_MAX_NODES, NodeFunction, QuantizedModel, make_uniform_interval, quantize
 from .functionals import SEARCHABLE_IDS, THEOREM_BACKED_IDS  # noqa: F401  (public here too)
 
 
@@ -333,9 +324,21 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     the support point of a uniform index from 1 to size - 1.  Every draw is
     one call for the whole block, in that order, of shape (rows, m_max) or
     (rows,).  Entries past a row's size are 0, set by the row mask
-    ``active``, which is built once per block and kept in it for the model
-    check and :func:`_terms`.  Every row is a valid input of the
-    functional's public evaluator.
+    ``active``, which is built once per block and kept in it for
+    :func:`_terms`.  Every row is a valid input of the functional's public
+    evaluator, so the search checks no row.
+
+    Each row's model meets the :class:`~opial.distributions.QuantizedModel`
+    invariants by construction.  Its support is finite and strictly
+    increasing: a cumsum of gaps of at least 0.1 plus one offset, whose
+    values stay below 3 + m_max <= 2.1e6, where doubles are less than 1e-9
+    apart, so no step rounds away.  Its masses are positive: floored at
+    1e-9, then divided by their positive sum.  Their exact sum is within
+    about w u of 1 for a row of w entries and the unit roundoff u (the
+    normalizing sum is within (w - 1) u of exact in any summation order,
+    and each quotient adds a relative u), which is within MASS_TOL up to w
+    of about 9 000; numpy's pairwise row sum makes it O(log w) u at any
+    width.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
@@ -411,11 +414,12 @@ def _screen(functional_id: str, block: dict):
     The rows are evaluated by :func:`_terms` with the kernels' default
     compensated passes, and the corollary's conditional masses are divided
     by their compensated sums, as the public path divides them: each row
-    is bit-identical to the public evaluators.  The rows' model checks are
-    made once per block, by the search.  The evaluators' other input
-    checks cannot fail on the draws: chi, the rtwo coefficients and both
-    conditional masses are positive by construction, and the centred rows
-    meet the zero-sum and zero-mean conditions to within a few ulp.
+    is bit-identical to the public evaluators.  No input check of the
+    evaluators is made, and none can fail on the draws: the models meet
+    their invariants by construction (see :func:`_draw_block`), chi, the
+    rtwo coefficients and both conditional masses are positive, and the
+    centred rows meet the zero-sum and zero-mean conditions to within a few
+    ulp.
     """
     spec = fn.FUNCTIONALS[functional_id]
     terms = _terms(spec, block, block["psi"], COMPENSATED)
@@ -518,26 +522,24 @@ def search_counterexample(
     [2, DEFAULT_MAX_NODES], trials < 1, seed < 0 or a NaN rel_tol (an
     infinite one is allowed).
 
-    Every drawn row is a valid input of the functional's public evaluator
-    (the draw meets the table's side conditions).  Each block's zero-padded
-    (B, m_max) arrays first pass a filter: the functional's row kernel in
-    :mod:`opial.functionals`, run with plain passes, and the model checks
-    of every row (:func:`~opial.distributions.model_faults`), made once per
-    block.  A row whose plain slack clears the threshold by more than a
+    Every drawn row is a valid input of the functional's public evaluator:
+    the draw meets the table's side conditions, and its models meet their
+    invariants by construction (:func:`_draw_block`), so no row is checked.
+    Each block's zero-padded (B, m_max) arrays first pass a filter: the
+    functional's row kernel in :mod:`opial.functionals`, run with plain
+    passes.  A row whose plain slack clears the threshold by more than a
     proved bound on its rounding error (:func:`_cleared`) cannot be listed
-    by the compensated screen, and is dropped.  The faulty rows and the
-    rows not cleared are screened as before (:func:`_screen`): the same
-    kernel arguments, built by :func:`_terms`, with the compensated passes
-    and compensated conditional sums, whose rows are bit-identical to the public
-    evaluators.  A listed row is one whose model check failed or whose
-    screened slack violates the threshold.  The lowest listed trial of a
-    block raises the
-    :class:`~opial.distributions.DistributionError` its model would raise,
-    or is returned with its screened slack and its row as the instance.
-    The result is the same as evaluating every trial through the public
-    evaluators in order; only the cost differs.  At the default tolerance
-    the filter clears every row of a theorem-backed functional's draws, so
-    a trial costs one plain kernel row, a few microseconds at m_max = 30.
+    by the compensated screen, and is dropped.  The rows not cleared are
+    screened (:func:`_screen`): the same kernel arguments, built by
+    :func:`_terms`, with the compensated passes and compensated conditional
+    sums, whose rows are bit-identical to the public evaluators.  A row is
+    listed when its screened slack violates the threshold, and the lowest
+    listed trial is returned with its screened slack and its row as the
+    instance.  The result is the same as evaluating every trial through
+    the public evaluators in order; only the cost differs.  At the default
+    tolerance the filter clears every row of a theorem-backed functional's
+    draws, so a trial costs one plain kernel row, a few microseconds at
+    m_max = 30.
     A search of T trials, fewer than one block, still draws the whole
     block, but filters and screens only its first T rows.
 
@@ -562,20 +564,13 @@ def search_counterexample(
     for block_index, start in enumerate(range(0, trials, rows)):
         drawn = _draw_block(functional_id, seed, block_index, m_max)
         block = {name: value[: trials - start] for name, value in drawn.items()}
-        if spec.input == "sequence":
-            faults = np.zeros(block["sizes"].size, dtype=np.int64)
-        else:
-            faults = model_faults(block["support"], block["mass"], block["active"])
-        kept = np.flatnonzero(~_cleared(functional_id, block, rel_tol) | (faults != 0))
+        kept = np.flatnonzero(~_cleared(functional_id, block, rel_tol))
         if kept.size == 0:
             continue
         slack, rhs = _screen(functional_id, {name: value[kept] for name, value in block.items()})
-        faults = faults[kept]
-        listed = (faults != 0) | fn.violates(slack, rhs, rel_tol)
+        listed = fn.violates(slack, rhs, rel_tol)
         if listed.any():
             j = int(listed.argmax())
-            if faults[j]:
-                raise DistributionError(MODEL_FAULTS[faults[j]])
             k = int(kept[j])
             return Violation(
                 functional=functional_id,

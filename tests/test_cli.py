@@ -127,6 +127,24 @@ class TestVerify:
         assert code == 1
         assert "--c" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("c, side", [(0.5, "<="), (3.0, ">")])
+    def test_corollary_names_the_empty_side(self, tmp_path, capsys, c, side):
+        dist = write_uniform_n(tmp_path / "d.json", 3)
+        flags = ["--dist", str(dist), "--functional", "corollary", "--c", repr(c), "--psi", "constant"]
+        assert main(["verify", *flags]) == 1
+        assert capsys.readouterr().err == f"opial: error: conditioning on X {side} {c} leaves probability 0.0\n"
+
+    @pytest.mark.parametrize("functional, extra", [("thm1-lower", []), ("corollary", ["--c", "2.0"])])
+    def test_an_atomic_law_takes_any_resolution(self, tmp_path, capsys, functional, extra):
+        # --m sets the run length of a piece; an atomic law has none, so a
+        # resolution far past the node limit gives the --m 1 report.
+        dist = write_uniform_n(tmp_path / "d.json", 3)
+        flags = ["verify", "--dist", str(dist), "--functional", functional, "--psi", "identity", *extra]
+        assert main([*flags, "--m", "1"]) == 0
+        want = capsys.readouterr()
+        assert main([*flags, "--m", "99999999999"]) == 0
+        assert capsys.readouterr() == want
+
     @pytest.mark.parametrize("c", [0.3, 1.0, 1.25, 1.6])
     def test_corollary_reads_the_cdf_of_the_cut_law(self, tmp_path, c):
         # cos_pi_F on the corollary is cos(pi * Ftilde) of the whole law on

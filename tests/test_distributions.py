@@ -16,7 +16,7 @@ from opial import (
 )
 
 from opial.accumulate import comp_sum, prefix_exclusive
-from opial.distributions import DEFAULT_MAX_NODES, MASS_TOL, NODE_FUNCTION_KINDS, model_faults, node_values
+from opial.distributions import DEFAULT_MAX_NODES, MASS_TOL, NODE_FUNCTION_KINDS, node_values
 from opial.functionals import opial_terms
 
 from conftest import random_atomic_distribution, random_atomic_model, random_mixed_distribution
@@ -222,6 +222,19 @@ class TestQuantize:
         d = make_uniform_interval(0, 1)
         with pytest.raises(DistributionError, match="nodes"):
             quantize(d, DEFAULT_MAX_NODES + 1)
+
+    def test_an_atomic_law_takes_any_resolution(self):
+        # Only pieces take nodes from m, so the node limit does not bound m
+        # on an atomic law: a resolution whose midpoint run could not be
+        # allocated still gives the m = 1 model, with or without a cut.
+        d = make_discrete([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+        want = quantize(d, 1)
+        for m in (10**12, 99_999_999_999):
+            for cut in (None, 0.5, 1.0):
+                q = quantize(d, m, cut=cut)
+                assert q.is_exact
+                assert q.support.tobytes() == want.support.tobytes()
+                assert q.mass.tobytes() == want.mass.tobytes()
 
     def test_rejects_zero_resolution(self):
         with pytest.raises(ValueError):
@@ -494,8 +507,9 @@ def fsum_unnormalized(row) -> bool:
 
 
 def model_faults_reference(support, mass, sizes=None):
-    """`model_faults` as it was written with masked ``np.any(..., where=)``
-    reductions and ``np.select``: the reference for the codes."""
+    """The first failed model invariant of each row, as a code indexing
+    :data:`FAULT_MESSAGES`, by masked ``np.any(..., where=)`` reductions and
+    ``np.select``: the reference for the model check."""
     rows, width = mass.shape
     if sizes is None:
         active = after_first = True
@@ -518,6 +532,25 @@ def model_faults_reference(support, mass, sizes=None):
         near = checked & ~(np.abs(off - MASS_TOL) > margin)
     unnormalized[near] = [fsum_unnormalized(row) for row in masses[near].tolist()]
     return np.select([nonfinite, unordered, nonpositive, unnormalized], [1, 2, 3, 4], 0)
+
+
+#: The model check's messages, in its order, indexed by the reference's codes; 0 is a valid model.
+FAULT_MESSAGES = (
+    None,
+    "support and mass must be finite",
+    "support must be strictly increasing",
+    "all masses must be positive",
+    "masses must sum to 1",
+)
+
+
+def model_error(support, mass):
+    """The message :class:`QuantizedModel` raises on one model, or None."""
+    try:
+        QuantizedModel(support, mass)
+    except DistributionError as err:
+        return str(err)
+    return None
 
 
 def mixed_fault_batch(rng, rows, width):
@@ -557,22 +590,20 @@ def mixed_fault_batch(rng, rows, width):
 
 
 class TestModelFaults:
+    """The one-model check, reached through :class:`QuantizedModel`."""
+
     @pytest.mark.parametrize("width, rows", [(1, 1000), (2, 1000), (30, 1000), (8197, 60)])
     def test_codes_match_the_masked_reference(self, rng, width, rows):
+        # Each row, whole or cut to its size, raises the message of the
+        # reference's code, or nothing for code 0.
         support, mass, sizes = mixed_fault_batch(rng, rows, width)
         with np.errstate(all="ignore"):
             whole = model_faults_reference(support, mass)
-            assert np.array_equal(model_faults(support, mass), whole)
-            # Entries past a row's size are masked off: fill them with faults.
-            past = np.arange(width) >= sizes[:, None]
-            support = np.where(past & (np.arange(rows) % 2 == 0)[:, None], np.nan, support)
-            mass = np.where(past, -1.0, mass)
             ragged = model_faults_reference(support, mass, sizes)
-            codes = model_faults(support, mass, np.arange(width) < sizes[:, None])
-        assert codes.dtype == ragged.dtype == np.int64
-        assert np.array_equal(codes, ragged)
-        for want in (whole, ragged):
-            assert set(want.tolist()) == ({0, 1, 3, 4} if width == 1 else {0, 1, 2, 3, 4})
+        for codes, cut in ((whole, np.full(rows, width)), (ragged, sizes)):
+            got = [model_error(support[r, :size], mass[r, :size]) for r, size in enumerate(cut)]
+            assert got == [FAULT_MESSAGES[code] for code in codes.tolist()]
+            assert set(codes.tolist()) == ({0, 1, 3, 4} if width == 1 else {0, 1, 2, 3, 4})
 
     def rows_at_the_tolerance(self):
         """Rows whose exact totals lie on, and 1 and 2 ulp around, 1 +- MASS_TOL."""
@@ -611,7 +642,7 @@ class TestModelFaults:
         assert comp_sum(np.array(row)) != math.fsum(row)
         assert abs(float(np.sum(row)) - 1.0) > MASS_TOL
         assert not fsum_unnormalized(row)
-        assert model_faults(np.array([[0.0, 1.0, 2.0]]), np.array([row])).tolist() == [0]
+        assert model_error([0.0, 1.0, 2.0], row) is None
 
     def test_mass_decision_is_the_exact_sums(self, rng):
         rows = self.rows_at_the_tolerance() + [self.row_rounded_across_the_tolerance()]
@@ -620,15 +651,9 @@ class TestModelFaults:
             mass = rng.dirichlet(np.ones(m)) * (1.0 + rng.uniform(-3.0, 3.0) * MASS_TOL)
             rows.append(mass.tolist())
         rows += [[1e308, 1e308], [1.7e308, 1e-300, 1.7e308], [5e-324, 1.0], [0.5, 0.5 + 2 * MASS_TOL]]
-        width = max(map(len, rows))
-        mass = np.zeros((len(rows), width))
-        for r, row in enumerate(rows):
-            mass[r, : len(row)] = row
-        sizes = np.array([len(row) for row in rows])
-        support = np.tile(np.arange(width, dtype=float), (len(rows), 1))
-        want = [4 if fsum_unnormalized(row) else 0 for row in rows]
-        assert model_faults(support, mass, np.arange(width) < sizes[:, None]).tolist() == want
-        assert sum(want) > 0 and want.count(0) > 0
+        want = [FAULT_MESSAGES[4] if fsum_unnormalized(row) else None for row in rows]
+        assert [model_error(np.arange(len(row), dtype=float), row) for row in rows] == want
+        assert None in want and FAULT_MESSAGES[4] in want
         edge = self.rows_at_the_tolerance()
         assert {fsum_unnormalized(row) for row in edge} == {True, False}
 
@@ -642,25 +667,24 @@ class TestModelFaults:
         overflowing[0, :2] = 1e308
         overflowing[1, -3:] = [1.7e308, 1e-300, 1.7e308]
         mass = np.vstack([mass, overflowing])
-        support = np.tile(np.arange(m, dtype=float), (mass.shape[0], 1))
+        support = np.arange(m, dtype=float)
         want = [4 if fsum_unnormalized(row) else 0 for row in mass.tolist()]
         assert want[:5] + want[6:] == [4, 0, 0, 0, 4, 4, 4]
-        assert model_faults(support, mass).tolist() == want
-        # The same rows, ragged: each keeps its first `size` entries.
+        assert [model_error(support, row) for row in mass] == [FAULT_MESSAGES[code] for code in want]
+        # The same rows, shortened: each keeps its first `size` entries.
         sizes = m - np.arange(mass.shape[0]) % 3
-        rows = [row[:size] for row, size in zip(mass.tolist(), sizes)]
-        want = [4 if fsum_unnormalized(row) else 0 for row in rows]
-        active = np.arange(m) < sizes[:, None]
-        assert model_faults(support, np.where(active, mass, 7.0), active).tolist() == want
+        rows = [row[:size] for row, size in zip(mass, sizes)]
+        want = [FAULT_MESSAGES[4] if fsum_unnormalized(row.tolist()) else None for row in rows]
+        assert [model_error(support[: row.size], row) for row in rows] == want
 
     def test_one_wide_row(self, rng):
         mass = rng.uniform(0.5, 1.0, 200_000)
         mass /= mass.sum()
-        support = np.arange(mass.size, dtype=float)[None, :]
+        support = np.arange(mass.size, dtype=float)
         for scale in (-1.01, -0.99, 0.0, 0.99, 1.01):
             row = mass * (1.0 + scale * MASS_TOL)
-            want = 4 if fsum_unnormalized(row.tolist()) else 0
-            assert model_faults(support, row[None, :]).tolist() == [want]
+            want = FAULT_MESSAGES[4] if fsum_unnormalized(row.tolist()) else None
+            assert model_error(support, row) == want
 
     def test_rows_far_from_the_tolerance_skip_fsum(self, rng, monkeypatch):
         import opial.distributions as distributions
@@ -670,8 +694,9 @@ class TestModelFaults:
         mass = rng.uniform(0.5, 1.0, (4, 8197))
         mass /= mass.sum(axis=1)[:, None]
         mass *= 1.0 + MASS_TOL * np.array([-10.0, 0.0, 0.5, 10.0])[:, None]
-        support = np.tile(np.arange(8197, dtype=float), (4, 1))
-        assert model_faults(support, mass).tolist() == [4, 0, 0, 4]
+        support = np.arange(8197, dtype=float)
+        unnormalized = FAULT_MESSAGES[4]
+        assert [model_error(support, row) for row in mass] == [unnormalized, None, None, unnormalized]
         assert summed == []
 
 

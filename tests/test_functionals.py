@@ -325,12 +325,16 @@ class TestCorollarySplit:
         with pytest.raises(Exception, match="probability"):
             corollary_split(d, NodeFunction.constant(), 0.5)
 
-    @pytest.mark.parametrize("c", [0.5, 3.0, 7.0, math.nan])
-    def test_an_empty_side_names_the_lower_mass(self, c):
-        # Either side empty: the refusal names P(X <= c), before psi is read.
+    @pytest.mark.parametrize("c, side", [(0.5, "<="), (3.0, ">"), (7.0, ">"), (math.nan, "<=")])
+    def test_an_empty_side_is_named_with_its_mass(self, c, side):
+        # Either side empty: the refusal names that side, X <= c or X > c,
+        # and its probability, before psi is read.  A NaN c puts every node
+        # above it, so the lower side is the empty one.
         q = uniform_model(3)
-        low = comp_sum(q.mass[q.support <= c])
-        with pytest.raises(DistributionError, match=rf"^conditioning on X <= {c} leaves probability {low!r}$"):
+        lower = q.support <= c
+        mass = comp_sum(q.mass[lower if side == "<=" else ~lower])
+        assert mass == 0.0
+        with pytest.raises(DistributionError, match=rf"^conditioning on X {side} {c} leaves probability {mass!r}$"):
             fn.corollary_terms(q, [1.0], c)
 
     def test_the_table_has_three_input_kinds(self):
