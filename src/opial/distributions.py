@@ -385,7 +385,9 @@ def conditional_truncate(
 
     Returns the conditional distribution of that side of the cut at `c`
     (see :class:`Distribution`) together with the probability of the
-    conditioning event.
+    conditioning event.  A side of probability at most MASS_TOL has no
+    conditional law and raises DistributionError; a sure side gives the
+    law itself.
     """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
@@ -394,7 +396,7 @@ def conditional_truncate(
     # total at 1 to the ulp; computing the upper mass as 1 - cdf(c) would
     # cancel catastrophically when the retained side is small.
     p_side = math.fsum([p for _, p in atoms] + [pc.mass for pc in pieces])
-    if p_side <= MASS_TOL or p_side >= 1.0 - MASS_TOL:
+    if p_side <= MASS_TOL:
         raise DistributionError(
             f"conditioning on X {'<=' if side == 'lower' else '>'} {c} leaves probability {p_side!r}"
         )

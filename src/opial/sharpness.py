@@ -145,9 +145,10 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
     phi = project(sq * NodeFunction.cos_pi_cdf().resolve(model))
     phi /= np.linalg.norm(phi)
 
+    # w is apply(phi) at every exit: the no-rise and zero-norm exits keep phi.
+    w = apply(phi)
     trace: list[tuple[int, float]] = []
     for step in range(1, MAX_ITER + 1):
-        w = apply(phi)
         c = float(phi @ w)
         if trace and c <= trace[-1][1]:
             break  # No further float-representable improvement.
@@ -156,6 +157,7 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
         if norm_w == 0.0:
             break
         phi = w / norm_w
+        w = apply(phi)
         if step > 1 and c - trace[-2][1] <= EIGEN_TOL * max(1.0, abs(c)):
             break
     else:
@@ -163,7 +165,7 @@ def rayleigh_best_constant(model: QuantizedModel, functional: str = "wirtinger")
             f"power iteration did not converge within {MAX_ITER} iterations"
         )
     c_final = trace[-1][1]
-    residual = float(np.linalg.norm(apply(phi) - c_final * phi))
+    residual = float(np.linalg.norm(w - c_final * phi))
     psi_star = phi / sq
     den = comp_sum(p * psi_star * psi_star)
     psi_star = psi_star / math.sqrt(den)
@@ -311,34 +313,34 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
 
     Every functional gets ``sizes`` from 2 to m_max: one value is an
     equality case of every kernel.  A model functional then
-    gets an atomic model per row: ``support`` from uniform(0.1, 1) gaps
-    after a uniform(-3, 3) offset and Dirichlet(1, ..., 1) ``mass``
-    (row-normalized standard exponentials, floored at 1e-9 and normalized
-    again); a sequence functional gets none, its masses the counting law.
-    Every functional gets N(0,1) values ``psi``.  The values then meet the
-    table's side conditions: a ``zero_mean`` sequence loses its mean over
-    the row, a ``zero_mean`` psi loses its compensated mean under the row's
-    masses, and a ``nonnegative`` sequence is taken in magnitude.  Last
-    comes the parameter the table's ``params`` names: the order ``n`` from
-    1 to 3, the weight ``chi`` from uniform(0, 3), or the split point ``c``,
-    the support point of a uniform index from 1 to size - 1.  Every draw is
-    one call for the whole block, in that order, of shape (rows, m_max) or
-    (rows,).  Entries past a row's size are 0, set by the row mask
-    ``active``, which is built once per block and kept in it for
+    gets an atomic model per row: ``support`` the positions 1, ..., size,
+    which take no draw, and Dirichlet(1, ..., 1) ``mass`` (row-normalized
+    standard exponentials, floored at 1e-9 and normalized again); a
+    sequence functional gets none, its masses the counting law.  No kernel
+    reads a support value, and the corollary's split reads only their
+    order, so random supports would test nothing more.  Every functional
+    gets N(0,1) values ``psi``.  The values then meet the table's side
+    conditions: a ``zero_mean`` sequence loses its mean over the row, a
+    ``zero_mean`` psi loses its compensated mean under the row's masses,
+    and a ``nonnegative`` sequence is taken in magnitude.  Last comes the
+    parameter the table's ``params`` names: the order ``n`` from 1 to 3,
+    the weight ``chi`` from uniform(0, 3), or the split point ``c``, a
+    uniform index from 1 to size - 1, which is that atom's position.  Every
+    draw is one call for the whole block, in that order, of shape
+    (rows, m_max) or (rows,).  Entries past a row's size are 0, set by the
+    row mask ``active``, which is built once per block and kept in it for
     :func:`_terms`.  Every row is a valid input of the functional's public
     evaluator, so the search checks no row.
 
     Each row's model meets the :class:`~opial.distributions.QuantizedModel`
     invariants by construction.  Its support is finite and strictly
-    increasing: a cumsum of gaps of at least 0.1 plus one offset, whose
-    values stay below 3 + m_max <= 2.1e6, where doubles are less than 1e-9
-    apart, so no step rounds away.  Its masses are positive: floored at
-    1e-9, then divided by their positive sum.  Their exact sum is within
-    about w u of 1 for a row of w entries and the unit roundoff u (the
-    normalizing sum is within (w - 1) u of exact in any summation order,
-    and each quotient adds a relative u), which is within MASS_TOL up to w
-    of about 9 000; numpy's pairwise row sum makes it O(log w) u at any
-    width.
+    increasing: the exact integers 1, ..., size.  Its masses are positive:
+    floored at 1e-9, then divided by their positive sum.  Their exact sum
+    is within about w u of 1 for a row of w entries and the unit roundoff
+    u (the normalizing sum is within (w - 1) u of exact in any summation
+    order, and each quotient adds a relative u), which is within MASS_TOL
+    up to w of about 9 000; numpy's pairwise row sum makes it O(log w) u
+    at any width.
     """
     spec = fn.FUNCTIONALS[functional_id]
     rng = np.random.default_rng([seed, block])
@@ -349,8 +351,7 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     active = np.arange(m_max) < sizes[:, None]
     drawn = {"sizes": sizes, "active": active}
     if not sequence:
-        gaps = rng.uniform(0.1, 1.0, shape)
-        support = np.where(active, np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], 0.0)
+        support = np.where(active, np.arange(1.0, m_max + 1.0), 0.0)
         mass = np.where(active, rng.standard_exponential(shape), 0.0)
         # Floor the masses: Dirichlet draws can come out small enough to trip
         # the positive-mass and conditioning guards downstream.
@@ -368,7 +369,7 @@ def _draw_block(functional_id: str, seed: int, block: int, m_max: int) -> dict:
     if "chi" in spec.params:
         drawn["chi"] = np.where(active, rng.uniform(0.0, 3.0, shape), 0.0)
     if "c" in spec.params:
-        drawn["c"] = support[np.arange(rows), rng.integers(1, sizes) - 1]
+        drawn["c"] = rng.integers(1, sizes).astype(float)
     return drawn
 
 
@@ -509,11 +510,11 @@ def search_counterexample(
 ) -> Violation | None:
     """Randomized search for slack < -rel_tol relative.
 
-    Node functions are i.i.d. standard normal; distributions have random
-    sorted supports and Dirichlet masses.  Trials are drawn in blocks of
-    B = ``block_trials(m_max)`` trials (BLOCK_TRIALS, fewer where that many
-    rows of m_max would exceed CHUNK_ELEMENTS): trial t is row t mod B of
-    block b = t // B, and block b is drawn from its own generator
+    Node functions are i.i.d. standard normal; distributions have
+    Dirichlet masses on the positions 1, ..., size.  Trials are drawn in
+    blocks of B = ``block_trials(m_max)`` trials (BLOCK_TRIALS, fewer where
+    that many rows of m_max would exceed CHUNK_ELEMENTS): trial t is row
+    t mod B of block b = t // B, and block b is drawn from its own generator
     ``default_rng([seed, b])`` by a few vectorized calls
     (:func:`_draw_block`).  A result therefore depends only on the
     functional, the seed, the trial index and m_max, not on `trials`.

@@ -315,6 +315,13 @@ class TestQuantize:
             assert abs(sup - 1.0 / (2 * m)) <= 1e-15
 
 
+def assert_whole_law(d, side, p):
+    """`side` is `d` itself, each mass divided by the side's probability `p`."""
+    assert abs(p - 1.0) <= MASS_TOL
+    assert side.atoms == tuple((x, q / p) for x, q in d.atoms)
+    assert side.pieces == tuple(Piece(pc.lo, pc.hi, pc.mass / p) for pc in d.pieces)
+
+
 class TestConditionalTruncate:
     def test_uniform_interval_median(self):
         d = make_uniform_interval(0, 1)
@@ -334,6 +341,18 @@ class TestConditionalTruncate:
         d = make_discrete([1, 2, 3], [1 / 3] * 3)
         with pytest.raises(DistributionError, match="probability"):
             conditional_truncate(d, 0.5, "lower")
+
+    def test_sure_lower_side_is_the_law(self):
+        d = make_discrete([0, 1, 2], [0.25, 0.5, 0.25])
+        low, p = conditional_truncate(d, 2.0, "lower")
+        assert p == 1.0
+        assert low.atoms == d.atoms and low.pieces == ()
+
+    def test_sure_upper_side_is_the_law(self):
+        d = make_discrete([0, 1, 2], [0.25, 0.5, 0.25])
+        up, q = conditional_truncate(d, -1.0, "upper")
+        assert q == 1.0
+        assert up.atoms == d.atoms and up.pieces == ()
 
     def test_upper_side(self):
         d = make_uniform_interval(0, 1)
@@ -386,17 +405,28 @@ class TestConditionalTruncate:
             points += [(a[1] + b[0]) / 2 for a, b in zip(spans, spans[1:])]
             points += [spans[0][0] - 1.0, spans[-1][1] + 1.0, math.nan]
             for c in points:
+                if math.isnan(c):
+                    # A NaN cut leaves both sides empty.
+                    for side in ("lower", "upper"):
+                        with pytest.raises(DistributionError, match="probability 0.0$"):
+                            conditional_truncate(d, c, side)
+                    continue
+                # An empty side raises naming its mass, and the other side
+                # returns the law: below the support the lower side is
+                # empty, past it the upper side.
                 try:
                     low, p = conditional_truncate(d, c, "lower")
                 except DistributionError as err:
-                    # The refusal names the side's mass, which is cdf(c).
                     assert str(err).endswith(f"leaves probability {d.cdf(c)!r}")
-                    if math.isnan(c):
-                        with pytest.raises(DistributionError, match="probability 0.0$"):
-                            conditional_truncate(d, c, "upper")
+                    assert_whole_law(d, *conditional_truncate(d, c, "upper"))
                     continue
                 assert p == d.cdf(c)
-                up, q = conditional_truncate(d, c, "upper")
+                try:
+                    up, q = conditional_truncate(d, c, "upper")
+                except DistributionError as err:
+                    assert str(err).endswith("leaves probability 0.0")
+                    assert_whole_law(d, low, p)
+                    continue
                 assert [x for x, _ in low.atoms] == [x for x, _ in d.atoms if x <= c]
                 assert [x for x, _ in low.atoms + up.atoms] == [x for x, _ in d.atoms]
                 assert [(pc.lo, pc.hi) for pc in low.pieces] == [(pc.lo, min(pc.hi, c)) for pc in d.pieces if pc.lo < c]

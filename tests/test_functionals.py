@@ -1,3 +1,4 @@
+import json
 import math
 from functools import partial
 
@@ -237,6 +238,58 @@ class TestAffineInvariance:
             for a, b in pairs:
                 for key in a.terms:
                     assert rel_close(a.terms[key], b.terms[key], 1e-12)
+
+
+#: The distribution functionals: every term reads the masses in their order.
+LAW_IDS = [k for k, f in fn.FUNCTIONALS.items() if f.input == "model"]
+
+
+class TestOnlyTheOrderOfTheAtomsCounts:
+    """A strictly increasing map of the support moves no bit of any term.
+
+    The search puts its laws on the positions 1, ..., m because of this;
+    it fails if a kernel or an evaluator starts reading support values.
+    """
+
+    MAPS = {
+        "cubic": lambda x: 0.25 * x**3 + x - 11.0,
+        "gaps": lambda x: np.cumsum(np.linspace(0.1, 1.0, x.size)) - 3.0,
+    }
+
+    @pytest.mark.parametrize("functional", LAW_IDS)
+    def test_terms_are_bit_identical_on_mapped_supports(self, functional, rng):
+        spec = fn.FUNCTIONALS[functional]
+        for _ in range(20):
+            m = int(rng.integers(2, 31))
+            positions = np.arange(1.0, m + 1.0)
+            mass = rng.standard_exponential(m)
+            mass /= mass.sum()
+            psi = rng.standard_normal(m)
+            if spec.zero_mean:
+                psi = psi - comp_sum(mass * psi)
+            draws = {"n": int(rng.integers(1, fn.ORDER_CAP + 1)), "chi": rng.uniform(0.0, 3.0, m)}
+            params = {name: draws[name] for name in spec.params if name in draws}
+            cut = int(rng.integers(1, m))  # the corollary's split index
+            results = []
+            for support in [positions] + [g(positions) for g in self.MAPS.values()]:
+                assert (np.diff(support) > 0.0).all()
+                model = QuantizedModel(support=support, mass=mass, is_exact=True)
+                if "c" in spec.params:
+                    c = float(support[cut - 1])
+                    report = spec.evaluate(model, psi, c)
+                    lower = support <= c
+                    halves = []
+                    for half in (lower, ~lower):
+                        halves += [mass[half] / comp_sum(mass[half]), psi[half]]
+                    kernel = spec.rows(*halves)
+                else:
+                    report = spec.evaluate(model, psi, **params)
+                    kernel = spec.rows(mass, psi, **params)
+                doc = report.to_json_dict()
+                doc.pop("c", None)  # the one extra that names a support point
+                # json writes each float by repr: equal text is equal bits
+                results.append((json.dumps(doc, sort_keys=True), bits(list(kernel.values()))))
+            assert results[1:] == results[:1] * len(self.MAPS)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -238,6 +239,27 @@ class TestLoopExits:
         self.assert_steps(result, 1)
         assert result.c_m > 0.0
 
+    def test_one_product_per_power_step(self, monkeypatch):
+        # Each step's product is also the next step's, and the residual reads
+        # the last one: the no-rise exit at m = 8192 (one recorded step) takes
+        # two products, and the report keeps its bytes.
+        spec = FUNCTIONALS["wirtinger"]
+        calls = []
+
+        def counted(p, psi):
+            calls.append(psi.size)
+            return spec.form.matvec(p, psi)
+
+        form = dataclasses.replace(spec.form, matvec=counted)
+        monkeypatch.setitem(FUNCTIONALS, "wirtinger", dataclasses.replace(spec, form=form))
+        result = wirtinger_best_constant(8192)
+        self.assert_steps(result, 1)
+        assert calls == [8192, 8192]
+        text = _json_text(result.to_json_dict()).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "e8905d70c2181c4a71ca1344e661d8e0c0fac7b9033aae82708616cc3923ce6b"
+        )
+
     def test_tolerance_exit(self):
         result = wirtinger_best_constant(16)
         self.assert_steps(result, 2)
@@ -332,7 +354,7 @@ class TestSearchCounterexample:
         # Every comparison with NaN is false: the search would report nothing.
         with pytest.raises(ValueError, match="rel_tol"):
             search_counterexample("wirtinger", 2000, 0, 30, math.nan)
-        assert search_counterexample("wirtinger", 2000, 0, 30).trial == 34
+        assert search_counterexample("wirtinger", 2000, 0, 30).trial == 4
         assert search_counterexample("wirtinger", 2000, 0, 30, math.inf) is None
         assert search_counterexample("wirtinger", 200, 0, 30, -math.inf).trial == 0
 
@@ -420,8 +442,8 @@ def draw_block(functional, seed, block, m_max):
             # centred by the mean over the zero-padded row
             psi = pad(psi - (psi.sum(axis=1) / sizes)[:, None], sizes)
         return {"sizes": sizes, "active": active, "psi": np.abs(psi) if functional == "rtwo" else psi}
-    gaps = rng.uniform(0.1, 1.0, shape)
-    support = pad(np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, rows)[:, None], sizes)
+    # atoms on the positions 1, ..., size: no draw
+    support = pad(np.tile(np.arange(1.0, m_max + 1.0), (rows, 1)), sizes)
     exponentials = pad(rng.standard_exponential(shape), sizes)
     mass = pad(np.maximum(exponentials / exponentials.sum(axis=1)[:, None], 1e-9), sizes)
     mass /= mass.sum(axis=1)[:, None]
@@ -433,9 +455,8 @@ def draw_block(functional, seed, block, m_max):
     elif functional in ("weighted-lower", "weighted-upper"):
         block["chi"] = pad(rng.uniform(0.0, 3.0, shape), sizes)
     elif functional == "corollary":
-        # the support point of a split index drawn from 1 to size - 1
-        cut = rng.integers(1, sizes)
-        block["c"] = np.array([support[k, cut[k] - 1] for k in range(rows)])
+        # a split index drawn from 1 to size - 1, which is that atom's position
+        block["c"] = np.array([float(i) for i in rng.integers(1, sizes)])
     elif functional == "wirtinger":
         # psi less its compensated mean, taken over each unpadded row
         for k, size in enumerate(sizes):
@@ -656,6 +677,26 @@ class TestBlockStream:
                     assert ((row["chi"] >= 0.0) & (row["chi"] < 3.0)).all()
                 if functional == "corollary":
                     assert row["c"] in row["support"][:-1]
+
+    @pytest.mark.parametrize("m_max", [2, 3, 30])
+    @pytest.mark.parametrize("functional", [k for k in SEARCHABLE_IDS if FUNCTIONALS[k].input == "model"])
+    def test_screens_read_only_the_order_of_the_atoms(self, functional, m_max):
+        # Random increasing supports in place of the positions, with c at the
+        # same index, move no bit of either screen: the positions lose
+        # nothing that drawn supports would test.
+        rng = np.random.default_rng(m_max)
+        for seed in (0, 9):
+            drawn = sharpness._draw_block(functional, seed, 0, m_max)
+            moved = dict(drawn)
+            gaps = rng.uniform(0.1, 1.0, drawn["support"].shape)
+            support = np.cumsum(gaps, axis=1) + rng.uniform(-3.0, 3.0, (gaps.shape[0], 1))
+            moved["support"] = np.where(drawn["active"], support, 0.0)
+            if "c" in drawn:
+                index = drawn["c"].astype(int) - 1
+                moved["c"] = moved["support"][np.arange(index.size), index]
+                assert not np.array_equal(moved["c"], drawn["c"])
+            for screen in (sharpness._screen, sharpness._plain_screen):
+                assert [bits(v) for v in screen(functional, moved)] == [bits(v) for v in screen(functional, drawn)]
 
     @pytest.mark.parametrize("functional", SEARCHABLE_IDS)
     def test_result_does_not_depend_on_the_trial_count(self, functional):
